@@ -1,21 +1,24 @@
 """DSP feature extraction: pitch, energy, harmonicity, rate, and the toy
 style encoder / speaker embedding.
 
+`analyze` frames a clip once and computes per-frame RMS, f0, NCCF peak and
+voicing; the per-clip features below are projections of that one pass.
 Pitch and harmonicity come from the normalized cross-correlation (NCCF) of
-each frame within the lag band of the search range, with parabolic peak
-refinement.  A frame is voiced when the refined peak exceeds 0.30 and the
-frame RMS clears the silence floor (1e-4, about -80 dBFS).  Both constants
-are deliberate fixed defaults so every downstream test is deterministic.
+each frame within the lag band of the search range, one FFT autocorrelation
+per block of frames, with parabolic peak refinement.  A frame is voiced
+when the refined peak exceeds 0.30 and the frame RMS clears the silence
+floor (1e-4, about -80 dBFS).  Both constants are deliberate fixed defaults
+so every downstream test is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dialog import STYLE_DIM, AudioClip, StyleVector
+from .dialog import AudioClip, StyleVector
 
 SILENCE_FLOOR_RMS = 1e-4
 VOICING_THRESHOLD = 0.30
@@ -30,19 +33,17 @@ RATE_CAP_PER_S = 20.0
 DURATION_CAP_S = 60.0
 
 EMBED_DIM = 16
+NCCF_BLOCK_FRAMES = 32  # frames per FFT batch; bounds the batch's memory
 
 
 @dataclass(frozen=True)
 class FrameSpec:
     frame_ms: float = 25.0
     hop_ms: float = 10.0
-    window: str = "hann"  # "rectangular" | "hann"
 
     def __post_init__(self):
         if not 0 < self.hop_ms <= self.frame_ms:
             raise ValueError(f"need 0 < hop_ms <= frame_ms, got {self.hop_ms}/{self.frame_ms}")
-        if self.window not in ("rectangular", "hann"):
-            raise ValueError(f"unknown window {self.window!r}")
 
     def frame_len(self, sample_rate: int) -> int:
         return max(1, int(round(sample_rate * self.frame_ms / 1000.0)))
@@ -64,113 +65,140 @@ class AcousticSummary:
     voiced_fraction: float
 
     def as_dict(self) -> dict:
-        return {
-            "pitch_mean": self.pitch_mean,
-            "pitch_std": self.pitch_std,
-            "energy_mean": self.energy_mean,
-            "energy_std": self.energy_std,
-            "hnr_db": self.hnr_db,
-            "duration_s": self.duration_s,
-            "voiced_fraction": self.voiced_fraction,
-        }
+        return asdict(self)
 
 
 def _frames(samples: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
     """(n_frames, frame_len) view; a clip shorter than one frame yields one
     zero-padded frame so short clips still have defined energy."""
     n = len(samples)
-    if n == 0:
-        return np.zeros((0, frame_len))
-    if n < frame_len:
-        padded = np.zeros(frame_len)
-        padded[:n] = samples
-        return padded[None, :]
-    n_frames = 1 + (n - frame_len) // hop_len
-    idx = hop_len * np.arange(n_frames)[:, None] + np.arange(frame_len)[None, :]
-    return samples[idx]
+    if n < frame_len:  # an empty clip has no frame at all
+        padded = np.zeros((min(n, 1), frame_len))
+        padded[:, :n] = samples
+        return padded
+    return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop_len]
 
 
-def frame_rms(clip: AudioClip, spec: FrameSpec | None = None) -> np.ndarray:
-    spec = spec or FrameSpec()
-    frames = _frames(clip.samples, spec.frame_len(clip.sample_rate), spec.hop_len(clip.sample_rate))
-    if frames.shape[0] == 0:
-        return np.zeros(0)
-    return np.sqrt(np.mean(frames ** 2, axis=1))
+def _pick(r: np.ndarray, octave_cost: np.ndarray, err: np.ndarray):
+    """Each row's peak column in r (lags of the band plus one each side): the
+    best local maximum after an octave cost, which keeps subharmonics from
+    winning, else the band maximum; and the rows an error `err` could sway."""
+    band, left, right = r[:, 1:-1], r[:, :-2], r[:, 2:]
+    is_max = (band >= left) & (band >= right)
+    scores = np.where(is_max, band - octave_cost, -2.0)  # -2 is below any score: |r| <= 1
+    i = np.where(is_max.any(axis=1), scores.argmax(axis=1), band.argmax(axis=1)) + 1
+    tol = 2.0 * err.max(axis=1, keepdims=True)  # the most a difference of two r can be off
+    near = (np.abs(band - left) < tol) | (np.abs(band - right) < tol)
+    rivals = (scores > scores.max(axis=1, keepdims=True) - tol).sum(axis=1)
+    return i, near.any(axis=1) | (rivals > 1)
 
 
-def _nccf_peak(frame: np.ndarray, lag_min: int, lag_max: int):
-    """Refined (lag, peak_value) of the frame's normalized cross-correlation
-    within [lag_min, lag_max].  Returns (0.0, 0.0) for degenerate frames."""
-    n = len(frame)
+def _nccf_peaks(frames: np.ndarray, lag_min: int, lag_max: int):
+    """(integer lag, refined lag, refined peak) of each frame's NCCF within
+    [lag_min, lag_max], all 0 when frames are too short for the band.  Zero
+    padding to nfft >= n + lag_max + 1 keeps every lag used free of wrap."""
+    n_frames, n = frames.shape
     lag_max = min(lag_max, n - 2)
+    base, lag, peak = np.zeros(n_frames, int), np.zeros(n_frames), np.zeros(n_frames)
     if lag_max <= lag_min:
-        return 0.0, 0.0
-    # numerator(tau) = sum_t x[t] x[t+tau]; denominator from running energies
-    full = np.correlate(frame, frame, mode="full")
-    num = full[n - 1 + lag_min - 1: n - 1 + lag_max + 2]  # lags lag_min-1 .. lag_max+1
-    sq = frame ** 2
-    csum = np.concatenate(([0.0], np.cumsum(sq)))
-    lags = np.arange(lag_min - 1, lag_max + 2)
-    e_head = csum[n - lags]              # energy of x[0 : n-tau]
-    e_tail = csum[n] - csum[lags]        # energy of x[tau : n]
-    denom = np.sqrt(e_head * e_tail)
-    r = np.where(denom > 1e-20, num / np.maximum(denom, 1e-20), 0.0)
-    # score local maxima with a small octave cost so lag multiples of the
-    # true period (subharmonics with near-equal correlation) do not win
-    band = r[1:-1]
-    band_lags = lags[1:-1].astype(np.float64)
-    is_max = (band >= np.roll(r, 1)[1:-1]) & (band >= np.roll(r, -1)[1:-1])
-    candidates = np.flatnonzero(is_max)
-    if candidates.size:
-        scores = band[candidates] - 0.03 * np.log2(band_lags[candidates] / lag_min)
-        i = int(candidates[np.argmax(scores)]) + 1
-    else:
-        i = int(np.argmax(band)) + 1
-    r0, rm, rp = r[i], r[i - 1], r[i + 1]
-    lag = float(lags[i])
-    peak = float(r0)
-    curv = rm - 2.0 * r0 + rp
-    if curv < 0:
-        shift = 0.5 * (rm - rp) / curv
-        if -1.0 < shift < 1.0:
-            lag += shift
-            peak = float(r0 - 0.25 * (rm - rp) * shift)
-    return lag, min(peak, 1.0 - 1e-12)
+        return base, lag, peak
+    octave_cost = 0.03 * np.log2(np.arange(lag_min, lag_max + 1) / lag_min)
+    nfft = 1 << (n + lag_max).bit_length()
+    cols = slice(lag_min - 1, lag_max + 2)  # the lags searched, plus one each side
+    for start in range(0, n_frames, NCCF_BLOCK_FRAMES):
+        rows = slice(start, start + NCCF_BLOCK_FRAMES)
+        block = frames[rows]
+        csum = np.zeros((len(block), n + 1))
+        np.cumsum(block ** 2, axis=1, out=csum[:, 1:])
+        # sqrt of the energies of x[0 : n-tau] and of x[tau : n]
+        head = csum[:, n - lag_min + 1:n - lag_max - 2:-1]
+        denom = np.maximum(np.sqrt(head * (csum[:, n:] - csum[:, cols])), 1e-20)
+        live = denom > 1e-20
+        # numerator(tau) = sum_t x[t] x[t+tau], from the power spectrum
+        spectrum = np.fft.rfft(block, nfft, axis=1)
+        num = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, nfft, axis=1)[:, cols]
+        r = np.where(live, num / denom, 0.0)
+        # the FFT's error in num stays far below 1e-13 of the frame energy;
+        # rows whose pick that could sway get the exact correlation instead
+        i, doubt = _pick(r, octave_cost, np.where(live, 1e-13 * csum[:, n:] / denom, 0.0))
+        for b in np.flatnonzero(doubt):
+            exact = np.correlate(block[b], block[b], mode="full")[n + lag_min - 2:n + lag_max + 1]
+            r[b] = np.where(live[b], exact / denom[b], 0.0)
+            i[b] = _pick(r[b:b + 1], octave_cost, np.zeros_like(r[:1]))[0][0]
+        r0, rm, rp = np.take_along_axis(r, i[:, None] + np.array([0, -1, 1]), axis=1).T
+        curv = rm - 2.0 * r0 + rp
+        shift = 0.5 * (rm - rp) / np.where(curv < 0, curv, -1.0)  # used where curv < 0
+        refine = (curv < 0) & (np.abs(shift) < 1.0)
+        base[rows] = lag_min - 1 + i
+        lag[rows] = base[rows] + np.where(refine, shift, 0.0)
+        peak[rows] = np.minimum(np.where(refine, r0 - 0.25 * (rm - rp) * shift, r0), 1.0 - 1e-12)
+    return base, lag, peak
 
 
-def _track(clip: AudioClip, spec: FrameSpec, f_min: float, f_max: float):
-    """Per-frame (f0, nccf peak, voiced). Shared by pitch_track and hnr."""
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare
+class ClipFeatures:
+    """Read-only arrays, one entry per frame.  A clip shorter than one frame
+    has one zero-padded `rms` frame and empty `f0`, `peak` and `voiced`."""
+
+    rms: np.ndarray
+    f0: np.ndarray
+    peak: np.ndarray
+    voiced: np.ndarray
+
+
+# (clip, (spec, f_min, f_max), features) of the latest analyze call: encode_style and
+# summarize on one clip share it.  AudioClip is frozen with read-only samples.
+_last_analysis = None
+
+
+def analyze(clip: AudioClip, spec: FrameSpec | None = None,
+            f_min: float = 50.0, f_max: float = 500.0) -> ClipFeatures:
+    """Per-frame RMS, f0, NCCF peak and voicing from one framing of the clip.
+    Frames at or below the silence floor skip the NCCF: f0 and peak 0."""
+    global _last_analysis
+    spec = spec or FrameSpec()
+    key = (spec, f_min, f_max)
+    last = _last_analysis
+    if last is not None and last[0] is clip and last[1] == key:
+        return last[2]
     sr = clip.sample_rate
     if not 0 < f_min < f_max <= sr / 2:
         raise ValueError(f"invalid pitch band [{f_min}, {f_max}] at {sr} Hz")
     frame_len = spec.frame_len(sr)
-    hop_len = spec.hop_len(sr)
-    if len(clip.samples) < frame_len:
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
-    frames = _frames(clip.samples, frame_len, hop_len)
-    lag_min = max(2, int(math.floor(sr / f_max)))
-    lag_max = int(math.ceil(sr / f_min))
-    f0 = np.zeros(len(frames))
-    peak = np.zeros(len(frames))
-    voiced = np.zeros(len(frames), dtype=bool)
+    frames = _frames(clip.samples, frame_len, spec.hop_len(sr))
     rms = np.sqrt(np.mean(frames ** 2, axis=1))
-    for i, frame in enumerate(frames):
-        if rms[i] <= SILENCE_FLOOR_RMS:
-            continue
-        lag, p = _nccf_peak(frame, lag_min, lag_max)
-        peak[i] = p
-        if lag > 0:
-            f0[i] = sr / lag
-        voiced[i] = p > VOICING_THRESHOLD and rms[i] > SILENCE_FLOOR_RMS
-    return f0, peak, voiced
+    n_track = len(frames) if len(clip.samples) >= frame_len else 0
+    f0, peak = np.zeros(n_track), np.zeros(n_track)
+    active = np.flatnonzero(rms[:n_track] > SILENCE_FLOOR_RMS)
+    _, lag, peak[active] = _nccf_peaks(frames[active], max(2, int(math.floor(sr / f_max))),
+                                       int(math.ceil(sr / f_min)))
+    f0[active] = np.divide(sr, lag, out=np.zeros_like(lag), where=lag > 0)
+    voiced = peak > VOICING_THRESHOLD  # silent frames keep peak 0
+    for array in (rms, f0, peak, voiced):
+        array.flags.writeable = False
+    features = ClipFeatures(rms=rms, f0=f0, peak=peak, voiced=voiced)
+    _last_analysis = (clip, key, features)
+    return features
+
+
+def _voiced_pitch(features: ClipFeatures):
+    """(mean, population std) of voiced f0, voiced fraction; 0s if unvoiced."""
+    if not np.any(features.voiced):
+        return 0.0, 0.0, 0.0
+    f0 = features.f0[features.voiced]
+    return float(np.mean(f0)), float(np.std(f0)), float(np.mean(features.voiced))
 
 
 def pitch_track(clip: AudioClip, spec: FrameSpec | None = None,
                 f_min: float = 50.0, f_max: float = 500.0):
     """Per-frame (f0_hz, voiced) arrays. Shorter than one frame -> empty track."""
-    spec = spec or FrameSpec()
-    f0, _, voiced = _track(clip, spec, f_min, f_max)
-    return f0, voiced
+    features = analyze(clip, spec, f_min, f_max)
+    return features.f0, features.voiced
+
+
+def frame_rms(clip: AudioClip, spec: FrameSpec | None = None) -> np.ndarray:
+    """Per-frame RMS; a clip shorter than one frame has one zero-padded frame."""
+    return analyze(clip, spec).rms
 
 
 def energy_stats(clip: AudioClip, spec: FrameSpec | None = None):
@@ -184,11 +212,10 @@ def energy_stats(clip: AudioClip, spec: FrameSpec | None = None):
 def hnr(clip: AudioClip, spec: FrameSpec | None = None,
         f_min: float = 50.0, f_max: float = 500.0) -> float:
     """Mean over voiced frames of 10*log10(r/(1-r)), clamped to [-20, 40]."""
-    spec = spec or FrameSpec()
-    _, peak, voiced = _track(clip, spec, f_min, f_max)
-    if not np.any(voiced):
+    features = analyze(clip, spec, f_min, f_max)
+    if not np.any(features.voiced):
         return HNR_DB_MIN
-    r = np.clip(peak[voiced], 1e-12, 1.0 - 1e-12)
+    r = np.clip(features.peak[features.voiced], 1e-12, 1.0 - 1e-12)
     per_frame = np.clip(10.0 * np.log10(r / (1.0 - r)), HNR_DB_MIN, HNR_DB_MAX)
     return float(np.clip(np.mean(per_frame), HNR_DB_MIN, HNR_DB_MAX))
 
@@ -222,8 +249,7 @@ def speaking_rate(clip: AudioClip, spec: FrameSpec | None = None) -> float:
     """Energy-peak events per second, capped at RATE_CAP_PER_S."""
     if clip.duration_seconds <= 0:
         return 0.0
-    rms = frame_rms(clip, spec)
-    rate = _count_energy_peaks(rms) / clip.duration_seconds
+    rate = _count_energy_peaks(frame_rms(clip, spec)) / clip.duration_seconds
     return min(rate, RATE_CAP_PER_S)
 
 
@@ -238,29 +264,16 @@ def encode_style(clip: AudioClip) -> StyleVector:
     if len(clip.samples) == 0:
         raise ValueError("cannot encode an empty clip")
     spec = FrameSpec()
-    f0, _, voiced = _track(clip, spec, 50.0, 500.0)
-    if np.any(voiced):
-        pitch_mean = float(np.mean(f0[voiced]))
-        # capped so the component stays within its documented bound even
-        # when stray noise frames lock onto scattered pitches
-        pitch_std = min(float(np.std(f0[voiced])), 1.3 * PITCH_STD_NORM_HZ)
-        voiced_fraction = float(np.mean(voiced))
-    else:
-        pitch_mean = pitch_std = voiced_fraction = 0.0
+    pitch_mean, pitch_std, voiced_fraction = _voiced_pitch(analyze(clip, spec))
+    # capped so the component stays within its documented bound even when
+    # stray noise frames lock onto scattered pitches
+    pitch_std = min(pitch_std, 1.3 * PITCH_STD_NORM_HZ)
     e_mean, e_std = energy_stats(clip, spec)
-    hnr_db = hnr(clip, spec)
-    rate = speaking_rate(clip, spec)
     dur = min(clip.duration_seconds, DURATION_CAP_S)
-    values = (
-        pitch_mean / PITCH_NORM_HZ,
-        pitch_std / PITCH_STD_NORM_HZ,
-        e_mean,
-        e_std,
-        (hnr_db - HNR_DB_MIN) / HNR_SPAN_DB,
-        rate / RATE_CAP_PER_S,
-        math.log1p(dur) / math.log1p(DURATION_CAP_S),
-        voiced_fraction,
-    )
+    values = (pitch_mean / PITCH_NORM_HZ, pitch_std / PITCH_STD_NORM_HZ, e_mean, e_std,
+              (hnr(clip, spec) - HNR_DB_MIN) / HNR_SPAN_DB,
+              speaking_rate(clip, spec) / RATE_CAP_PER_S,
+              math.log1p(dur) / math.log1p(DURATION_CAP_S), voiced_fraction)
     return StyleVector(values=values, kind="prosodic")
 
 
@@ -300,20 +313,7 @@ def summarize(clip: AudioClip) -> AcousticSummary:
     if len(clip.samples) == 0:
         return AcousticSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     spec = FrameSpec()
-    f0, _, voiced = _track(clip, spec, 50.0, 500.0)
-    if np.any(voiced):
-        pitch_mean = float(np.mean(f0[voiced]))
-        pitch_std = float(np.std(f0[voiced]))
-        voiced_fraction = float(np.mean(voiced))
-    else:
-        pitch_mean = pitch_std = voiced_fraction = 0.0
+    pitch_mean, pitch_std, voiced_fraction = _voiced_pitch(analyze(clip, spec))
     e_mean, e_std = energy_stats(clip, spec)
-    return AcousticSummary(
-        pitch_mean=pitch_mean,
-        pitch_std=pitch_std,
-        energy_mean=e_mean,
-        energy_std=e_std,
-        hnr_db=hnr(clip, spec),
-        duration_s=clip.duration_seconds,
-        voiced_fraction=voiced_fraction,
-    )
+    return AcousticSummary(pitch_mean, pitch_std, e_mean, e_std, hnr(clip, spec),
+                           clip.duration_seconds, voiced_fraction)

@@ -37,5 +37,7 @@ def read_wav(path, source_id: str | None = None) -> AudioClip:
             raise ValueError(f"{path}: expected 16-bit PCM, got {8 * fh.getsampwidth()} bits")
         sr = fh.getframerate()
         raw = fh.readframes(fh.getnframes())
-    samples = np.frombuffer(raw, dtype=np.int16).astype(np.float64) / 32767.0
+    # -32768 / 32767 lies just below -1, outside AudioClip's range: clamp it
+    # rather than divide by 32768, which would break the bit-identity above
+    samples = np.maximum(np.frombuffer(raw, dtype=np.int16) / 32767.0, -1.0)
     return AudioClip(sample_rate=sr, samples=samples, source_id=source_id)

@@ -67,7 +67,6 @@ def _write_atomic(path: Path, text: str) -> None:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    conversations, index, report = None, None, None
     try:
         conversations, report = corpus_mod.load_corpus(args.corpus)
     except (FileNotFoundError, ValueError) as exc:
@@ -105,7 +104,7 @@ def cmd_ingest(args) -> int:
     _write_atomic(out / "ingest_report.json", json.dumps(summary, indent=2) + "\n")
     print(f"ingest: {report.loaded} conversations, {len(report.rejects)} rejects, "
           f"{discarded} discarded segments, {stripped} stripped indicators")
-    return EXIT_OK if not report.rejects else EXIT_OK
+    return EXIT_CHECK_FAILED if report.rejects else EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -125,7 +124,7 @@ def cmd_simulate(args) -> int:
     payload = {"topology": topology.value, "input_dur": args.input_dur,
                "output_dur": args.output_dur, "rtf": report.rtf,
                "delay_s": report.delay_s, "carryover_s": report.carryover_s,
-               "timeline": [vars(e) | {} for e in report.timeline],
+               "timeline": [vars(e) for e in report.timeline],
                "config": config}
     if args.out:
         _write_atomic(Path(args.out), json.dumps(payload, default=str, indent=2) + "\n")

@@ -220,3 +220,66 @@ def perplexity_of_table(table, conversations):
                 log_sum += math.log(table.probability(prev, nxt))
                 count += 1
     return math.exp(-log_sum / count)
+
+
+def _nccf_peak_brute(frame, lag_min, lag_max):
+    """Refined (integer lag, lag, peak) of one frame's normalized
+    cross-correlation within [lag_min, lag_max]: a direct np.correlate,
+    octave-cost local-maximum pick, then parabolic refinement."""
+    n = len(frame)
+    lag_max = min(lag_max, n - 2)
+    if lag_max <= lag_min:
+        return 0, 0.0, 0.0
+    full = np.correlate(frame, frame, mode="full")
+    num = full[n - 1 + lag_min - 1: n - 1 + lag_max + 2]  # lags lag_min-1 .. lag_max+1
+    sq = frame ** 2
+    csum = np.concatenate(([0.0], np.cumsum(sq)))
+    lags = np.arange(lag_min - 1, lag_max + 2)
+    e_head = csum[n - lags]
+    e_tail = csum[n] - csum[lags]
+    denom = np.sqrt(e_head * e_tail)
+    r = np.where(denom > 1e-20, num / np.maximum(denom, 1e-20), 0.0)
+    band = r[1:-1]
+    band_lags = lags[1:-1].astype(np.float64)
+    is_max = (band >= np.roll(r, 1)[1:-1]) & (band >= np.roll(r, -1)[1:-1])
+    candidates = np.flatnonzero(is_max)
+    if candidates.size:
+        scores = band[candidates] - 0.03 * np.log2(band_lags[candidates] / lag_min)
+        i = int(candidates[np.argmax(scores)]) + 1
+    else:
+        i = int(np.argmax(band)) + 1
+    r0, rm, rp = r[i], r[i - 1], r[i + 1]
+    lag = float(lags[i])
+    peak = float(r0)
+    curv = rm - 2.0 * r0 + rp
+    if curv < 0:
+        shift = 0.5 * (rm - rp) / curv
+        if -1.0 < shift < 1.0:
+            lag += shift
+            peak = float(r0 - 0.25 * (rm - rp) * shift)
+    return int(lags[i]), lag, min(peak, 1.0 - 1e-12)
+
+
+def nccf_track_brute(samples, sample_rate, frame_len, hop_len, f_min=50.0, f_max=500.0):
+    """Per-frame (integer lag, f0, peak, voiced) from a frame-by-frame NCCF
+    loop.  Frames with RMS at or below 1e-4 are skipped (all 0, unvoiced);
+    a frame is voiced when its refined peak exceeds 0.30.  A clip shorter
+    than one frame has an empty track."""
+    samples = np.asarray(samples, dtype=np.float64)
+    n_frames = 0 if len(samples) < frame_len else 1 + (len(samples) - frame_len) // hop_len
+    lag_min = max(2, int(math.floor(sample_rate / f_max)))
+    lag_max = int(math.ceil(sample_rate / f_min))
+    base = np.zeros(n_frames, dtype=int)
+    f0 = np.zeros(n_frames)
+    peak = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
+    for k in range(n_frames):
+        frame = samples[k * hop_len: k * hop_len + frame_len]
+        rms = math.sqrt(float(np.mean(frame ** 2)))
+        if rms <= 1e-4:
+            continue
+        base[k], lag, peak[k] = _nccf_peak_brute(frame, lag_min, lag_max)
+        if lag > 0:
+            f0[k] = sample_rate / lag
+        voiced[k] = peak[k] > 0.30
+    return base, f0, peak, voiced

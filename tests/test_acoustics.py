@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from styledialog.acoustics import (FrameSpec, acoustic_embedding, encode_style,
+from styledialog import acoustics
+from styledialog.acoustics import (FrameSpec, acoustic_embedding, analyze, encode_style,
                                    energy_stats, hnr, pitch_track, speaking_rate,
                                    summarize)
 from styledialog.dialog import AudioClip
 from conftest import SR, noise_clip, silence_clip, sine_clip
+from oracles import nccf_track_brute
 
 
 class TestFrameSpec:
@@ -211,3 +213,77 @@ class TestScalingInvariants:
         f0b, vb = pitch_track(shifted)
         # interior frames of the original appear (shifted by 2) in the padded track
         assert np.allclose(f0a[va][:-3], f0b[2:][vb[2:]][:len(f0a[va]) - 3], atol=1e-6)
+
+
+@st.composite
+def nccf_clips(draw):
+    """Sines, harmonic mixes, noise, silence and sines switched on and off, with
+    lengths from under one frame to a few frames past a 32-frame block edge."""
+    sr = draw(st.sampled_from([8000, 16000]))
+    frame_len, hop_len = FrameSpec().frame_len(sr), FrameSpec().hop_len(sr)
+    n_frames = draw(st.sampled_from([0, 1, 2, 31, 32, 33, 63, 64, 65, 70]))
+    extra = draw(st.integers(0, hop_len - 1))
+    n = (draw(st.integers(1, frame_len - 1)) if n_frames == 0
+         else frame_len + (n_frames - 1) * hop_len + extra)
+    t = np.arange(n) / sr
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    kind = draw(st.sampled_from(["sine", "harmonics", "noise", "silence", "gated"]))
+    f0 = draw(st.floats(60.0, 480.0))
+    amp = draw(st.floats(0.01, 0.9))
+    if kind == "sine":
+        x = amp * np.sin(2 * np.pi * f0 * t + draw(st.floats(0.0, 6.28)))
+    elif kind == "harmonics":
+        weights = rng.uniform(0.0, 1.0, size=draw(st.integers(2, 6)))
+        x = sum(w * np.sin(2 * np.pi * (k + 1) * f0 * t) for k, w in enumerate(weights))
+        x = amp * x / np.sum(weights) + draw(st.floats(0.0, 0.2)) * amp * rng.standard_normal(n)
+    elif kind == "noise":
+        x = amp * rng.standard_normal(n)
+    elif kind == "silence":
+        x = np.zeros(n)
+    else:  # a sine switched on and off: digital silence inside active frames
+        gate = np.repeat(rng.uniform(size=n // 997 + 1) > 0.4, 997)[:n]
+        x = amp * np.sin(2 * np.pi * f0 * t) * gate
+    return AudioClip(samples=np.clip(x, -1.0, 1.0), sample_rate=sr)
+
+
+class TestBatchedNccfMatchesOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(clip=nccf_clips())
+    def test_matches_per_frame_loop(self, clip):
+        spec, sr = FrameSpec(), clip.sample_rate
+        base, f0, peak, voiced = nccf_track_brute(clip.samples, sr, spec.frame_len(sr),
+                                                  spec.hop_len(sr))
+        features = analyze(clip)
+        assert np.array_equal(features.voiced, voiced)
+        np.testing.assert_allclose(features.f0, f0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(features.peak, peak, rtol=0, atol=1e-9)
+        frames = acoustics._frames(clip.samples, spec.frame_len(sr),
+                                   spec.hop_len(sr))[:len(base)]
+        active = np.flatnonzero(features.rms[:len(base)] > acoustics.SILENCE_FLOOR_RMS)
+        fast_base, _, _ = acoustics._nccf_peaks(frames[active], max(2, sr // 500),
+                                                math.ceil(sr / 50))
+        assert np.array_equal(fast_base, base[active])
+        assert not np.any(base[np.setdiff1d(np.arange(len(base)), active)])
+
+
+class TestAnalyze:
+    def test_read_only(self):
+        features = analyze(sine_clip(220.0))
+        for array in (features.rms, features.f0, features.peak, features.voiced):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_one_analysis_per_clip(self, monkeypatch):
+        calls = []
+        core = acoustics._nccf_peaks
+        monkeypatch.setattr(acoustics, "_nccf_peaks",
+                            lambda *args: calls.append(1) or core(*args))
+        a, b = sine_clip(220.0), sine_clip(220.0)
+        encode_style(a)
+        summarize(a)
+        pitch_track(a)
+        assert len(calls) == 1
+        summarize(b)  # equal samples, another clip: analysed afresh
+        assert len(calls) == 2
+        pitch_track(b, f_max=400.0)  # another band
+        assert len(calls) == 3

@@ -1,0 +1,82 @@
+"""Smoke test of the benchmark against the package as it is now.
+
+The benchmark under bench/ wraps package functions by name and runs the CLI
+and its own in-process helpers in child processes.  A renamed function, a
+changed result shape or a CLI change that breaks it should fail here, not
+only when the benchmark is next run.  Nothing under bench/ is modified.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+CHILD_TIMEOUT_S = 120
+
+
+def _bench_module(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module(name)
+
+
+def _run(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, *map(str, args)], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+    assert res.returncode == 0, f"{args[:2]} exited {res.returncode}: {res.stderr[-2000:]}"
+    return res.stdout
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    layers = _bench_module(monkeypatch, "layers")
+    for module, owner, attr, span, _ in layers.OP_SPANS + layers.PROBE_SPANS:
+        target = importlib.import_module(f"styledialog.{module}")
+        if owner is not None:
+            target = getattr(target, owner)
+        assert callable(getattr(target, attr, None)), f"{span}: {module}.{owner}.{attr}"
+
+
+def test_ingest_extract_runs_traced(tmp_path):
+    inputs = json.loads(_run(BENCH / "inproc.py", "inputs", "ingest-extract", 1, tmp_path, 1))
+    corpus = Path(inputs["corpus"])
+    assert inputs["deterministic"] and corpus.is_file()
+
+    op = tmp_path / "op"
+    spans = {}
+    for name, cli_args in (
+            ("ingest", ["ingest", "--corpus", corpus, "--out", op / "ingested",
+                        "--write-audio", "--filter-diarization", "--seed", 1]),
+            ("extract-styles", ["extract-styles", "--corpus", op / "ingested" / "corpus.jsonl",
+                                "--out", op / "styles.jsonl"])):
+        spans_path = tmp_path / f"{name}.spans.json"
+        _run(BENCH / "traced_cli.py", spans_path, "--", *cli_args)
+        payload = json.loads(spans_path.read_text(encoding="utf-8"))
+        assert payload["open_stack"] == []
+        spans[name] = {row[2] for row in payload["spans"]}
+    assert {"corpus.load_corpus", "corpus.save_corpus", "audioio.write_wav"} <= spans["ingest"]
+    assert {"acoustics.encode_style", "acoustics.summarize", "acoustics.hnr",
+            "audioio.read_wav"} <= spans["extract-styles"]
+    rows = [json.loads(line) for line in (op / "styles.jsonl").read_text().splitlines()]
+    assert len(rows) == inputs["turns"]
+
+    probe = json.loads(_run(BENCH / "inproc.py", "probe", corpus, 1, 20, 0.05))
+    assert probe["acoustics.pitch_track.frames_per_s"][0] > 0
+    assert "prompts.truncate_to_budget.builds_per_call" in probe
+
+
+@pytest.mark.parametrize("name", ["crops-synth200", "ingest-extract", "verbatim-markov"])
+def test_workload_commands_parse(monkeypatch, name):
+    workloads = _bench_module(monkeypatch, "workloads")
+    from styledialog.cli import make_parser
+    inputs = workloads.Inputs(corpus=Path("input/corpus.jsonl"), corpus_sha256="", turns=1,
+                              components=Path("input/components.json"))
+    for _, cli_args in workloads.WORKLOADS[name].commands(inputs, 1):
+        make_parser().parse_args([str(a) for a in cli_args])

@@ -79,6 +79,20 @@ class TestIngest:
         assert main(["ingest", "--corpus", str(tmp_path / "x.jsonl"),
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    def test_rejected_record_is_a_check_failure(self, tmp_path, capsys):
+        corpus = tmp_path / "raw.jsonl"
+        good = {"id": "good", "turns": [{"speaker": "a", "text": "Hello there!"}]}
+        bad = {"id": "bad", "turns": [{"text": "no speaker"}]}
+        corpus.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        out = tmp_path / "clean"
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(out)]) \
+            == EXIT_CHECK_FAILED
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["loaded"] == 1
+        assert [line for line, _ in report["rejected_records"]] == [2]
+        kept = [json.loads(l) for l in (out / "corpus.jsonl").read_text().splitlines()]
+        assert [c["id"] for c in kept] == ["good"]
+
 
 class TestRunAndEvaluate:
     def _run(self, out_dir, seed=0):
@@ -116,6 +130,34 @@ class TestRunAndEvaluate:
     def test_evaluate_missing_generated(self, tmp_path, capsys):
         assert main(["evaluate", "--generated", str(tmp_path),
                      "--reference", CORPUS]) == EXIT_USAGE
+
+
+class TestOneAnalysisPerClip:
+    """The NCCF core runs once per analysed clip, though encode_style,
+    summarize and hnr each ask for the clip's pitch track."""
+
+    @pytest.fixture
+    def nccf_calls(self, monkeypatch):
+        from styledialog import acoustics
+        calls = []
+        core = acoustics._nccf_peaks
+        monkeypatch.setattr(acoustics, "_nccf_peaks",
+                            lambda *args: calls.append(1) or core(*args))
+        return calls
+
+    def test_extract_styles(self, tmp_path, capsys, nccf_calls):
+        out = tmp_path / "styles.jsonl"
+        assert main(["extract-styles", "--corpus", CORPUS, "--out", str(out)]) == EXIT_OK
+        assert len(nccf_calls) == len(out.read_text().splitlines()) == 124
+
+    def test_evaluate(self, tmp_path, capsys, nccf_calls):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--corpus", CORPUS, "--crops", "5", "--out", str(run_dir)]) \
+            == EXIT_OK
+        nccf_calls.clear()
+        assert main(["evaluate", "--generated", str(run_dir), "--reference", CORPUS]) \
+            == EXIT_OK
+        assert len(nccf_calls) == 2 * 5  # each crop's generated and reference clip
 
 
 class TestGradcheck:

@@ -1,4 +1,5 @@
 import json
+import wave
 from collections import Counter
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog.acoustics import encode_style
+from styledialog.audioio import quantize_int16, read_wav, write_wav
 from styledialog.cli import bundled_corpus_path
 from styledialog.corpus import (CorpusIndex, filter_diarization,
                                 generate_synthetic_corpus, load_corpus,
                                 load_corpus_with_index, normalize_verbatim,
                                 save_corpus, save_synthetic_corpus, split_corpus,
                                 strip_leading_indicator)
+from styledialog.dialog import AudioClip
 
 
 def small_corpus_lines():
@@ -87,6 +90,30 @@ class TestSaveRoundTrip:
         reloaded, _ = load_corpus(out)
         for a, b in zip(conversations[0].turns, reloaded[0].turns):
             assert np.array_equal(a.audio.samples, b.audio.samples)
+
+
+class TestReadWav:
+    def test_most_negative_sample_loads(self, tmp_path):
+        # 16-bit PCM can hold -32768, one step below -32767 (= -1.0)
+        ints = np.array([-32768, -32767, 0, 16384, 32767], dtype=np.int16)
+        path = tmp_path / "full_scale.wav"
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(ints.tobytes())
+        clip = read_wav(path)
+        assert clip.samples[0] == -1.0
+        assert np.array_equal(clip.samples[1:], quantize_int16(ints[1:] / 32767.0))
+        (tmp_path / "c.jsonl").write_text(json.dumps({"id": "c", "turns": [
+            {"speaker": "a", "text": "hi", "audio": "full_scale.wav"}]}) + "\n")
+        conversations, report = load_corpus(tmp_path / "c.jsonl")
+        assert report.rejects == [] and conversations[0].turns[0].audio.samples[0] == -1.0
+
+    def test_write_read_bit_identical_to_quantize(self, tmp_path):
+        x = np.linspace(-1.0, 1.0, 1001)
+        write_wav(tmp_path / "x.wav", AudioClip(sample_rate=16000, samples=x))
+        assert np.array_equal(read_wav(tmp_path / "x.wav").samples, quantize_int16(x))
 
 
 class TestDiarizationFilter:
