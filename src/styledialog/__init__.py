@@ -6,15 +6,15 @@ from .dialog import (AudioClip, Conversation, ConversationContext, DialogCrop,
                      sample_crop_index, window)
 from .acoustics import (AcousticSummary, FrameSpec, acoustic_embedding,
                         encode_style, energy_stats, hnr, pitch_track, summarize)
-from .components import (LatencyModel, MarkovTable, ToyRecognizer, ToyResponder,
-                         ToySynthesizer, train_markov)
+from .components import (MarkovTable, ToyRecognizer, ToyResponder, ToySynthesizer,
+                         train_markov)
 from .objectives import (LossBreakdown, ProjectionIn, ProjectionOut,
                          grad_style_loss, grad_text_loss, project_out,
                          style_loss, text_loss, total_loss)
 from .prompts import (BuiltPrompt, PromptVariant, build_prompt, count_tokens,
                       truncate_to_budget)
-from .scheduler import (SimReport, StageEvent, Topology, detect_turn_end,
-                        run_dialog, simulate_turn, stall_free_delay)
+from .scheduler import (LatencyModel, RunConfig, SimReport, StageEvent, Topology,
+                        detect_turn_end, run_dialog, simulate_turn, stall_free_delay)
 from .metrics import (MetricReport, NormalizationPolicy, assemble_report, bleu,
                       cosine, greedy_embed_score, meteor_exact, pearson,
                       rouge_l_f1, wer)

@@ -13,20 +13,25 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import objectives
-from .components import LatencyModel, ToyRecognizer, ToyResponder, ToySynthesizer, train_markov
+from .components import ToyRecognizer, ToyResponder, ToySynthesizer, train_markov
 from .dialog import Turn, context_from_turns, make_crop, sample_crop_index
 from .prompts import PromptVariant, build_prompt
-from .scheduler import Topology, run_dialog, simulate_turn
+from .scheduler import STAGES, LatencyModel, RunConfig, Topology, run_dialog, simulate_turn
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# keys a `run --components` / `simulate --config` file may hold
+CONFIG_KEYS = frozenset({"_comment", "latency", "tokens_per_output_second",
+                         "responder_mode", "style_mode", "target_wer"})
 
 
 class CliError(Exception):
@@ -49,19 +54,35 @@ def _load_config(path) -> dict:
         raise CliError(f"cannot read config {path}: {exc}")
 
 
-def _latency_map(config: dict, topology: Topology) -> dict:
-    latency = config.get("latency", {})
-    if topology.value not in latency:
-        raise CliError(f"config has no latency section for topology {topology.value!r}")
-    return {stage: LatencyModel.from_dict(d)
-            for stage, d in latency[topology.value].items()}
+def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunConfig]:
+    """Read a config file (None: all defaults) into a checked RunConfig.
 
-
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    Returns the file's contents too, for provenance.  No `latency` key means
+    zero cost for every stage; any fault is a CliError (exit 2).
+    """
+    config = _load_config(path) if path else {}
+    if not isinstance(config, dict):
+        raise CliError(f"config {path} must be a JSON object")
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise CliError(f"config {path} has unknown key(s) {', '.join(unknown)}; "
+                       f"accepted: {', '.join(sorted(CONFIG_KEYS))}")
+    tokens_per_s = config.get("tokens_per_output_second", 3)
+    if not (isinstance(tokens_per_s, (int, float)) and 0 <= tokens_per_s < float("inf")):
+        raise CliError(f"config {path}: tokens_per_output_second must be a finite number >= 0")
+    latency = config.get("latency")
+    if latency is not None and (not isinstance(latency, dict) or topology.value not in latency):
+        raise CliError(f"config {path} has no latency section for topology {topology.value!r}")
+    try:
+        latencies = ({stage: LatencyModel() for stage in STAGES[topology]} if latency is None else
+                     {stage: LatencyModel.from_dict(d)
+                      for stage, d in latency[topology.value].items()})
+        run_config = RunConfig(topology=topology, latencies=latencies, seed=seed,
+                               **{k: config[k] for k in ("responder_mode", "style_mode",
+                                                         "target_wer") if k in config})
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CliError(f"config {path}: {exc}") from exc
+    return config, run_config
 
 
 # --- subcommands ------------------------------------------------------------
@@ -101,21 +122,20 @@ def cmd_ingest(args) -> int:
         "stripped_leading_indicators": stripped,
         "seed": args.seed,
     }
-    _write_atomic(out / "ingest_report.json", json.dumps(summary, indent=2) + "\n")
+    corpus_mod.write_atomic(out / "ingest_report.json", json.dumps(summary, indent=2) + "\n")
     print(f"ingest: {report.loaded} conversations, {len(report.rejects)} rejects, "
           f"{discarded} discarded segments, {stripped} stripped indicators")
     return EXIT_CHECK_FAILED if report.rejects else EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    topology = Topology.parse(args.topology)
-    latencies = _latency_map(config, topology)
+    topology = args.topology
+    config, run_config = resolve_config(args.config, topology)
     tokens_per_s = config.get("tokens_per_output_second", 3)
     out_tokens = int(round(tokens_per_s * args.output_dur))
     try:
         report = simulate_turn(topology, args.input_dur, out_tokens, args.output_dur,
-                               latencies)
+                               run_config.latencies)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -127,48 +147,24 @@ def cmd_simulate(args) -> int:
                "timeline": [vars(e) for e in report.timeline],
                "config": config}
     if args.out:
-        _write_atomic(Path(args.out), json.dumps(payload, default=str, indent=2) + "\n")
+        corpus_mod.write_atomic(Path(args.out), json.dumps(payload, default=str, indent=2) + "\n")
     return EXIT_OK
 
 
-def _build_components(conversations, index, config, latencies):
-    markov = None
-    if config.get("responder_mode") == "markov":
-        markov = train_markov(conversations)
-    recognizer = ToyRecognizer(index.transcripts, latencies.get("asr", LatencyModel()))
-    responder_latency = latencies.get("audio_llm") or latencies.get("llm") or LatencyModel()
-    responder = ToyResponder(index.targets, responder_latency, markov=markov)
-    synthesizer = ToySynthesizer(latencies.get("tts", LatencyModel()))
-
-    class Bundle:
-        pass
-
-    bundle = Bundle()
-    bundle.recognizer = recognizer
-    bundle.responder = responder
-    bundle.synthesizer = synthesizer
-    bundle.reference_styles = index.reference_styles
-    return bundle
-
-
 def cmd_run(args) -> int:
-    config = _load_config(args.components) if args.components else {}
-    topology = Topology.parse(args.topology)
+    if args.crops < 1:
+        raise CliError("--crops must be >= 1")
+    _, run_config = resolve_config(args.components, args.topology, args.seed)
     try:
         conversations, index, _ = corpus_mod.load_corpus_with_index(args.corpus)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    latencies = ({stage: LatencyModel.from_dict(d)
-                  for stage, d in config.get("latency", {}).get(topology.value, {}).items()}
-                 if config.get("latency") else
-                 {s: LatencyModel() for s in ("asr", "llm", "audio_llm", "tts",
-                                              "style_enc", "e2e")})
-    run_cfg = {"responder_mode": config.get("responder_mode", "oracle"),
-               "style_mode": config.get("style_mode", "oracle"),
-               "target_wer": config.get("target_wer", 0.0),
-               "seed": args.seed}
-    bundle = _build_components(conversations, index, run_cfg | config, latencies)
+    markov = train_markov(conversations) if run_config.responder_mode == "markov" else None
+    components = SimpleNamespace(recognizer=ToyRecognizer(index.transcripts),
+                                 responder=ToyResponder(index.targets, markov=markov),
+                                 synthesizer=ToySynthesizer(),
+                                 reference_styles=index.reference_styles)
 
     crops = []
     eligible = [c for c in conversations if len(c.turns) >= 2]
@@ -177,7 +173,7 @@ def cmd_run(args) -> int:
         k = sample_crop_index(conv, args.seed + i)
         crops.append(make_crop(conv, k))
 
-    results = run_dialog(topology, crops, bundle, latencies, run_cfg)
+    results = run_dialog(run_config, crops, components)
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     from . import audioio
@@ -198,8 +194,12 @@ def cmd_run(args) -> int:
             "delay_s": result.report.delay_s,
             "carryover_s": result.report.carryover_s,
         }))
-    header = json.dumps({"_config": run_cfg | {"topology": topology.value}})
-    _write_atomic(out / "generated.jsonl", header + "\n" + "\n".join(lines) + "\n")
+    header = json.dumps({"_config": {"responder_mode": run_config.responder_mode,
+                                     "style_mode": run_config.style_mode,
+                                     "target_wer": run_config.target_wer,
+                                     "seed": run_config.seed,
+                                     "topology": run_config.topology.value}})
+    corpus_mod.write_atomic(out / "generated.jsonl", header + "\n" + "\n".join(lines) + "\n")
     print(f"run: {len(results)} turns -> {out / 'generated.jsonl'}")
     return EXIT_OK
 
@@ -254,7 +254,7 @@ def cmd_evaluate(args) -> int:
     if args.out:
         payload = {"semantic": report.semantic, "acoustic": report.acoustic,
                    "speaker_similarity": report.speaker_similarity}
-        _write_atomic(Path(args.out), json.dumps(payload, indent=2) + "\n")
+        corpus_mod.write_atomic(Path(args.out), json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -346,7 +346,7 @@ def cmd_extract_styles(args) -> int:
         return EXIT_USAGE
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_atomic(Path(args.out), text)
+        corpus_mod.write_atomic(Path(args.out), text)
     else:
         sys.stdout.write(text)
     print(f"extract-styles: {len(lines)} utterances", file=sys.stderr)
@@ -390,7 +390,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("simulate", help="latency report for one topology")
-    p.add_argument("--topology", required=True)
+    p.add_argument("--topology", required=True, type=Topology.parse)
     p.add_argument("--config", default=str(calibration_path()))
     p.add_argument("--input-dur", type=float, default=10.0)
     p.add_argument("--output-dur", type=float, default=10.0)
@@ -399,7 +399,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the pipeline over sampled crops")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--topology", default="style-talker")
+    p.add_argument("--topology", default="style-talker", type=Topology.parse)
     p.add_argument("--components", help="component/latency config file")
     p.add_argument("--crops", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

@@ -4,7 +4,8 @@ re-encoded into the style it was asked to render.
 
 Component instances are immutable after construction; per-turn state flows
 through the conversation context, which is what lets the scheduler run ASR
-and style extraction in the background during playback.
+and style extraction in the background during playback.  Components carry
+no cost model: `scheduler` alone turns their work into time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import hashlib
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,42 +30,14 @@ MIN_TOKEN_RATE = 2.0         # tokens per second floor when decoding rate
 ENVELOPE_FLOOR = 0.35        # per-token envelope floor, keeps frames voiced
 HARMONIC_BASE = (1.0, 0.45, 0.30, 0.20, 0.13, 0.08)
 
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Affine cost: fixed + a*input_audio_s + b*output_tokens + c*output_audio_s."""
-
-    fixed_s: float = 0.0
-    per_input_audio_s: float = 0.0
-    per_output_token_s: float = 0.0
-    per_output_audio_s: float = 0.0
-
-    def __post_init__(self):
-        for name in ("fixed_s", "per_input_audio_s", "per_output_token_s", "per_output_audio_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    def evaluate(self, input_dur: float, out_tokens: int, out_dur: float) -> float:
-        return (self.fixed_s + self.per_input_audio_s * input_dur
-                + self.per_output_token_s * out_tokens
-                + self.per_output_audio_s * out_dur)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LatencyModel":
-        return cls(**{k: float(v) for k, v in d.items()})
-
-
-@dataclass(frozen=True)
-class RecognitionResult:
-    text: str
-    latency_s: float
+RESPONDER_MODES = ("oracle", "markov")
+STYLE_MODES = ("oracle", "context_average", "last_same_speaker")
 
 
 @dataclass(frozen=True)
 class ResponderOutput:
     text: str
     prosodic_style: StyleVector
-    latency_s: float
 
 
 @dataclass(frozen=True)
@@ -121,12 +94,11 @@ class ToyRecognizer:
     """Looks the transcript up in the corpus and injects word substitutions
     to hit the target WER exactly (substitution-only noise)."""
 
-    def __init__(self, corpus_index, latency: LatencyModel | None = None):
+    def __init__(self, corpus_index):
         self._index = corpus_index
-        self._latency = latency or LatencyModel()
 
     def recognize(self, clip: AudioClip, target_wer: float = 0.0,
-                  rng_seed: int = 0) -> RecognitionResult:
+                  rng_seed: int = 0) -> str:
         if not 0.0 <= target_wer <= 1.0:
             raise ValueError(f"target_wer must be in [0, 1], got {target_wer}")
         if clip.source_id is None or clip.source_id not in self._index:
@@ -138,8 +110,7 @@ class ToyRecognizer:
             rng = random.Random(f"{rng_seed}:{clip.source_id}")
             for j, pos in enumerate(sorted(rng.sample(range(len(words)), n_sub))):
                 words[pos] = f"zzsub{j}zz"
-        latency = self._latency.evaluate(clip.duration_seconds, len(words), 0.0)
-        return RecognitionResult(text=" ".join(words), latency_s=latency)
+        return " ".join(words)
 
 
 class ToyResponder:
@@ -149,11 +120,9 @@ class ToyResponder:
     sampling).  Style modes: oracle, context_average, last_same_speaker.
     """
 
-    def __init__(self, target_index, latency: LatencyModel | None = None,
-                 markov: MarkovTable | None = None):
+    def __init__(self, target_index, markov: MarkovTable | None = None):
         # target_index: source_id -> (target_text, target_style, target_speaker)
         self._targets = target_index
-        self._latency = latency or LatencyModel()
         self._markov = markov
 
     def _target(self, clip: AudioClip):
@@ -183,9 +152,7 @@ class ToyResponder:
             style = self._context_style(context, style_mode, speaker)
         else:
             raise ValueError(f"unknown style mode {style_mode!r}")
-
-        latency = self._latency.evaluate(clip.duration_seconds, len(text.split()), 0.0)
-        return ResponderOutput(text=text, prosodic_style=style, latency_s=latency)
+        return ResponderOutput(text=text, prosodic_style=style)
 
     @staticmethod
     def _context_style(context, style_mode, speaker):
@@ -214,14 +181,6 @@ class ToySynthesizer:
     (timbre).  Output is deterministic given (text, styles).
     """
 
-    def __init__(self, latency: LatencyModel | None = None,
-                 sample_rate: int = SYNTH_SAMPLE_RATE):
-        self._latency = latency or LatencyModel()
-        self.sample_rate = sample_rate
-
-    def latency_for(self, input_dur: float, out_tokens: int, out_dur: float) -> float:
-        return self._latency.evaluate(input_dur, out_tokens, out_dur)
-
     def synthesize(self, text: str, prosodic: StyleVector,
                    acoustic: StyleVector) -> AudioClip:
         if not text.split():
@@ -230,7 +189,7 @@ class ToySynthesizer:
             raise ValueError("first style must be prosodic")
         if acoustic.kind != "acoustic":
             raise ValueError("second style must be acoustic")
-        sr = self.sample_rate
+        sr = SYNTH_SAMPLE_RATE
         tokens = text.split()
         p = prosodic.values
         rate = max(MIN_TOKEN_RATE, p[5] * acoustics.RATE_CAP_PER_S)

@@ -36,7 +36,16 @@ SPEAKER_INDICATOR_RE = re.compile(r"\[S\d+\]")
 class LoadReport:
     loaded: int = 0
     rejects: list = field(default_factory=list)  # (line_number, reason)
-    stripped_indicators: int = 0
+
+
+def write_atomic(path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`, so a reader never sees a partly written file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    tmp.replace(path)
 
 
 def _source_id(conv_id: str, turn_idx: int) -> str:
@@ -102,9 +111,7 @@ def load_corpus(path, render_audio: bool = True):
 
 def save_corpus(path, conversations, write_audio: bool = False) -> None:
     """Write the JSONL file; optionally materialize per-turn WAVs."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    root = path.parent
+    root = Path(path).parent
     lines = []
     for conv in conversations:
         turns = []
@@ -112,16 +119,14 @@ def save_corpus(path, conversations, write_audio: bool = False) -> None:
             rec = {"speaker": turn.speaker, "text": turn.text, "audio": None}
             if write_audio and turn.audio is not None:
                 rel = f"audio/{conv.id}_{i}.wav"
-                (root / "audio").mkdir(exist_ok=True)
+                (root / "audio").mkdir(parents=True, exist_ok=True)
                 audioio.write_wav(root / rel, turn.audio)
                 rec["audio"] = rel
             if turn.prosodic_style is not None:
                 rec["synth"] = {"prosodic_style": list(turn.prosodic_style.values)}
             turns.append(rec)
         lines.append(json.dumps({"id": conv.id, "split": conv.split, "turns": turns}))
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def filter_diarization(transcript: str) -> bool:
@@ -248,8 +253,6 @@ def generate_synthetic_corpus(n_conversations: int, seed: int):
 def save_synthetic_corpus(path, conversations, acoustic_records) -> None:
     """Serialize a synthetic corpus as JSONL with synth parameters only
     (audio rendered on load), so the bundled corpus stays tiny."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = []
     for conv in conversations:
         turns = []
@@ -264,9 +267,7 @@ def save_synthetic_corpus(path, conversations, acoustic_records) -> None:
                 },
             })
         lines.append(json.dumps({"id": conv.id, "split": conv.split, "turns": turns}))
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 class CorpusIndex:

@@ -13,13 +13,11 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_FILLERS = frozenset({"um", "uh", "uhm", "er", "ah"})
-# multiword/ambiguous fillers; off by default to keep WER conservative
-OPTIONAL_FILLERS = ("like", "you know")
 
 _PUNCT = set(string.punctuation) - {"-"}
 

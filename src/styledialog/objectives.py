@@ -18,8 +18,6 @@ import numpy as np
 
 from .dialog import STYLE_DIM, StyleVector
 
-HIDDEN_DIM = 32
-
 
 @dataclass(frozen=True)
 class ProjectionIn:

@@ -17,9 +17,6 @@ from .dialog import ConversationContext, DialogCrop
 INPUT_STYLE_TOKEN = "<|extra_123|>"
 OUTPUT_STYLE_TOKEN = "<|extra_124|>"
 
-DEFAULT_TOKEN_BUDGET = 1536
-DEFAULT_EVAL_WINDOW_TURNS = 3
-
 
 class PromptVariant(str, Enum):
     FULL = "full"

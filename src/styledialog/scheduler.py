@@ -8,19 +8,23 @@ non-streaming prefix); the e2e topology generates its speech units before
 any playback, so its delay equals its full generation span.  Unfinished
 background work is charged to the next turn's delay (carryover), never
 dropped, so the context stays correct.
+
+This is the only module that knows what a stage costs: `LatencyModel` (one
+stage's affine cost) and `RunConfig` (a run's checked configuration, stage
+costs included) live here, and the components carry no cost of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import acoustics
 from .acoustics import FrameSpec
-from .components import LatencyModel
-from .dialog import AudioClip, Turn, context_from_turns
+from .components import RESPONDER_MODES, STYLE_MODES
+from .dialog import AudioClip, Turn, append_turn, context_from_turns
 
 
 class Topology(str, Enum):
@@ -44,6 +48,30 @@ STAGES = {
     Topology.STYLE_TALKER: ("audio_llm", "tts", "asr", "style_enc"),
     Topology.E2E_SPEECH: ("e2e",),
 }
+
+
+@dataclass(frozen=True)
+class LatencyModel:
+    """Affine cost: fixed + a*input_audio_s + b*output_tokens + c*output_audio_s."""
+
+    fixed_s: float = 0.0
+    per_input_audio_s: float = 0.0
+    per_output_token_s: float = 0.0
+    per_output_audio_s: float = 0.0
+
+    def __post_init__(self):
+        for name in ("fixed_s", "per_input_audio_s", "per_output_token_s", "per_output_audio_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
+    def evaluate(self, input_dur: float, out_tokens: int, out_dur: float) -> float:
+        return (self.fixed_s + self.per_input_audio_s * input_dur
+                + self.per_output_token_s * out_tokens
+                + self.per_output_audio_s * out_dur)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "LatencyModel":
+        return cls(**{k: float(v) for k, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -72,6 +100,31 @@ class SimReport:
 
 class ConfigurationError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything `run_dialog` reads, checked once when it is built."""
+
+    topology: Topology
+    latencies: dict  # stage -> LatencyModel
+    responder_mode: str = "oracle"
+    style_mode: str = "oracle"
+    target_wer: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "topology", Topology(self.topology))
+        missing = [s for s in STAGES[self.topology] if s not in self.latencies]
+        if missing:
+            raise ConfigurationError(f"topology {self.topology.value} needs a latency model "
+                                     f"for stage(s) {', '.join(missing)}")
+        if self.responder_mode not in RESPONDER_MODES:
+            raise ConfigurationError(f"unknown responder_mode {self.responder_mode!r}")
+        if self.style_mode not in STYLE_MODES:
+            raise ConfigurationError(f"unknown style_mode {self.style_mode!r}")
+        if not 0.0 <= self.target_wer <= 1.0:
+            raise ConfigurationError(f"target_wer must be in [0, 1], got {self.target_wer}")
 
 
 def detect_turn_end(clip: AudioClip, silence_floor_rms: float = 1e-3,
@@ -138,13 +191,6 @@ def stall_free_delay(production: list[tuple[float, float]], out_dur: float) -> f
     return max(d, 0.0)
 
 
-def _cost(latencies: dict, stage: str, input_dur: float, out_tokens: int,
-          out_dur: float) -> float:
-    if stage not in latencies:
-        raise ConfigurationError(f"no latency model for stage {stage!r}")
-    return latencies[stage].evaluate(input_dur, out_tokens, out_dur)
-
-
 def simulate_turn(topology: Topology, input_dur: float, out_tokens: int,
                   out_dur: float, latencies: dict,
                   prev_carryover: float = 0.0, turn_index: int = 0) -> SimReport:
@@ -162,44 +208,41 @@ def simulate_turn(topology: Topology, input_dur: float, out_tokens: int,
     events: list[StageEvent] = []
     t = prev_carryover  # unfinished background work blocks the critical lane
 
-    def run_stage(stage, cost, lane="critical", start=None):
+    def run_stage(stage, lane="critical", start=None):
         nonlocal t
         s = t if start is None else start
-        events.append(StageEvent(stage=stage, start_s=s, end_s=s + cost,
+        end = s + latencies[stage].evaluate(input_dur, out_tokens, out_dur)
+        events.append(StageEvent(stage=stage, start_s=s, end_s=end,
                                  turn_index=turn_index, lane=lane))
         if lane == "critical":
-            t = s + cost
-        return s + cost
+            t = end
+        return end
 
-    def stream_tts(tts: LatencyModel):
-        """Run the synthesis stage; returns (generation_end, production curve)."""
-        pre = tts.fixed_s + tts.per_input_audio_s * input_dur + tts.per_output_token_s * out_tokens
-        stream = tts.per_output_audio_s * out_dur
-        end = run_stage("tts", pre + stream)
-        start = end - stream
+    def stream_tts():
+        """Run the synthesis stage; returns its production curve, in which
+        only the per-output-audio term streams."""
+        end = run_stage("tts")
+        start = end - latencies["tts"].per_output_audio_s * out_dur
         return [(0.0, 0.0), (start, 0.0), (end, out_dur)]
 
     if topology is Topology.CASCADE:
-        run_stage("asr", _cost(latencies, "asr", input_dur, out_tokens, out_dur))
-        run_stage("llm", _cost(latencies, "llm", input_dur, out_tokens, out_dur))
-        production = stream_tts(latencies["tts"])
+        run_stage("asr")
+        run_stage("llm")
+        production = stream_tts()
         delay = stall_free_delay(production, out_dur)
         generation = t - prev_carryover
         carryover = 0.0
     elif topology is Topology.STYLE_TALKER:
-        run_stage("audio_llm", _cost(latencies, "audio_llm", input_dur, out_tokens, out_dur))
-        production = stream_tts(latencies["tts"])
+        run_stage("audio_llm")
+        production = stream_tts()
         delay = stall_free_delay(production, out_dur)
         generation = t - prev_carryover
         # background ASR + style extraction start at playback start
-        bg = delay
-        bg = run_stage("asr", _cost(latencies, "asr", input_dur, out_tokens, out_dur),
-                       lane="background", start=bg)
-        bg = run_stage("style_enc", _cost(latencies, "style_enc", input_dur, out_tokens, out_dur),
-                       lane="background", start=bg)
+        bg = run_stage("asr", lane="background", start=delay)
+        bg = run_stage("style_enc", lane="background", start=bg)
         carryover = max(0.0, bg - (delay + out_dur))
     else:  # E2E_SPEECH: non-streaming single stage over speech units
-        end = run_stage("e2e", _cost(latencies, "e2e", input_dur, out_tokens, out_dur))
+        end = run_stage("e2e")
         production = [(0.0, 0.0), (end, 0.0), (end, out_dur)]
         delay = stall_free_delay(production, out_dur)
         generation = t - prev_carryover
@@ -216,8 +259,7 @@ class TurnResult:
     recognized_text: str
 
 
-def run_dialog(topology: Topology, crops, components, latencies: dict,
-               config: dict | None = None) -> list[TurnResult]:
+def run_dialog(config: RunConfig, crops, components) -> list[TurnResult]:
     """Run the pipeline over a crop list, chaining background carryover.
 
     `components` needs .recognizer, .responder, .synthesizer and
@@ -227,13 +269,6 @@ def run_dialog(topology: Topology, crops, components, latencies: dict,
     turn on the critical path and appends it with the speaker's reference
     prosodic style.
     """
-    topology = Topology(topology)
-    config = config or {}
-    mode = config.get("responder_mode", "oracle")
-    style_mode = config.get("style_mode", "oracle")
-    target_wer = config.get("target_wer", 0.0)
-    seed = config.get("seed", 0)
-
     results = []
     carryover = 0.0
     for i, crop in enumerate(crops):
@@ -246,30 +281,31 @@ def run_dialog(topology: Topology, crops, components, latencies: dict,
                 raise ValueError("incoming turn has no audio")
             speaker_out = crop.target_turn.speaker
 
-            recognition = components.recognizer.recognize(clip, target_wer=target_wer,
-                                                          rng_seed=seed)
-            if topology is Topology.CASCADE:
+            recognized = components.recognizer.recognize(clip, target_wer=config.target_wer,
+                                                         rng_seed=config.seed)
+            if config.topology is Topology.CASCADE:
                 # ASR on the critical path: recognized text joins the context now
-                from .dialog import append_turn
-                gen_context = append_turn(context, incoming.speaker, recognition.text,
+                gen_context = append_turn(context, incoming.speaker, recognized,
                                           refs[incoming.speaker][0])
             else:
                 gen_context = context
 
-            response = components.responder.respond(clip, gen_context, mode=mode,
-                                                    style_mode=style_mode, rng_seed=seed,
+            response = components.responder.respond(clip, gen_context,
+                                                    mode=config.responder_mode,
+                                                    style_mode=config.style_mode,
+                                                    rng_seed=config.seed,
                                                     response_speaker=speaker_out)
             acoustic = refs[speaker_out][1]
             audio = components.synthesizer.synthesize(response.text,
                                                       response.prosodic_style, acoustic)
-            report = simulate_turn(topology, clip.duration_seconds,
+            report = simulate_turn(config.topology, clip.duration_seconds,
                                    len(response.text.split()), audio.duration_seconds,
-                                   latencies, prev_carryover=carryover, turn_index=i)
+                                   config.latencies, prev_carryover=carryover, turn_index=i)
             carryover = report.carryover_s
             generated = Turn(speaker=speaker_out, text=response.text, audio=audio,
                              prosodic_style=response.prosodic_style)
             results.append(TurnResult(report=report, generated=generated,
-                                      recognized_text=recognition.text))
+                                      recognized_text=recognized))
         except Exception as exc:
             raise RuntimeError(f"turn {i} (conversation {crop.conversation_id!r}) failed") from exc
     return results

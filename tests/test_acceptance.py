@@ -16,13 +16,13 @@ import pytest
 
 from styledialog import acoustics, objectives
 from styledialog.cli import EXIT_OK, calibration_path, bundled_corpus_path, main
-from styledialog.components import LatencyModel, ToySynthesizer
+from styledialog.components import ToySynthesizer
 from styledialog.dialog import StyleVector
 from styledialog.metrics import (bleu, cosine, greedy_embed_score, meteor_exact,
                                  pearson, rouge_l_f1, trigram_embedder,
                                  word_edit_distance)
 from styledialog.prompts import PromptVariant, build_prompt
-from styledialog.scheduler import Topology, simulate_turn
+from styledialog.scheduler import LatencyModel, Topology, simulate_turn
 from conftest import SR, noise_clip, sine_clip
 from oracles import (bleu_brute, cosine_brute, edit_distance_brute,
                      greedy_embed_brute, meteor_brute, pearson_brute,

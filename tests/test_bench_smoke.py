@@ -80,3 +80,25 @@ def test_workload_commands_parse(monkeypatch, name):
                               components=Path("input/components.json"))
     for _, cli_args in workloads.WORKLOADS[name].commands(inputs, 1):
         make_parser().parse_args([str(a) for a in cli_args])
+
+
+@pytest.mark.parametrize("name", ["crops-synth200", "verbatim-markov"])
+def test_workload_configs_resolve(monkeypatch, tmp_path, name):
+    """`run` accepts the config file each workload passes it: the bundled
+    calibration, or the calibration without `_comment` merged with the
+    workload's own keys, as bench/inproc.py writes it."""
+    workloads = _bench_module(monkeypatch, "workloads")
+    from styledialog.cli import make_parser, resolve_config
+    monkeypatch.chdir(ROOT)
+    config = json.loads(workloads.CALIBRATION.read_text(encoding="utf-8"))
+    config.pop("_comment")
+    components = tmp_path / "components.json"
+    components.write_text(json.dumps(config | workloads.VerbatimMarkov.config), encoding="utf-8")
+    inputs = workloads.Inputs(corpus=Path("input/corpus.jsonl"), corpus_sha256="", turns=1,
+                              components=components)
+    runs = [make_parser().parse_args([str(a) for a in cli_args])
+            for _, cli_args in workloads.WORKLOADS[name].commands(inputs, 1)
+            if cli_args[0] == "run"]
+    assert runs
+    for args in runs:
+        resolve_config(args.components, args.topology, args.seed)

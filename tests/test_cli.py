@@ -39,6 +39,15 @@ class TestSimulate:
         payload = json.loads(out_file.read_text())
         assert payload["rtf"] == 0.0 and payload["delay_s"] == 0.0
 
+    def test_no_latency_key_costs_nothing(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"tokens_per_output_second": 3}))
+        out_file = tmp_path / "report.json"
+        assert main(["simulate", "--topology", "e2e", "--config", str(p),
+                     "--out", str(out_file)]) == EXIT_OK
+        payload = json.loads(out_file.read_text())
+        assert payload["rtf"] == 0.0 and payload["delay_s"] == 0.0
+
     def test_missing_stage(self, tmp_path, capsys):
         cfg = {"latency": {"cascade": {"asr": {}}}}
         p = tmp_path / "cfg.json"
@@ -55,6 +64,10 @@ class TestSimulate:
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["simulate", "--topology", "cascade",
                      "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
+
+    def test_unknown_topology(self, capsys):
+        assert main(["simulate", "--topology", "bogus"]) == EXIT_USAGE
+        assert "--topology" in capsys.readouterr().err
 
 
 class TestIngest:
@@ -130,6 +143,53 @@ class TestRunAndEvaluate:
     def test_evaluate_missing_generated(self, tmp_path, capsys):
         assert main(["evaluate", "--generated", str(tmp_path),
                      "--reference", CORPUS]) == EXIT_USAGE
+
+
+ST_ZERO = {s: {} for s in ("audio_llm", "tts", "asr", "style_enc")}
+
+# config faults of `run`; each is a usage error caught before anything is written
+RUN_FAULTS = {
+    "latency section without the topology":
+        ({"latency": {"cascade": {s: {} for s in ("asr", "llm", "tts")}}}, []),
+    "empty latency": ({"latency": {}}, []),
+    "missing stage": ({"latency": {"style_talker": {"audio_llm": {}, "tts": {}, "asr": {}}}}, []),
+    "unknown key": ({"responder_mod": "markov"}, []),
+    "unknown latency field": ({"latency": {"style_talker": ST_ZERO | {"tts": {"fixed": 0.2}}}}, []),
+    "negative cost": ({"latency": {"style_talker": ST_ZERO | {"asr": {"fixed_s": -1}}}}, []),
+    "unknown style_mode": ({"style_mode": "loud"}, []),
+    "target_wer out of range": ({"target_wer": 2}, []),
+    "top-level list": ([{"responder_mode": "markov"}], []),
+    "unknown topology": (None, ["--topology", "bogus"]),
+    "no crops": (None, ["--crops", "0"]),
+}
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("cfg, extra", RUN_FAULTS.values(), ids=RUN_FAULTS.keys())
+    def test_fault_is_a_usage_error(self, tmp_path, capsys, cfg, extra):
+        out = tmp_path / "out"
+        argv = ["run", "--corpus", CORPUS, "--crops", "2", "--out", str(out)]
+        if cfg is not None:
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps(cfg))
+            argv += ["--components", str(p)]
+        assert main(argv + extra) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert not (out / "generated.jsonl").exists()
+
+    def test_applied_config_is_recorded(self, tmp_path, capsys):
+        cfg = json.loads(calibration_path().read_text()) | {
+            "responder_mode": "markov", "style_mode": "context_average", "target_wer": 0.1}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--corpus", CORPUS, "--topology", "cascade", "--components", str(p),
+                     "--crops", "1", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        header = (out / "generated.jsonl").read_text().splitlines()[0]
+        assert header == ('{"_config": {"responder_mode": "markov", "style_mode": '
+                          '"context_average", "target_wer": 0.1, "seed": 3, '
+                          '"topology": "cascade"}}')
 
 
 class TestOneAnalysisPerClip:

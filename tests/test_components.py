@@ -6,39 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog.acoustics import acoustic_embedding, encode_style
-from styledialog.components import (LatencyModel, MarkovTable, ToyRecognizer,
-                                    ToyResponder, ToySynthesizer, train_markov,
-                                    END_TOKEN, START_TOKEN)
+from styledialog.components import (MarkovTable, ToyRecognizer, ToyResponder,
+                                    ToySynthesizer, train_markov, END_TOKEN, START_TOKEN)
 from styledialog.dialog import ConversationContext, StyleVector, append_turn
 from styledialog.metrics import wer, NormalizationPolicy
 from conftest import acoustic, make_conversation, prosodic, simple_style
 from oracles import perplexity_of_table
 
 
-class TestLatencyModel:
-    def test_affine_evaluation(self):
-        m = LatencyModel(fixed_s=0.5, per_input_audio_s=0.1,
-                         per_output_token_s=0.02, per_output_audio_s=0.3)
-        assert m.evaluate(10.0, 30, 10.0) == pytest.approx(0.5 + 1.0 + 0.6 + 3.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyModel(fixed_s=-0.1)
-
-    def test_from_dict(self):
-        m = LatencyModel.from_dict({"fixed_s": 0.2, "per_output_token_s": 0.04})
-        assert m.fixed_s == 0.2 and m.per_output_token_s == 0.04
-
-
 class TestRecognizer:
     def _setup(self, conv):
         index = {t.audio.source_id: t.text for t in conv.turns}
-        return ToyRecognizer(index, LatencyModel(per_input_audio_s=0.1))
+        return ToyRecognizer(index)
 
     def test_zero_wer_exact(self, conv):
         rec = self._setup(conv)
         for t in conv.turns:
-            assert rec.recognize(t.audio).text == t.text
+            assert rec.recognize(t.audio) == t.text
 
     def test_target_wer_hit_exactly(self, conv):
         rec = self._setup(conv)
@@ -46,7 +30,7 @@ class TestRecognizer:
                                   filler_list=frozenset())
         for target in (0.25, 0.5, 1.0):
             for t in conv.turns:
-                out = rec.recognize(t.audio, target_wer=target, rng_seed=3).text
+                out = rec.recognize(t.audio, target_wer=target, rng_seed=3)
                 n_words = len(t.text.split())
                 expect = math.ceil(target * n_words) / n_words
                 assert wer(t.text, out, raw) == pytest.approx(expect)
@@ -54,8 +38,8 @@ class TestRecognizer:
     def test_deterministic(self, conv):
         rec = self._setup(conv)
         clip = conv.turns[0].audio
-        a = rec.recognize(clip, target_wer=0.5, rng_seed=7).text
-        b = rec.recognize(clip, target_wer=0.5, rng_seed=7).text
+        a = rec.recognize(clip, target_wer=0.5, rng_seed=7)
+        b = rec.recognize(clip, target_wer=0.5, rng_seed=7)
         assert a == b
 
     def test_unknown_source(self, conv):
@@ -69,12 +53,6 @@ class TestRecognizer:
         with pytest.raises(ValueError):
             rec.recognize(conv.turns[0].audio, target_wer=1.5)
 
-    def test_latency_accounting(self, conv):
-        rec = self._setup(conv)
-        t = conv.turns[0]
-        result = rec.recognize(t.audio)
-        assert result.latency_s == pytest.approx(0.1 * t.audio.duration_seconds)
-
 
 class TestResponder:
     def _setup(self, conv):
@@ -82,7 +60,7 @@ class TestResponder:
         for i, t in enumerate(conv.turns[:-1]):
             nxt = conv.turns[i + 1]
             targets[t.audio.source_id] = (nxt.text, nxt.prosodic_style, nxt.speaker)
-        return ToyResponder(targets, LatencyModel(per_output_token_s=0.04))
+        return ToyResponder(targets)
 
     def test_oracle_exact(self, conv):
         resp = self._setup(conv)
@@ -222,10 +200,6 @@ class TestSynthesizer:
         same = float(acoustic_embedding(a1) @ acoustic_embedding(a2))
         cross = float(acoustic_embedding(a1) @ acoustic_embedding(b))
         assert cross < same
-
-    def test_latency_accounting(self):
-        synth = ToySynthesizer(LatencyModel(fixed_s=0.2, per_output_audio_s=0.25))
-        assert synth.latency_for(0.0, 10, 4.0) == pytest.approx(0.2 + 1.0)
 
 
 class TestRoundTrip:

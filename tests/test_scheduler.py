@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from styledialog.components import LatencyModel, ToyRecognizer, ToyResponder, ToySynthesizer
+from styledialog.components import ToyRecognizer, ToyResponder, ToySynthesizer
 from styledialog.dialog import AudioClip, make_crop
-from styledialog.scheduler import (ConfigurationError, SimReport, Topology,
-                                   detect_turn_end, run_dialog, simulate_turn,
+from styledialog.scheduler import (ConfigurationError, LatencyModel, RunConfig, SimReport,
+                                   Topology, detect_turn_end, run_dialog, simulate_turn,
                                    stall_free_delay)
 from conftest import SR, make_conversation, sine_clip
 from oracles import stall_free_delay_brute
@@ -22,6 +22,37 @@ def nonstreaming(asr=1.0, llm=0.8, tts=0.5):
         "style_enc": LatencyModel(),
         "e2e": LatencyModel(fixed_s=asr + llm + tts),
     }
+
+
+class TestLatencyModel:
+    def test_affine_evaluation(self):
+        m = LatencyModel(fixed_s=0.5, per_input_audio_s=0.1,
+                         per_output_token_s=0.02, per_output_audio_s=0.3)
+        assert m.evaluate(10.0, 30, 10.0) == pytest.approx(0.5 + 1.0 + 0.6 + 3.0)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            LatencyModel(fixed_s=-0.1)
+
+    def test_from_dict(self):
+        m = LatencyModel.from_dict({"fixed_s": 0.2, "per_output_token_s": 0.04})
+        assert m.fixed_s == 0.2 and m.per_output_token_s == 0.04
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("latencies, fields", [
+        ({s: LatencyModel() for s in ("audio_llm", "tts", "asr")}, {}),
+        (ZERO, {"responder_mode": "parrot"}),
+        (ZERO, {"style_mode": "loud"}),
+        (ZERO, {"target_wer": -0.1}),
+        (ZERO, {"target_wer": 1.5}),
+    ])
+    def test_rejected(self, latencies, fields):
+        with pytest.raises(ConfigurationError):
+            RunConfig(Topology.STYLE_TALKER, latencies, **fields)
+
+    def test_topology_name_coerced(self):
+        assert RunConfig("cascade", ZERO).topology is Topology.CASCADE
 
 
 class TestTopology:
@@ -196,7 +227,7 @@ class TestRunDialog:
         conv = make_conversation(n_turns=4)
         bundle = self._bundle(conv)
         crops = [make_crop(conv, 1)]
-        results = run_dialog(Topology.STYLE_TALKER, crops, bundle, ZERO, {})
+        results = run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), crops, bundle)
         assert results[0].generated.text == conv.turns[1].text
         assert results[0].report.delay_s == 0.0
 
@@ -204,7 +235,7 @@ class TestRunDialog:
         conv = make_conversation(n_turns=4)
         bundle = self._bundle(conv)
         crops = [make_crop(conv, 2)]
-        results = run_dialog(Topology.CASCADE, crops, bundle, ZERO, {})
+        results = run_dialog(RunConfig(Topology.CASCADE, ZERO), crops, bundle)
         assert results[0].recognized_text == conv.turns[1].text
 
     def test_carryover_chains_turns(self):
@@ -213,7 +244,7 @@ class TestRunDialog:
         lat = dict(ZERO)
         lat["asr"] = LatencyModel(fixed_s=30.0)  # longer than any playback
         crops = [make_crop(conv, 1), make_crop(conv, 2)]
-        results = run_dialog(Topology.STYLE_TALKER, crops, bundle, lat, {})
+        results = run_dialog(RunConfig(Topology.STYLE_TALKER, lat), crops, bundle)
         assert results[0].carryover if hasattr(results[0], "carryover") else True
         assert results[0].report.carryover_s > 0
         assert results[1].report.delay_s >= results[0].report.carryover_s
@@ -223,4 +254,4 @@ class TestRunDialog:
         bundle = self._bundle(conv)
         broken = make_crop(make_conversation("other"), 1)
         with pytest.raises(RuntimeError, match="turn 0"):
-            run_dialog(Topology.STYLE_TALKER, [broken], bundle, ZERO, {})
+            run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), [broken], bundle)
