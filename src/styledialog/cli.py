@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -32,6 +34,12 @@ EXIT_USAGE = 2
 # keys a `run --components` / `simulate --config` file may hold
 CONFIG_KEYS = frozenset({"_comment", "latency", "tokens_per_output_second",
                          "responder_mode", "style_mode", "target_wer"})
+# keys an `evaluate --policy` file may hold, at the top level and under
+# "normalization"
+POLICY_KEYS = frozenset({"_comment", "normalization"})
+NORMALIZATION_KEYS = frozenset({"lowercase", "strip_punctuation", "fillers"})
+# keys every row of generated.jsonl after the `_config` header holds
+GENERATED_KEYS = ("crop", "conversation_id", "k", "speaker", "text", "audio")
 
 
 class CliError(Exception):
@@ -54,6 +62,23 @@ def _load_config(path) -> dict:
         raise CliError(f"cannot read config {path}: {exc}")
 
 
+def _check_keys(obj, accepted: frozenset, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise CliError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - accepted)
+    if unknown:
+        raise CliError(f"{where} has unknown key(s) {', '.join(unknown)}; "
+                       f"accepted: {', '.join(sorted(accepted))}")
+
+
+def finite_positive(text: str) -> float:
+    """argparse type of a duration flag: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunConfig]:
     """Read a config file (None: all defaults) into a checked RunConfig.
 
@@ -61,12 +86,7 @@ def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunCo
     zero cost for every stage; any fault is a CliError (exit 2).
     """
     config = _load_config(path) if path else {}
-    if not isinstance(config, dict):
-        raise CliError(f"config {path} must be a JSON object")
-    unknown = sorted(set(config) - CONFIG_KEYS)
-    if unknown:
-        raise CliError(f"config {path} has unknown key(s) {', '.join(unknown)}; "
-                       f"accepted: {', '.join(sorted(CONFIG_KEYS))}")
+    _check_keys(config, CONFIG_KEYS, f"config {path}")
     tokens_per_s = config.get("tokens_per_output_second", 3)
     if not (isinstance(tokens_per_s, (int, float)) and 0 <= tokens_per_s < float("inf")):
         raise CliError(f"config {path}: tokens_per_output_second must be a finite number >= 0")
@@ -83,6 +103,23 @@ def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunCo
     except (AttributeError, TypeError, ValueError) as exc:
         raise CliError(f"config {path}: {exc}") from exc
     return config, run_config
+
+
+def resolve_policy(path) -> metrics_mod.NormalizationPolicy:
+    """Read an `evaluate --policy` file (None: the default policy) into a
+    NormalizationPolicy; any fault is a CliError (exit 2)."""
+    config = _load_config(path) if path else {}
+    _check_keys(config, POLICY_KEYS, f"policy {path}")
+    norm = config.get("normalization", {})
+    _check_keys(norm, NORMALIZATION_KEYS, f"policy {path}: normalization")
+    lowercase, strip = norm.get("lowercase", True), norm.get("strip_punctuation", True)
+    fillers = norm.get("fillers", list(metrics_mod.DEFAULT_FILLERS))
+    if not (isinstance(lowercase, bool) and isinstance(strip, bool)
+            and isinstance(fillers, list) and all(isinstance(f, str) for f in fillers)):
+        raise CliError(f"policy {path}: lowercase and strip_punctuation must be true or "
+                       f"false, fillers a list of strings")
+    return metrics_mod.NormalizationPolicy(lowercase=lowercase, strip_punctuation=strip,
+                                           filler_list=frozenset(fillers))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -107,11 +144,9 @@ def cmd_ingest(args) -> int:
             if args.filter_diarization:
                 text, did = corpus_mod.strip_leading_indicator(text)
                 stripped += int(did)
-            text = corpus_mod.normalize_verbatim(text, policy)
-            turns.append(Turn(speaker=turn.speaker, text=text, audio=turn.audio,
-                              prosodic_style=turn.prosodic_style))
+            turns.append(replace(turn, text=corpus_mod.normalize_verbatim(text, policy)))
         if turns:
-            kept.append(type(conv)(id=conv.id, turns=tuple(turns), split=conv.split))
+            kept.append(replace(conv, turns=tuple(turns)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus_mod.save_corpus(out / "corpus.jsonl", kept, write_audio=args.write_audio)
@@ -166,8 +201,10 @@ def cmd_run(args) -> int:
                                  synthesizer=ToySynthesizer(),
                                  reference_styles=index.reference_styles)
 
-    crops = []
     eligible = [c for c in conversations if len(c.turns) >= 2]
+    if not eligible:
+        raise CliError(f"corpus {args.corpus} has no conversation with two or more turns")
+    crops = []
     for i in range(args.crops):
         conv = eligible[i % len(eligible)]
         k = sample_crop_index(conv, args.seed + i)
@@ -207,10 +244,19 @@ def cmd_run(args) -> int:
 def _load_generated(path: Path):
     rows = []
     with open(path / "generated.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
+        for line_no, line in enumerate(fh, start=1):
+            where = f"generated.jsonl:{line_no}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"{where}: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise CliError(f"{where}: a row must be a JSON object")
             if "_config" in rec:
                 continue
+            missing = [key for key in GENERATED_KEYS if key not in rec]
+            if missing:
+                raise CliError(f"{where}: row lacks {', '.join(missing)}")
             rows.append(rec)
     return rows
 
@@ -218,19 +264,13 @@ def _load_generated(path: Path):
 def cmd_evaluate(args) -> int:
     from . import audioio
     gen_dir = Path(args.generated)
+    policy = resolve_policy(args.policy)
     try:
         rows = _load_generated(gen_dir)
         conversations, index, _ = corpus_mod.load_corpus_with_index(args.reference)
-    except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    policy = metrics_mod.NormalizationPolicy()
-    if args.policy:
-        pol_cfg = _load_config(args.policy).get("normalization", {})
-        policy = metrics_mod.NormalizationPolicy(
-            lowercase=pol_cfg.get("lowercase", True),
-            strip_punctuation=pol_cfg.get("strip_punctuation", True),
-            filler_list=frozenset(pol_cfg.get("fillers", metrics_mod.DEFAULT_FILLERS)))
     generated, reference = [], []
     for row in rows:
         conv = index.conversations.get(row["conversation_id"])
@@ -392,8 +432,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="latency report for one topology")
     p.add_argument("--topology", required=True, type=Topology.parse)
     p.add_argument("--config", default=str(calibration_path()))
-    p.add_argument("--input-dur", type=float, default=10.0)
-    p.add_argument("--output-dur", type=float, default=10.0)
+    p.add_argument("--input-dur", type=finite_positive, default=10.0)
+    p.add_argument("--output-dur", type=finite_positive, default=10.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -1,13 +1,26 @@
-"""Corpus ingestion and generation.
+"""The corpus model: one schema, one writer (`save_corpus`), one parse
+(`load_corpus`).
 
 File format: one conversation per JSON line,
   {"id": str, "split": "train|validation|test",
    "turns": [{"speaker": str, "text": str, "audio": path-or-null,
-              "synth": {...optional synthesis parameters...}}]}
+              "synth": {"prosodic_style": [8 floats],
+                        "acoustic_style": [8 floats]}}]}
+`synth` holds the styles a turn has and is left out when it has neither.
 Audio paths are relative to the corpus file's directory and point at 16-bit
-PCM mono WAVs.  A turn with audio null but synth parameters present is
-rendered deterministically by the toy synthesizer at load time (and passed
-through int16 quantization so it is bit-identical to a WAV round-trip).
+PCM mono WAVs.
+
+WAV or synth: a turn's audio comes from its WAV when it has a path.  A turn
+with no path is synth-backed when it has both styles and some text: the
+loader renders its audio with the toy synthesizer and passes it through
+int16 quantization, so it is bit-identical to a WAV round trip.  Any other
+turn without a path has no audio.  `save_corpus` writes a turn's audio to a
+WAV when asked to, or when the turn is not synth-backed and so could not be
+re-rendered; otherwise it writes the styles alone, and the loader renders
+the audio again.  A synth-backed turn renders from its text as written, so
+when `ingest` normalisation changes the text of such a turn, it is
+re-rendered from the new text unless `--write-audio` keeps the audio as
+loaded.
 
 Also implements the diarization-filtering and verbatim-normalization steps
 used when ingesting re-transcribed podcast data, plus deterministic
@@ -19,7 +32,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,34 +65,40 @@ def _source_id(conv_id: str, turn_idx: int) -> str:
     return f"{conv_id}/{turn_idx}"
 
 
-def _turn_from_record(rec: dict, conv_id: str, idx: int, root: Path,
-                      synthesizer: ToySynthesizer) -> Turn:
+def _synth_backed(text: str, prosodic, acoustic) -> bool:
+    """Whether the toy synthesizer can render a turn's audio from its record."""
+    return prosodic is not None and acoustic is not None and bool(text.split())
+
+
+def _style(synth: dict, kind: str) -> StyleVector | None:
+    values = synth.get(f"{kind}_style")
+    return None if values is None else StyleVector(values=tuple(values), kind=kind)
+
+
+def _turn_from_record(rec: dict, sid: str, root: Path, synthesizer: ToySynthesizer) -> Turn:
     if "speaker" not in rec:
         raise ValueError("record missing 'speaker'")
     if "text" not in rec:
         raise ValueError("record missing 'text'")
-    speaker = str(rec["speaker"])
     text = str(rec["text"])
-    synth = rec.get("synth")
-    style = None
+    synth = rec.get("synth") or {}
+    prosodic, acoustic = _style(synth, "prosodic"), _style(synth, "acoustic")
     audio = None
-    sid = _source_id(conv_id, idx)
-    if synth is not None:
-        style = StyleVector(values=tuple(synth["prosodic_style"]), kind="prosodic")
     if rec.get("audio"):
         audio = audioio.read_wav(root / rec["audio"], source_id=sid)
-    elif synth is not None and "acoustic_style" in synth and synthesizer is not None:
-        acoustic = StyleVector(values=tuple(synth["acoustic_style"]), kind="acoustic")
-        rendered = synthesizer.synthesize(text, style, acoustic)
+    elif _synth_backed(text, prosodic, acoustic):
+        rendered = synthesizer.synthesize(text, prosodic, acoustic)
         audio = AudioClip(sample_rate=rendered.sample_rate,
                           samples=audioio.quantize_int16(rendered.samples),
                           source_id=sid)
-    return Turn(speaker=speaker, text=text, audio=audio, prosodic_style=style)
+    return Turn(speaker=str(rec["speaker"]), text=text, audio=audio,
+                prosodic_style=prosodic, acoustic_style=acoustic)
 
 
-def load_corpus(path, render_audio: bool = True):
-    """Parse a corpus file; malformed records go to the report, valid
-    conversations are returned.  Raises when nothing valid is left."""
+def load_corpus(path):
+    """Parse a corpus file, rendering synth-backed audio; malformed records
+    go to the report, valid conversations are returned.  Raises when
+    nothing valid is left."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"corpus file not found: {path}")
@@ -94,14 +113,12 @@ def load_corpus(path, render_audio: bool = True):
                 continue
             try:
                 rec = json.loads(line)
-                turns = tuple(
-                    _turn_from_record(t, rec["id"], i, root,
-                                      synthesizer if render_audio else None)
-                    for i, t in enumerate(rec["turns"]))
+                turns = tuple(_turn_from_record(t, _source_id(rec["id"], i), root, synthesizer)
+                              for i, t in enumerate(rec["turns"]))
                 conversations.append(Conversation(id=str(rec["id"]), turns=turns,
                                                   split=rec.get("split", "train")))
                 report.loaded += 1
-            except (KeyError, ValueError, TypeError, OSError) as exc:
+            except (AttributeError, KeyError, ValueError, TypeError, OSError) as exc:
                 report.rejects.append((line_no, str(exc)))
     if not conversations:
         raise ValueError(f"no valid conversations in {path} "
@@ -110,20 +127,26 @@ def load_corpus(path, render_audio: bool = True):
 
 
 def save_corpus(path, conversations, write_audio: bool = False) -> None:
-    """Write the JSONL file; optionally materialize per-turn WAVs."""
+    """Write conversations in the one corpus schema.  A turn's audio goes to
+    `audio/<id>_<turn>.wav` beside the file when `write_audio` is set or the
+    turn is not synth-backed; a synth-backed turn is otherwise stored as its
+    styles alone and re-rendered on load."""
     root = Path(path).parent
     lines = []
     for conv in conversations:
         turns = []
         for i, turn in enumerate(conv.turns):
             rec = {"speaker": turn.speaker, "text": turn.text, "audio": None}
-            if write_audio and turn.audio is not None:
-                rel = f"audio/{conv.id}_{i}.wav"
+            if turn.audio is not None and (write_audio or not _synth_backed(
+                    turn.text, turn.prosodic_style, turn.acoustic_style)):
+                rec["audio"] = f"audio/{conv.id}_{i}.wav"
                 (root / "audio").mkdir(parents=True, exist_ok=True)
-                audioio.write_wav(root / rel, turn.audio)
-                rec["audio"] = rel
-            if turn.prosodic_style is not None:
-                rec["synth"] = {"prosodic_style": list(turn.prosodic_style.values)}
+                audioio.write_wav(root / rec["audio"], turn.audio)
+            synth = {f"{style.kind}_style": list(style.values)
+                     for style in (turn.prosodic_style, turn.acoustic_style)
+                     if style is not None}
+            if synth:
+                rec["synth"] = synth
             turns.append(rec)
         lines.append(json.dumps({"id": conv.id, "split": conv.split, "turns": turns}))
     write_atomic(path, "\n".join(lines) + "\n")
@@ -213,8 +236,11 @@ def generate_synthetic_corpus(n_conversations: int, seed: int):
     """Deterministic corpus of 4-8 turn conversations between 2-3 speakers.
 
     Each turn carries template text, a prosodic style sampled from the
-    speaker's prior, and audio rendered by the toy synthesizer, so audio,
-    text, and style are mutually consistent.
+    speaker's prior, the speaker's acoustic style, and audio rendered by the
+    toy synthesizer, so audio, text, and styles are mutually consistent.
+    Returns the conversations and the acoustic styles again as
+    `{conversation id: {speaker: values}}`, the records
+    `save_synthetic_corpus` takes.
     """
     if n_conversations < 1:
         raise ValueError("need at least one conversation")
@@ -242,8 +268,8 @@ def generate_synthetic_corpus(n_conversations: int, seed: int):
             audio = AudioClip(sample_rate=clip.sample_rate,
                               samples=audioio.quantize_int16(clip.samples),
                               source_id=_source_id(conv_id, t))
-            turns.append(Turn(speaker=speaker, text=text, audio=audio,
-                              prosodic_style=style))
+            turns.append(Turn(speaker=speaker, text=text, audio=audio, prosodic_style=style,
+                              acoustic_style=acoustics_by_spk[speaker]))
         conversations.append(Conversation(id=conv_id, turns=tuple(turns), split="test"))
         acoustic_records[conv_id] = {s: list(v.values)
                                      for s, v in acoustics_by_spk.items()}
@@ -251,23 +277,13 @@ def generate_synthetic_corpus(n_conversations: int, seed: int):
 
 
 def save_synthetic_corpus(path, conversations, acoustic_records) -> None:
-    """Serialize a synthetic corpus as JSONL with synth parameters only
-    (audio rendered on load), so the bundled corpus stays tiny."""
-    lines = []
-    for conv in conversations:
-        turns = []
-        for turn in conv.turns:
-            turns.append({
-                "speaker": turn.speaker,
-                "text": turn.text,
-                "audio": None,
-                "synth": {
-                    "prosodic_style": list(turn.prosodic_style.values),
-                    "acoustic_style": acoustic_records[conv.id][turn.speaker],
-                },
-            })
-        lines.append(json.dumps({"id": conv.id, "split": conv.split, "turns": turns}))
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Save conversations with each speaker's acoustic style taken from
+    `acoustic_records` (conversation id -> speaker -> values), so every turn
+    is synth-backed and the file stays tiny."""
+    save_corpus(path, [replace(conv, turns=tuple(
+        replace(turn, acoustic_style=StyleVector(
+            values=tuple(acoustic_records[conv.id][turn.speaker]), kind="acoustic"))
+        for turn in conv.turns)) for conv in conversations])
 
 
 class CorpusIndex:
@@ -282,6 +298,8 @@ class CorpusIndex:
             for i, turn in enumerate(conv.turns):
                 sid = _source_id(conv.id, i)
                 self.transcripts[sid] = turn.text
+                if turn.acoustic_style is not None:
+                    self._acoustics[(conv.id, turn.speaker)] = turn.acoustic_style
                 if i + 1 < len(conv.turns):
                     nxt = conv.turns[i + 1]
                     self.targets[sid] = (nxt.text, nxt.prosodic_style, nxt.speaker)
@@ -291,12 +309,6 @@ class CorpusIndex:
         if key not in self._acoustics:
             raise KeyError(f"no acoustic style for {speaker!r} in {conv_id!r}")
         return self._acoustics[key]
-
-    def set_acoustic_styles(self, acoustic_records: dict) -> None:
-        for conv_id, by_speaker in acoustic_records.items():
-            for speaker, values in by_speaker.items():
-                self._acoustics[(conv_id, speaker)] = StyleVector(
-                    values=tuple(values), kind="acoustic")
 
     def reference_styles(self, conv_id: str) -> dict:
         """speaker -> (prosodic reference, acoustic style).  The prosodic
@@ -315,23 +327,6 @@ class CorpusIndex:
 
 
 def load_corpus_with_index(path):
-    """Load a synthetic-format corpus and build the component index."""
+    """`load_corpus` plus the `CorpusIndex` of what it loaded."""
     conversations, report = load_corpus(path)
-    index = CorpusIndex(conversations)
-    # recover acoustic styles from the synth records
-    records = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            by_speaker = {}
-            for turn in rec.get("turns", []):
-                synth = turn.get("synth") or {}
-                if "acoustic_style" in synth:
-                    by_speaker[turn["speaker"]] = synth["acoustic_style"]
-            if by_speaker:
-                records[rec["id"]] = by_speaker
-    index.set_acoustic_styles(records)
-    return conversations, index, report
+    return conversations, CorpusIndex(conversations), report

@@ -80,18 +80,22 @@ class StyleVector:
 
 @dataclass(frozen=True)
 class Turn:
-    """One utterance: who spoke, what was said, and (optionally) how."""
+    """One utterance: who spoke, what was said, and (optionally) how: its
+    audio, its prosodic style and the speaker's acoustic style."""
 
     speaker: str
     text: str
     audio: AudioClip | None = None
     prosodic_style: StyleVector | None = None
+    acoustic_style: StyleVector | None = None
 
     def __post_init__(self):
         if self.text is None:
             raise ValueError("turn text may be empty but not None")
         if self.prosodic_style is not None and self.prosodic_style.kind != "prosodic":
             raise ValueError("turn style must be prosodic")
+        if self.acoustic_style is not None and self.acoustic_style.kind != "acoustic":
+            raise ValueError("turn acoustic style must be acoustic")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ costs included) live here, and the components carry no cost of their own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,8 +62,9 @@ class LatencyModel:
 
     def __post_init__(self):
         for name in ("fixed_s", "per_input_audio_s", "per_output_token_s", "per_output_audio_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
     def evaluate(self, input_dur: float, out_tokens: int, out_dur: float) -> float:
         return (self.fixed_s + self.per_input_audio_s * input_dur

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,10 +45,17 @@ def test_every_traced_name_resolves(monkeypatch):
         assert callable(getattr(target, attr, None)), f"{span}: {module}.{owner}.{attr}"
 
 
-def test_ingest_extract_runs_traced(tmp_path):
-    inputs = json.loads(_run(BENCH / "inproc.py", "inputs", "ingest-extract", 1, tmp_path, 1))
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The 20-conversation corpus `bench/inproc.py inputs` builds for ingest-extract."""
+    out = tmp_path_factory.mktemp("input")
+    inputs = json.loads(_run(BENCH / "inproc.py", "inputs", "ingest-extract", 1, out, 1))
+    assert inputs["deterministic"] and Path(inputs["corpus"]).is_file()
+    return inputs
+
+
+def test_ingest_extract_runs_traced(tmp_path, inputs):
     corpus = Path(inputs["corpus"])
-    assert inputs["deterministic"] and corpus.is_file()
 
     op = tmp_path / "op"
     spans = {}
@@ -102,3 +110,27 @@ def test_workload_configs_resolve(monkeypatch, tmp_path, name):
     assert runs
     for args in runs:
         resolve_config(args.components, args.topology, args.seed)
+
+
+def test_run_reports_corpus_layers(monkeypatch, tmp_path, inputs):
+    """A traced `run` reports the corpus layer metrics the benchmark gates
+    on, so a change to `load_corpus`'s result or to where synth-backed audio
+    is rendered fails here."""
+    layers = _bench_module(monkeypatch, "layers")
+    tracer = _bench_module(monkeypatch, "tracer")
+    workloads = _bench_module(monkeypatch, "workloads")
+    crops = 2
+    spans_path = tmp_path / "run.spans.json"
+    t0 = time.perf_counter()
+    _run(BENCH / "traced_cli.py", spans_path, "--", "run", "--corpus", inputs["corpus"],
+         "--topology", "style-talker", "--components", ROOT / workloads.CALIBRATION,
+         "--crops", crops, "--seed", 1, "--out", tmp_path / "gen")
+    wall_s = time.perf_counter() - t0
+    payload = json.loads(spans_path.read_text(encoding="utf-8"))
+    op = {"spans": tracer.spans_from_json(payload), "wall_s": wall_s,
+          "check": workloads.OpCheck(clips_used=crops)}
+    metrics = layers.op_metrics([op])
+    for name in ("corpus.load_corpus.self_s", "corpus.turns_per_s",
+                 "corpus.render_useful_frac"):
+        assert metrics[name][0] > 0, name
+    assert metrics["corpus.render_useful_frac"][0] == crops / inputs["turns"]

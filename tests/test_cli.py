@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,11 @@ from styledialog.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = str(bundled_corpus_path())
+
+
+def one_error_line(capsys) -> bool:
+    err = capsys.readouterr().err
+    return len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
 class TestArgHandling:
@@ -69,6 +75,20 @@ class TestSimulate:
         assert main(["simulate", "--topology", "bogus"]) == EXIT_USAGE
         assert "--topology" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--input-dur", "nan"), ("--output-dur", "inf"),
+                                             ("--output-dur", "nan"), ("--input-dur", "0")])
+    def test_duration_must_be_finite_positive(self, capsys, flag, value):
+        assert main(["simulate", "--topology", "cascade", flag, value]) == EXIT_USAGE
+        assert one_error_line(capsys)
+
+    def test_nan_cost(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"latency": {"cascade": {"asr": {"fixed_s": NaN}, "llm": {}, "tts": {}}}}')
+        out_file = tmp_path / "report.json"
+        assert main(["simulate", "--topology", "cascade", "--config", str(p),
+                     "--out", str(out_file)]) == EXIT_USAGE
+        assert one_error_line(capsys) and not out_file.exists()
+
 
 class TestIngest:
     def test_diarization_filtering(self, tmp_path, capsys):
@@ -105,6 +125,30 @@ class TestIngest:
         assert [line for line, _ in report["rejected_records"]] == [2]
         kept = [json.loads(l) for l in (out / "corpus.jsonl").read_text().splitlines()]
         assert [c["id"] for c in kept] == ["good"]
+
+    def test_ingested_corpus_runs(self, tmp_path, capsys):
+        """The bundled corpus ingested with or without its audio written out
+        runs, scores and builds prompts as the bundled corpus does."""
+        run = ["run", "--crops", "2", "--seed", "4"]
+        assert main(run + ["--corpus", CORPUS, "--out", str(tmp_path / "run")]) == EXIT_OK
+        styles = []
+        for write_audio in (False, True):
+            out = tmp_path / f"ingested_{write_audio}"
+            assert main(["ingest", "--corpus", CORPUS, "--out", str(out)]
+                        + ["--write-audio"] * write_audio) == EXIT_OK
+            assert (out / "audio").is_dir() == write_audio
+            corpus = str(out / "corpus.jsonl")
+            assert main(run + ["--corpus", corpus, "--out", str(out / "run")]) == EXIT_OK
+            assert (out / "run/generated.jsonl").read_bytes() == \
+                   (tmp_path / "run/generated.jsonl").read_bytes()
+            assert main(["evaluate", "--generated", str(out / "run"),
+                         "--reference", corpus]) == EXIT_OK
+            assert main(["build-prompt", "--corpus", corpus, "--crop-id", "synth000:2"]) \
+                == EXIT_OK
+            assert main(["extract-styles", "--corpus", corpus,
+                         "--out", str(out / "styles.jsonl")]) == EXIT_OK
+            styles.append((out / "styles.jsonl").read_bytes())
+        assert styles[0] == styles[1]
 
 
 class TestRunAndEvaluate:
@@ -144,6 +188,68 @@ class TestRunAndEvaluate:
         assert main(["evaluate", "--generated", str(tmp_path),
                      "--reference", CORPUS]) == EXIT_USAGE
 
+    def test_no_conversation_to_crop(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"id": "c", "turns": [{"speaker": "a", "text": "hi"}]})
+                          + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--corpus", str(corpus), "--crops", "1", "--out", str(out)]) \
+            == EXIT_USAGE
+        assert one_error_line(capsys) and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert main(["run", "--corpus", CORPUS, "--crops", "2", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+# `evaluate --policy` files that are usage errors
+POLICY_FAULTS = {
+    "top-level list": [{"normalization": {}}],
+    "unknown top-level key": {"normalisation": {}},
+    "unknown normalization key": {"normalization": {"lowercas": False}},
+    "normalization not an object": {"normalization": ["lowercase"]},
+    "lowercase not a boolean": {"normalization": {"lowercase": "yes"}},
+    "fillers not a list": {"normalization": {"fillers": "um"}},
+}
+
+# edits of generated.jsonl row 1 (line 2) that are usage errors
+ROW_FAULTS = {
+    "missing speaker": lambda row: json.dumps({k: v for k, v in row.items() if k != "speaker"}),
+    "not an object": lambda row: json.dumps([row]),
+    "not JSON": lambda row: json.dumps(row)[:-1],
+}
+
+
+class TestEvaluateInputs:
+    def test_valid_policy(self, run_dir, tmp_path, capsys):
+        p = tmp_path / "policy.json"
+        p.write_text(json.dumps({"_comment": "keep fillers", "normalization": {
+            "lowercase": True, "strip_punctuation": False, "fillers": []}}))
+        assert main(["evaluate", "--generated", str(run_dir), "--reference", CORPUS,
+                     "--policy", str(p)]) == EXIT_OK
+
+    @pytest.mark.parametrize("policy", POLICY_FAULTS.values(), ids=POLICY_FAULTS.keys())
+    def test_policy_fault(self, run_dir, tmp_path, capsys, policy):
+        p = tmp_path / "policy.json"
+        p.write_text(json.dumps(policy))
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--generated", str(run_dir), "--reference", CORPUS,
+                     "--policy", str(p), "--out", str(out)]) == EXIT_USAGE
+        assert one_error_line(capsys) and not out.exists()
+
+    @pytest.mark.parametrize("edit", ROW_FAULTS.values(), ids=ROW_FAULTS.keys())
+    def test_generated_row_fault(self, run_dir, tmp_path, capsys, edit):
+        gen = shutil.copytree(run_dir, tmp_path / "gen")
+        lines = (gen / "generated.jsonl").read_text().splitlines()
+        lines[1] = edit(json.loads(lines[1]))
+        (gen / "generated.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", "--generated", str(gen), "--reference", CORPUS]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "generated.jsonl:2" in err and len(err.splitlines()) == 1
+
 
 ST_ZERO = {s: {} for s in ("audio_llm", "tts", "asr", "style_enc")}
 
@@ -159,6 +265,7 @@ RUN_FAULTS = {
     "unknown style_mode": ({"style_mode": "loud"}, []),
     "target_wer out of range": ({"target_wer": 2}, []),
     "top-level list": ([{"responder_mode": "markov"}], []),
+    "NaN cost": ({"latency": {"style_talker": ST_ZERO | {"asr": {"fixed_s": float("nan")}}}}, []),
     "unknown topology": (None, ["--topology", "bogus"]),
     "no crops": (None, ["--crops", "0"]),
 }

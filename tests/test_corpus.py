@@ -1,6 +1,8 @@
 import json
+import tempfile
 import wave
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from styledialog.acoustics import encode_style
 from styledialog.audioio import quantize_int16, read_wav, write_wav
 from styledialog.cli import bundled_corpus_path
+from styledialog.components import ToySynthesizer
 from styledialog.corpus import (CorpusIndex, filter_diarization,
                                 generate_synthetic_corpus, load_corpus,
                                 load_corpus_with_index, normalize_verbatim,
                                 save_corpus, save_synthetic_corpus, split_corpus,
                                 strip_leading_indicator)
-from styledialog.dialog import AudioClip
+from styledialog.dialog import AudioClip, Conversation, StyleVector, Turn
 
 
 def small_corpus_lines():
@@ -40,6 +43,7 @@ class TestLoadCorpus:
             for turn in conv.turns:
                 assert turn.audio is not None
                 assert turn.prosodic_style is not None
+                assert turn.acoustic_style.kind == "acoustic"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -70,7 +74,77 @@ class TestLoadCorpus:
         assert len(conversations) == 2 and report.rejects == []
 
 
+def styles(kind):
+    return st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8).map(
+        lambda v: StyleVector(values=tuple(v), kind=kind))
+
+
+@st.composite
+def corpora(draw):
+    """Conversations whose turns are synth-backed (both styles and some
+    text; audio as the synthesizer renders it), WAV-backed (a style or the
+    text missing; any 16-bit audio) or without audio, in any mix."""
+    synthesizer = ToySynthesizer()
+    conversations = []
+    for c in range(draw(st.integers(1, 3))):
+        turns = []
+        for i in range(draw(st.integers(1, 3))):
+            text = draw(st.text(alphabet="ab é\n", max_size=12))
+            prosodic = draw(st.none() | styles("prosodic"))
+            acoustic = draw(st.none() | styles("acoustic"))
+            if prosodic is not None and acoustic is not None and text.split():
+                rendered = synthesizer.synthesize(text, prosodic, acoustic)
+                samples, rate = rendered.samples, rendered.sample_rate
+            elif draw(st.booleans()):
+                samples = draw(st.lists(st.floats(-1.0, 1.0), max_size=64))
+                rate = draw(st.sampled_from([8000, 16000, 44100]))
+            else:
+                samples = None
+            audio = None if samples is None else AudioClip(
+                sample_rate=rate, samples=quantize_int16(np.asarray(samples, dtype=float)),
+                source_id=f"c{c}/{i}")
+            turns.append(Turn(speaker=draw(st.sampled_from(["a", "b", "spk é"])), text=text,
+                              audio=audio, prosodic_style=prosodic, acoustic_style=acoustic))
+        conversations.append(Conversation(id=f"c{c}", turns=tuple(turns),
+                                          split=draw(st.sampled_from(["train", "validation",
+                                                                      "test"]))))
+    return conversations
+
+
+def assert_same_corpus(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.id, a.split, len(a.turns)) == (b.id, b.split, len(b.turns))
+        for ta, tb in zip(a.turns, b.turns):
+            assert (ta.speaker, ta.text, ta.prosodic_style, ta.acoustic_style) == \
+                   (tb.speaker, tb.text, tb.prosodic_style, tb.acoustic_style)
+            assert (ta.audio is None) == (tb.audio is None)
+            if ta.audio is not None:
+                assert (ta.audio.source_id, ta.audio.sample_rate) == \
+                       (tb.audio.source_id, tb.audio.sample_rate)
+                assert np.array_equal(ta.audio.samples, tb.audio.samples)
+
+
 class TestSaveRoundTrip:
+    @given(conversations=corpora(), write_audio=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_load_inverts_save(self, conversations, write_audio):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            save_corpus(path, conversations, write_audio=write_audio)
+            reloaded, report = load_corpus(path)
+        assert report.rejects == []
+        assert_same_corpus(reloaded, conversations)
+
+    def test_synth_backed_turns_write_no_wav(self, tmp_path):
+        conversations, _ = generate_synthetic_corpus(1, seed=7)
+        save_corpus(tmp_path / "c.jsonl", conversations)
+        assert not (tmp_path / "audio").exists()
+        wav_backed = [Turn(speaker=t.speaker, text=t.text, audio=t.audio,
+                           prosodic_style=t.prosodic_style) for t in conversations[0].turns]
+        save_corpus(tmp_path / "c.jsonl", [Conversation(id="w", turns=wav_backed)])
+        assert len(list((tmp_path / "audio").iterdir())) == len(wav_backed)
+
     def test_text_round_trip(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text("\n".join(small_corpus_lines()) + "\n")
@@ -147,34 +221,33 @@ class TestNormalizeVerbatim:
 
 
 class TestSplitCorpus:
-    def test_largest_remainder_counts(self):
-        conversations, _ = load_corpus(bundled_corpus_path())
-        out = split_corpus(conversations, (0.8, 0.1, 0.1), seed=1)
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        return load_corpus(bundled_corpus_path())[0]
+
+    def test_largest_remainder_counts(self, bundled):
+        out = split_corpus(bundled, (0.8, 0.1, 0.1), seed=1)
         counts = Counter(c.split for c in out)
         assert counts == {"train": 16, "validation": 2, "test": 2}
 
-    def test_same_seed_deterministic(self):
-        conversations, _ = load_corpus(bundled_corpus_path())
-        a = split_corpus(conversations, (0.8, 0.1, 0.1), seed=5)
-        b = split_corpus(conversations, (0.8, 0.1, 0.1), seed=5)
+    def test_same_seed_deterministic(self, bundled):
+        a = split_corpus(bundled, (0.8, 0.1, 0.1), seed=5)
+        b = split_corpus(bundled, (0.8, 0.1, 0.1), seed=5)
         assert [(c.id, c.split) for c in a] == [(c.id, c.split) for c in b]
 
-    def test_all_train(self):
-        conversations, _ = load_corpus(bundled_corpus_path())
-        out = split_corpus(conversations, (1.0, 0.0, 0.0), seed=0)
+    def test_all_train(self, bundled):
+        out = split_corpus(bundled, (1.0, 0.0, 0.0), seed=0)
         assert all(c.split == "train" for c in out)
 
-    def test_bad_ratios(self):
-        conversations, _ = load_corpus(bundled_corpus_path())
+    def test_bad_ratios(self, bundled):
         with pytest.raises(ValueError):
-            split_corpus(conversations, (0.5, 0.4, 0.0), seed=0)
+            split_corpus(bundled, (0.5, 0.4, 0.0), seed=0)
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
-    def test_partition_property(self, seed):
-        conversations, _ = load_corpus(bundled_corpus_path(), render_audio=False)
-        out = split_corpus(conversations, (0.6, 0.2, 0.2), seed=seed)
-        assert sorted(c.id for c in out) == sorted(c.id for c in conversations)
+    def test_partition_property(self, bundled, seed):
+        out = split_corpus(bundled, (0.6, 0.2, 0.2), seed=seed)
+        assert sorted(c.id for c in out) == sorted(c.id for c in bundled)
         assert [c.id for c in out] == sorted(c.id for c in out)
 
 
@@ -259,6 +332,17 @@ class TestCorpusIndex:
         want = np.mean(own, axis=0)
         assert np.allclose(refs[spk][0].as_array(), want)
         assert refs[spk][1].kind == "acoustic"
+
+    def test_acoustic_style_from_the_turns(self):
+        a1, a2, b = (StyleVector(values=(v,) * 8, kind="acoustic") for v in (0.1, 0.2, 0.3))
+        conv = Conversation(id="c", turns=(
+            Turn(speaker="a", text="one", acoustic_style=a1),
+            Turn(speaker="b", text="two", acoustic_style=b),
+            Turn(speaker="a", text="three", acoustic_style=a2),
+            Turn(speaker="b", text="four")))
+        index = CorpusIndex([conv])
+        assert index.acoustic_style("c", "a") == a2  # the speaker's last turn wins
+        assert index.acoustic_style("c", "b") == b
 
     def test_unknown_acoustic_style(self):
         conversations, _ = generate_synthetic_corpus(1, seed=3)

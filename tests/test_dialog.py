@@ -67,6 +67,11 @@ class TestTurn:
             Turn(speaker="a", text="hi",
                  prosodic_style=StyleVector(values=(0.0,) * 8, kind="acoustic"))
 
+    def test_prosodic_style_as_acoustic_rejected(self):
+        with pytest.raises(ValueError):
+            Turn(speaker="a", text="hi",
+                 acoustic_style=StyleVector(values=(0.0,) * 8, kind="prosodic"))
+
 
 class TestMakeCrop:
     def test_five_turn_k3(self):

@@ -34,6 +34,11 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             LatencyModel(fixed_s=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            LatencyModel(per_output_audio_s=value)
+
     def test_from_dict(self):
         m = LatencyModel.from_dict({"fixed_s": 0.2, "per_output_token_s": 0.04})
         assert m.fixed_s == 0.2 and m.per_output_token_s == 0.04
