@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import wave
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -167,7 +168,11 @@ def cmd_simulate(args) -> int:
     topology = args.topology
     config, run_config = resolve_config(args.config, topology)
     tokens_per_s = config.get("tokens_per_output_second", 3)
-    out_tokens = int(round(tokens_per_s * args.output_dur))
+    out_tokens = tokens_per_s * args.output_dur
+    if not math.isfinite(out_tokens):
+        raise CliError(f"--output-dur {args.output_dur:g} at {tokens_per_s} tokens per "
+                       f"second gives a token count that is not finite")
+    out_tokens = int(round(out_tokens))
     try:
         report = simulate_turn(topology, args.input_dur, out_tokens, args.output_dur,
                                run_config.latencies)
@@ -242,6 +247,8 @@ def cmd_run(args) -> int:
 
 
 def _load_generated(path: Path):
+    """(where, row) for each row of generated.jsonl after the `_config`
+    header; a malformed row is a CliError naming its line."""
     rows = []
     with open(path / "generated.jsonl", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -257,7 +264,16 @@ def _load_generated(path: Path):
             missing = [key for key in GENERATED_KEYS if key not in rec]
             if missing:
                 raise CliError(f"{where}: row lacks {', '.join(missing)}")
-            rows.append(rec)
+            not_str = [key for key in ("conversation_id", "speaker", "text")
+                       if not isinstance(rec[key], str)]
+            if not_str:
+                raise CliError(f"{where}: {', '.join(not_str)} must be a string")
+            k = rec["k"]
+            if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+                raise CliError(f"{where}: k must be an integer >= 0, got {k!r}")
+            if not (isinstance(rec["audio"], str) and (path / rec["audio"]).is_file()):
+                raise CliError(f"{where}: audio {rec['audio']!r} is not a file in {path}")
+            rows.append((where, rec))
     return rows
 
 
@@ -272,15 +288,16 @@ def cmd_evaluate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     generated, reference = [], []
-    for row in rows:
+    for where, row in rows:
         conv = index.conversations.get(row["conversation_id"])
         if conv is None or row["k"] >= len(conv.turns):
-            print(f"error: crop {row['crop']} references unknown "
-                  f"conversation/turn {row['conversation_id']}:{row['k']}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise CliError(f"{where}: crop {row['crop']} references unknown "
+                           f"conversation/turn {row['conversation_id']}:{row['k']}")
         target = conv.turns[row["k"]]
-        clip = audioio.read_wav(gen_dir / row["audio"])
+        try:
+            clip = audioio.read_wav(gen_dir / row["audio"])
+        except (EOFError, OSError, ValueError, wave.Error) as exc:
+            raise CliError(f"{where}: cannot read {row['audio']}: {exc}") from exc
         generated.append(Turn(speaker=row["speaker"], text=row["text"], audio=clip))
         reference.append(target)
     report = metrics_mod.assemble_report(generated, reference, policy)

@@ -283,3 +283,74 @@ def nccf_track_brute(samples, sample_rate, frame_len, hop_len, f_min=50.0, f_max
             f0[k] = sample_rate / lag
         voiced[k] = peak[k] > 0.30
     return base, f0, peak, voiced
+
+
+def _pitch_contour_brute(rng, n, sr, mean_hz, std_hz):
+    """Mean-reverting random walk at a 100 Hz control rate, interpolated."""
+    ctrl_hz = 100.0
+    n_ctrl = max(2, int(math.ceil(n / sr * ctrl_hz)) + 1)
+    # slow walk: within one analysis frame the pitch is effectively
+    # constant, so the injected noise floor alone sets the measured HNR
+    rho = math.exp(-1.0 / (ctrl_hz * 8.0))
+    innov = std_hz * math.sqrt(1.0 - rho * rho)
+    walk = np.empty(n_ctrl)
+    walk[0] = mean_hz + std_hz * rng.standard_normal()
+    for i in range(1, n_ctrl):
+        walk[i] = mean_hz + rho * (walk[i - 1] - mean_hz) + innov * rng.standard_normal()
+    walk = np.clip(walk, 60.0, 480.0)
+    ctrl_t = np.arange(n_ctrl) / ctrl_hz
+    return np.interp(np.arange(n) / sr, ctrl_t, walk)
+
+
+def synthesize_brute(text, prosodic, acoustic):
+    """The toy synthesizer's samples, one `np.sin` per harmonic and one
+    scalar draw per pitch control point.  It shares the synthesizer's
+    constants, its seed derivation and the framing of `acoustics._frames`,
+    which define what is rendered, not how fast."""
+    from styledialog import acoustics
+    from styledialog.components import (ENVELOPE_FLOOR, HARMONIC_BASE, MIN_TOKEN_RATE,
+                                        SYNTH_SAMPLE_RATE, _synthesis_seed)
+    sr = SYNTH_SAMPLE_RATE
+    tokens = text.split()
+    p = prosodic.values
+    rate = max(MIN_TOKEN_RATE, p[5] * acoustics.RATE_CAP_PER_S)
+    duration = len(tokens) / rate
+    n = int(round(duration * sr))
+    rng = np.random.default_rng(_synthesis_seed(text, prosodic, acoustic))
+
+    f0 = _pitch_contour_brute(rng, n, sr,
+                              mean_hz=float(np.clip(p[0] * acoustics.PITCH_NORM_HZ, 70.0, 450.0)),
+                              std_hz=float(np.clip(p[1] * acoustics.PITCH_STD_NORM_HZ, 0.0, 40.0)))
+    phase = 2.0 * math.pi * np.cumsum(f0) / sr
+
+    weights = [HARMONIC_BASE[0]]
+    for k in range(1, len(HARMONIC_BASE)):
+        a = abs(acoustic.values[k - 1]) if k - 1 < len(acoustic.values) else 0.0
+        weights.append(HARMONIC_BASE[k] * (0.25 + min(a, 1.0)))
+    harmonic = np.zeros(n)
+    for k, w in enumerate(weights, start=1):
+        harmonic += w * np.sin(k * phase)
+
+    hnr_db = p[4] * acoustics.HNR_SPAN_DB + acoustics.HNR_DB_MIN
+    harmonic_power = sum(w * w for w in weights) / 2.0
+    sigma = math.sqrt(harmonic_power * 10.0 ** (-hnr_db / 10.0))
+    signal = harmonic + sigma * rng.standard_normal(n)
+
+    # one raised-cosine bump per token so the rate is recoverable from
+    # the energy envelope
+    t = np.arange(n) / sr
+    u = (t * rate) % 1.0
+    envelope = ENVELOPE_FLOOR + (1.0 - ENVELOPE_FLOOR) * np.sin(math.pi * u) ** 2
+    signal *= envelope
+
+    # scale so the mean frame RMS matches the requested energy component
+    target = max(p[2], 1e-3)
+    spec = acoustics.FrameSpec()
+    frames = acoustics._frames(signal, spec.frame_len(sr), spec.hop_len(sr))
+    mean_rms = float(np.mean(np.sqrt(np.mean(frames ** 2, axis=1))))
+    if mean_rms > 0:
+        signal *= target / mean_rms
+    # hard-limit stray noise peaks; clipping the tail barely moves the
+    # frame RMS, whereas rescaling the whole clip would break the energy
+    # component of the style round trip
+    return np.clip(signal, -0.99, 0.99)

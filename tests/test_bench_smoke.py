@@ -54,22 +54,34 @@ def inputs(tmp_path_factory):
     return inputs
 
 
-def test_ingest_extract_runs_traced(tmp_path, inputs):
+def test_ingest_extract_runs_traced(monkeypatch, tmp_path, inputs):
+    """Both commands run traced, with spans at the layers the benchmark
+    reports; `ingest` renders through the wrapped `synthesize`, so a change
+    that moves the synthesizer's wrap point fails here."""
+    layers = _bench_module(monkeypatch, "layers")
+    tracer = _bench_module(monkeypatch, "tracer")
     corpus = Path(inputs["corpus"])
 
     op = tmp_path / "op"
-    spans = {}
+    spans, ops = {}, {}
     for name, cli_args in (
             ("ingest", ["ingest", "--corpus", corpus, "--out", op / "ingested",
                         "--write-audio", "--filter-diarization", "--seed", 1]),
             ("extract-styles", ["extract-styles", "--corpus", op / "ingested" / "corpus.jsonl",
                                 "--out", op / "styles.jsonl"])):
         spans_path = tmp_path / f"{name}.spans.json"
+        t0 = time.perf_counter()
         _run(BENCH / "traced_cli.py", spans_path, "--", *cli_args)
+        wall_s = time.perf_counter() - t0
         payload = json.loads(spans_path.read_text(encoding="utf-8"))
         assert payload["open_stack"] == []
         spans[name] = {row[2] for row in payload["spans"]}
-    assert {"corpus.load_corpus", "corpus.save_corpus", "audioio.write_wav"} <= spans["ingest"]
+        ops[name] = {"spans": tracer.spans_from_json(payload), "wall_s": wall_s, "check": None}
+    assert {"corpus.load_corpus", "corpus.save_corpus", "audioio.write_wav",
+            "components.synthesize"} <= spans["ingest"]
+    synth = layers.op_metrics([ops["ingest"]])
+    assert synth["components.synthesize.calls"][0] > 0
+    assert synth["components.synthesize.samples_per_s"][0] > 0
     assert {"acoustics.encode_style", "acoustics.summarize", "acoustics.hnr",
             "audioio.read_wav"} <= spans["extract-styles"]
     rows = [json.loads(line) for line in (op / "styles.jsonl").read_text().splitlines()]

@@ -81,6 +81,13 @@ class TestSimulate:
         assert main(["simulate", "--topology", "cascade", flag, value]) == EXIT_USAGE
         assert one_error_line(capsys)
 
+    def test_token_count_must_be_finite(self, capsys):
+        """1e308 s passes the duration check, but at 3 tokens/s its token
+        count overflows to inf."""
+        assert main(["simulate", "--topology", "cascade", "--output-dur", "1e308"]) \
+            == EXIT_USAGE
+        assert one_error_line(capsys)
+
     def test_nan_cost(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text('{"latency": {"cascade": {"asr": {"fixed_s": NaN}, "llm": {}, "tts": {}}}}')
@@ -188,6 +195,22 @@ class TestRunAndEvaluate:
         assert main(["evaluate", "--generated", str(tmp_path),
                      "--reference", CORPUS]) == EXIT_USAGE
 
+    def test_markov_replay_writes_every_turn(self, tmp_path, capsys):
+        """Turn 20 of this replay drew an empty Markov response before first
+        tokens were redrawn, and `run` failed without writing anything."""
+        config = json.loads(calibration_path().read_text(encoding="utf-8"))
+        config.pop("_comment")
+        config |= {"responder_mode": "markov", "style_mode": "context_average",
+                   "target_wer": 0.1}
+        components = tmp_path / "components.json"
+        components.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--corpus", CORPUS, "--topology", "cascade", "--components",
+                     str(components), "--crops", "40", "--seed", "0", "--out", str(out)]) \
+            == EXIT_OK
+        rows = (out / "generated.jsonl").read_text().splitlines()[1:]
+        assert len(rows) == 40 and all(json.loads(row)["text"] for row in rows)
+
     def test_no_conversation_to_crop(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text(json.dumps({"id": "c", "turns": [{"speaker": "a", "text": "hi"}]})
@@ -220,6 +243,14 @@ ROW_FAULTS = {
     "missing speaker": lambda row: json.dumps({k: v for k, v in row.items() if k != "speaker"}),
     "not an object": lambda row: json.dumps([row]),
     "not JSON": lambda row: json.dumps(row)[:-1],
+    "k not an int": lambda row: json.dumps(row | {"k": str(row["k"])}),
+    "k a bool": lambda row: json.dumps(row | {"k": True}),
+    "k negative": lambda row: json.dumps(row | {"k": -1}),
+    "audio missing": lambda row: json.dumps(row | {"audio": "audio/missing.wav"}),
+    "audio not a WAV": lambda row: json.dumps(row | {"audio": "generated.jsonl"}),
+    "unknown conversation": lambda row: json.dumps(row | {"conversation_id": "ghost"}),
+    "conversation_id not a string": lambda row: json.dumps(row | {"conversation_id": ["x"]}),
+    "text not a string": lambda row: json.dumps(row | {"text": 7}),
 }
 
 

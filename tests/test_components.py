@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog.acoustics import acoustic_embedding, encode_style
-from styledialog.components import (MarkovTable, ToyRecognizer, ToyResponder,
-                                    ToySynthesizer, train_markov, END_TOKEN, START_TOKEN)
+from styledialog.cli import bundled_corpus_path
+from styledialog.components import (MARKOV_EMPTY_REDRAWS, MarkovTable, ToyRecognizer,
+                                    ToyResponder, ToySynthesizer, train_markov, END_TOKEN,
+                                    START_TOKEN)
+from styledialog.corpus import load_corpus
 from styledialog.dialog import ConversationContext, StyleVector, append_turn
 from styledialog.metrics import wer, NormalizationPolicy
 from conftest import acoustic, make_conversation, prosodic, simple_style
-from oracles import perplexity_of_table
+from oracles import perplexity_of_table, synthesize_brute
 
 
 class TestRecognizer:
@@ -143,6 +147,9 @@ class TestMarkov:
         assert ppl <= len(table.vocab)  # uniform model's perplexity
 
     def test_first_token_distribution(self, conv):
+        """A first END_TOKEN is redrawn up to MARKOV_EMPTY_REDRAWS times, so
+        word w comes first with p(w) * (1 + p_end + ... + p_end^R) and the
+        response is empty with p_end^(R + 1)."""
         table = train_markov([conv])
         n = 10_000
         counts = {}
@@ -150,11 +157,51 @@ class TestMarkov:
             text = table.sample(random.Random(s))
             first = text.split()[0] if text.split() else END_TOKEN
             counts[first] = counts.get(first, 0) + 1
+        p_end = table.probability(START_TOKEN, END_TOKEN)
+        tries = sum(p_end ** j for j in range(MARKOV_EMPTY_REDRAWS + 1))
         for w in table.vocab:
-            p = table.probability(START_TOKEN, w)
+            p = (p_end ** (MARKOV_EMPTY_REDRAWS + 1) if w == END_TOKEN
+                 else table.probability(START_TOKEN, w) * tries)
             sigma = math.sqrt(n * p * (1 - p))
             observed = counts.get(w, 0)
             assert abs(observed - n * p) < 4 * sigma + 1
+
+    def test_non_empty_samples_unchanged(self, conv):
+        """Redraws happen only where a sample without them is empty."""
+        table = train_markov([conv])
+        redrawn = 0
+        for s in range(2000):
+            once = _sample_without_redraws(table, random.Random(s))
+            text = table.sample(random.Random(s))
+            assert text
+            if once:
+                assert text == once
+            else:
+                redrawn += 1
+        assert redrawn > 0
+
+    def test_redraws_are_capped(self):
+        table = MarkovTable(counts={START_TOKEN: {END_TOKEN: 5}}, totals={START_TOKEN: 5},
+                            vocab=(END_TOKEN,))
+        rng, twin = random.Random(3), random.Random(3)
+        assert table.sample(rng) == ""
+        for _ in range(MARKOV_EMPTY_REDRAWS + 1):
+            twin.choices(table.vocab, weights=[1.0])
+        assert rng.random() == twin.random()
+
+
+def _sample_without_redraws(table, rng, max_tokens=60):
+    """MarkovTable.sample without first-token redraws, which every
+    non-empty sample must equal."""
+    out, prev = [], START_TOKEN
+    while len(out) < max_tokens:
+        token = rng.choices(table.vocab,
+                            weights=[table.probability(prev, w) for w in table.vocab])[0]
+        if token == END_TOKEN:
+            break
+        out.append(token)
+        prev = token
+    return " ".join(out)
 
 
 class TestSynthesizer:
@@ -189,6 +236,45 @@ class TestSynthesizer:
         a = synth.synthesize("hi there", simple_style(), acoustic([0.5] * 8))
         b = synth.synthesize("hi there", simple_style(), acoustic([0.5] * 8))
         assert np.array_equal(a.samples, b.samples)
+
+    # sha256 of the int16 samples of the 124 turns load_corpus renders from the
+    # bundled corpus, recorded with the one-sine-per-harmonic synthesizer
+    BUNDLED_RENDER_SHA256 = "650dd48c7055276a51c1a38fb8b563bca3267febcba6671add9a049ce1e8d33c"
+
+    def test_bundled_corpus_renders_golden(self):
+        conversations, _ = load_corpus(bundled_corpus_path())
+        digest = hashlib.sha256()
+        clips = 0
+        for conv in conversations:
+            for turn in conv.turns:
+                digest.update(np.round(turn.audio.samples * 32767.0).astype(np.int16).tobytes())
+                clips += 1
+        assert clips == 124
+        assert digest.hexdigest() == self.BUNDLED_RENDER_SHA256
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_tokens=st.integers(1, 40),
+           pitch=st.sampled_from([0.0, 0.14, 0.9, 1.0]) | st.floats(0.0, 1.0),
+           pitch_std=st.just(1.0) | st.floats(0.0, 1.0),
+           rate=st.just(0.0) | st.floats(0.0, 1.0),
+           rest=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+           timbre=st.sampled_from([[0.0] * 8, [1.0] * 8])
+           | st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    def test_matches_brute_force_oracle(self, n_tokens, pitch, pitch_std, rate, rest, timbre):
+        """The Clenshaw sum against one np.sin per harmonic.  The oracle
+        rounds k * phase to float64 before each sine (exact for k = 1, 2, 4),
+        which moves harmonic k by up to k * phase * 2^-53 * w_k; over
+        k = 3, 5, 6 with w_k <= 1.25 * HARMONIC_BASE this is at most
+        2.8e-16 per radian of phase, which the energy scaling multiplies by
+        about 2 at most.  The phase stays below 2 pi 480 Hz times the
+        duration, so 1e-15 per radian of that covers the oracle's rounding."""
+        text = " ".join(f"w{i}" for i in range(n_tokens))
+        style = prosodic([pitch, pitch_std, rest[0], rest[1], rest[2], rate, rest[3], rest[4]])
+        fast = ToySynthesizer().synthesize(text, style, acoustic(timbre)).samples
+        brute = synthesize_brute(text, style, acoustic(timbre))
+        assert len(fast) == len(brute)
+        phase_bound = 2.0 * math.pi * 480.0 * len(brute) / 16000
+        assert np.max(np.abs(fast - brute)) <= 1e-11 + 1e-15 * phase_bound
 
     def test_timbre_separates_speakers(self):
         synth = ToySynthesizer()
