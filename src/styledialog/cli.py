@@ -24,7 +24,7 @@ from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import objectives
 from .components import ToyRecognizer, ToyResponder, ToySynthesizer, train_markov
-from .dialog import Turn, context_from_turns, make_crop, sample_crop_index
+from .dialog import DialogCrop, Turn, context_from_turns, make_crop, sample_crop_index
 from .prompts import PromptVariant, build_prompt
 from .scheduler import STAGES, LatencyModel, RunConfig, Topology, run_dialog, simulate_turn
 
@@ -179,6 +179,10 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    figures = {"RTF": report.rtf, "delay": report.delay_s, "carryover": report.carryover_s}
+    if not all(math.isfinite(v) for v in figures.values()):
+        raise CliError("the simulated report is not finite: " + ", ".join(
+            f"{name} {value:g}" for name, value in figures.items()))
     print(f"{'Model':<14} {'RTF':>8} {'Delay':>9}")
     print(f"{topology.value:<14} {report.rtf:>8.4f} {report.delay_s:>8.2f} s")
     payload = {"topology": topology.value, "input_dur": args.input_dur,
@@ -191,12 +195,30 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def pick_crops(conversations, n_crops: int, seed: int) -> list[DialogCrop]:
+    """The `run` crops: crop i cuts the (i mod n)-th of the n conversations
+    with two or more turns at a point drawn from seed + i."""
+    eligible = [c for c in conversations if len(c.turns) >= 2]
+    if not eligible:
+        raise CliError("corpus has no conversation with two or more turns")
+    crops = []
+    for i in range(n_crops):
+        conv = eligible[i % len(eligible)]
+        crops.append(make_crop(conv, sample_crop_index(conv, seed + i)))
+    return crops
+
+
 def cmd_run(args) -> int:
     if args.crops < 1:
         raise CliError("--crops must be >= 1")
     _, run_config = resolve_config(args.components, args.topology, args.seed)
+
+    def incoming_turns(conversations):
+        return [f"{crop.conversation_id}/{len(crop.context_turns) - 1}"
+                for crop in pick_crops(conversations, args.crops, args.seed)]
     try:
-        conversations, index, _ = corpus_mod.load_corpus_with_index(args.corpus)
+        conversations, index, _ = corpus_mod.load_corpus_with_index(args.corpus,
+                                                                    incoming_turns)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -206,15 +228,7 @@ def cmd_run(args) -> int:
                                  synthesizer=ToySynthesizer(),
                                  reference_styles=index.reference_styles)
 
-    eligible = [c for c in conversations if len(c.turns) >= 2]
-    if not eligible:
-        raise CliError(f"corpus {args.corpus} has no conversation with two or more turns")
-    crops = []
-    for i in range(args.crops):
-        conv = eligible[i % len(eligible)]
-        k = sample_crop_index(conv, args.seed + i)
-        crops.append(make_crop(conv, k))
-
+    crops = pick_crops(conversations, args.crops, args.seed)
     results = run_dialog(run_config, crops, components)
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)
@@ -283,7 +297,9 @@ def cmd_evaluate(args) -> int:
     policy = resolve_policy(args.policy)
     try:
         rows = _load_generated(gen_dir)
-        conversations, index, _ = corpus_mod.load_corpus_with_index(args.reference)
+        references = {f"{row['conversation_id']}/{row['k']}" for _, row in rows}
+        _, index, _ = corpus_mod.load_corpus_with_index(args.reference,
+                                                        lambda _: references)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -412,7 +428,8 @@ def cmd_extract_styles(args) -> int:
 
 def cmd_build_prompt(args) -> int:
     try:
-        conversations, index, _ = corpus_mod.load_corpus_with_index(args.corpus)
+        # a prompt holds text and styles, never audio
+        _, index, _ = corpus_mod.load_corpus_with_index(args.corpus, lambda _: ())
         variant = PromptVariant.parse(args.variant)
         conv_id, _, k_str = args.crop_id.partition(":")
         conv = index.conversations[conv_id]

@@ -200,6 +200,12 @@ class ToySynthesizer:
     (`tests/oracles.py::synthesize_brute`).  Before it the two differ only
     by the oracle's own rounding of k x, under 1e-11 plus 1e-15 per radian
     of phase.
+
+    Any finite styles render: the HNR, token rate and energy a prosodic
+    style asks for are clamped to [HNR_DB_MIN, HNR_DB_MAX] dB,
+    [MIN_TOKEN_RATE, RATE_CAP_PER_S] tokens/s and at most 1, so the clip is
+    never empty and lies in [-1, 1].  Styles in [0, 1] are inside every
+    clamp and render as without them.
     """
 
     def synthesize(self, text: str, prosodic: StyleVector,
@@ -213,7 +219,7 @@ class ToySynthesizer:
         sr = SYNTH_SAMPLE_RATE
         tokens = text.split()
         p = prosodic.values
-        rate = max(MIN_TOKEN_RATE, p[5] * acoustics.RATE_CAP_PER_S)
+        rate = min(max(p[5] * acoustics.RATE_CAP_PER_S, MIN_TOKEN_RATE), acoustics.RATE_CAP_PER_S)
         duration = len(tokens) / rate
         n = int(round(duration * sr))
         rng = np.random.default_rng(_synthesis_seed(text, prosodic, acoustic))
@@ -233,7 +239,8 @@ class ToySynthesizer:
             weights.append(HARMONIC_BASE[k] * (0.25 + min(a, 1.0)))
         signal = self._harmonic_sum(phase, weights)
 
-        hnr_db = p[4] * acoustics.HNR_SPAN_DB + acoustics.HNR_DB_MIN
+        hnr_db = min(max(p[4] * acoustics.HNR_SPAN_DB + acoustics.HNR_DB_MIN,
+                         acoustics.HNR_DB_MIN), acoustics.HNR_DB_MAX)
         harmonic_power = sum(w * w for w in weights) / 2.0
         sigma = math.sqrt(harmonic_power * 10.0 ** (-hnr_db / 10.0))
         noise = rng.standard_normal(out=phase)
@@ -251,8 +258,9 @@ class ToySynthesizer:
         envelope += ENVELOPE_FLOOR
         signal *= envelope
 
-        # scale so the mean frame RMS matches the requested energy component
-        target = max(p[2], 1e-3)
+        # scale so the mean frame RMS matches the requested energy component,
+        # capped at 1, the most a clip in [-1, 1] can have
+        target = min(max(p[2], 1e-3), 1.0)
         spec = acoustics.FrameSpec()
         power = np.multiply(signal, signal, out=envelope)
         frames = acoustics._frames(power, spec.frame_len(sr), spec.hop_len(sr))

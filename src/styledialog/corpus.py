@@ -14,7 +14,12 @@ WAV or synth: a turn's audio comes from its WAV when it has a path.  A turn
 with no path is synth-backed when it has both styles and some text: the
 loader renders its audio with the toy synthesizer and passes it through
 int16 quantization, so it is bit-identical to a WAV round trip.  Any other
-turn without a path has no audio.  `save_corpus` writes a turn's audio to a
+turn without a path has no audio.  WAV-backed turns are always read, but
+the loader renders only the synth-backed turns its caller asks for through
+`audio_for` (all of them by default): `run` asks for its crops' incoming
+turns, `evaluate` for its reference turns and `build-prompt` for none.  A
+synth-backed turn left with `audio=None` was not requested; it still has
+its styles and text.  `save_corpus` writes a turn's audio to a
 WAV when asked to, or when the turn is not synth-backed and so could not be
 re-rendered; otherwise it writes the styles alone, and the loader renders
 the audio again.  A synth-backed turn renders from its text as written, so
@@ -75,7 +80,7 @@ def _style(synth: dict, kind: str) -> StyleVector | None:
     return None if values is None else StyleVector(values=tuple(values), kind=kind)
 
 
-def _turn_from_record(rec: dict, sid: str, root: Path, synthesizer: ToySynthesizer) -> Turn:
+def _turn_from_record(rec: dict, sid: str, root: Path) -> Turn:
     if "speaker" not in rec:
         raise ValueError("record missing 'speaker'")
     if "text" not in rec:
@@ -83,27 +88,41 @@ def _turn_from_record(rec: dict, sid: str, root: Path, synthesizer: ToySynthesiz
     text = str(rec["text"])
     synth = rec.get("synth") or {}
     prosodic, acoustic = _style(synth, "prosodic"), _style(synth, "acoustic")
-    audio = None
-    if rec.get("audio"):
-        audio = audioio.read_wav(root / rec["audio"], source_id=sid)
-    elif _synth_backed(text, prosodic, acoustic):
-        rendered = synthesizer.synthesize(text, prosodic, acoustic)
-        audio = AudioClip(sample_rate=rendered.sample_rate,
-                          samples=audioio.quantize_int16(rendered.samples),
-                          source_id=sid)
+    audio = audioio.read_wav(root / rec["audio"], source_id=sid) if rec.get("audio") else None
     return Turn(speaker=str(rec["speaker"]), text=text, audio=audio,
                 prosodic_style=prosodic, acoustic_style=acoustic)
 
 
-def load_corpus(path):
-    """Parse a corpus file, rendering synth-backed audio; malformed records
-    go to the report, valid conversations are returned.  Raises when
-    nothing valid is left."""
+def _render(conv: Conversation, wanted, synthesizer: ToySynthesizer) -> Conversation:
+    """`conv` with the audio of its synth-backed turns in `wanted` (None:
+    all of them) rendered and int16-quantized."""
+    turns = list(conv.turns)
+    for i, turn in enumerate(turns):
+        sid = _source_id(conv.id, i)
+        if (turn.audio is None and (wanted is None or sid in wanted)
+                and _synth_backed(turn.text, turn.prosodic_style, turn.acoustic_style)):
+            clip = synthesizer.synthesize(turn.text, turn.prosodic_style, turn.acoustic_style)
+            turns[i] = replace(turn, audio=AudioClip(
+                sample_rate=clip.sample_rate, samples=audioio.quantize_int16(clip.samples),
+                source_id=sid))
+    return replace(conv, turns=tuple(turns))
+
+
+def load_corpus(path, audio_for=None):
+    """Parse a corpus file: malformed records go to the report, valid
+    conversations are returned.  Raises when nothing valid is left.
+
+    WAV-backed turns are read whatever is asked.  `audio_for(conversations)`
+    is called once after the parse and returns the source ids
+    ("<conversation id>/<turn index>") whose synth-backed audio the caller
+    will read; only those are rendered, and every other synth-backed turn
+    is returned with `audio=None`, meaning "not requested".  None renders
+    every synth-backed turn.
+    """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"corpus file not found: {path}")
     root = path.parent
-    synthesizer = ToySynthesizer()
     report = LoadReport()
     conversations = []
     with open(path, encoding="utf-8") as fh:
@@ -113,7 +132,7 @@ def load_corpus(path):
                 continue
             try:
                 rec = json.loads(line)
-                turns = tuple(_turn_from_record(t, _source_id(rec["id"], i), root, synthesizer)
+                turns = tuple(_turn_from_record(t, _source_id(rec["id"], i), root)
                               for i, t in enumerate(rec["turns"]))
                 conversations.append(Conversation(id=str(rec["id"]), turns=turns,
                                                   split=rec.get("split", "train")))
@@ -123,7 +142,9 @@ def load_corpus(path):
     if not conversations:
         raise ValueError(f"no valid conversations in {path} "
                          f"({len(report.rejects)} rejected)")
-    return conversations, report
+    wanted = None if audio_for is None else frozenset(audio_for(conversations))
+    synthesizer = ToySynthesizer()
+    return [_render(conv, wanted, synthesizer) for conv in conversations], report
 
 
 def save_corpus(path, conversations, write_audio: bool = False) -> None:
@@ -326,7 +347,7 @@ class CorpusIndex:
         return refs
 
 
-def load_corpus_with_index(path):
+def load_corpus_with_index(path, audio_for=None):
     """`load_corpus` plus the `CorpusIndex` of what it loaded."""
-    conversations, report = load_corpus(path)
+    conversations, report = load_corpus(path, audio_for)
     return conversations, CorpusIndex(conversations), report

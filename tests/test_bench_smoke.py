@@ -127,22 +127,34 @@ def test_workload_configs_resolve(monkeypatch, tmp_path, name):
 def test_run_reports_corpus_layers(monkeypatch, tmp_path, inputs):
     """A traced `run` reports the corpus layer metrics the benchmark gates
     on, so a change to `load_corpus`'s result or to where synth-backed audio
-    is rendered fails here."""
+    is rendered fails here.  `run` renders only its crops' incoming turns and
+    `evaluate` only their reference turns, so each, and the two as one op
+    like the benchmark's crops op, use every clip `load_corpus` renders."""
     layers = _bench_module(monkeypatch, "layers")
     tracer = _bench_module(monkeypatch, "tracer")
     workloads = _bench_module(monkeypatch, "workloads")
     crops = 2
-    spans_path = tmp_path / "run.spans.json"
-    t0 = time.perf_counter()
-    _run(BENCH / "traced_cli.py", spans_path, "--", "run", "--corpus", inputs["corpus"],
-         "--topology", "style-talker", "--components", ROOT / workloads.CALIBRATION,
-         "--crops", crops, "--seed", 1, "--out", tmp_path / "gen")
-    wall_s = time.perf_counter() - t0
-    payload = json.loads(spans_path.read_text(encoding="utf-8"))
-    op = {"spans": tracer.spans_from_json(payload), "wall_s": wall_s,
-          "check": workloads.OpCheck(clips_used=crops)}
-    metrics = layers.op_metrics([op])
+    payloads, wall_s = [], 0.0
+    for name, cli_args in (
+            ("run", ["run", "--corpus", inputs["corpus"], "--topology", "style-talker",
+                     "--components", ROOT / workloads.CALIBRATION, "--crops", crops,
+                     "--seed", 1, "--out", tmp_path / "gen"]),
+            ("evaluate", ["evaluate", "--generated", tmp_path / "gen",
+                          "--reference", inputs["corpus"]])):
+        spans_path = tmp_path / f"{name}.spans.json"
+        t0 = time.perf_counter()
+        _run(BENCH / "traced_cli.py", spans_path, "--", *cli_args)
+        wall_s += time.perf_counter() - t0
+        payloads.append(json.loads(spans_path.read_text(encoding="utf-8")))
+    run_spans = tracer.spans_from_json(payloads[0])
+    evaluate_spans = tracer.spans_from_json(payloads[1], id_offset=len(run_spans))
+    run_op = {"spans": run_spans, "wall_s": wall_s,
+              "check": workloads.OpCheck(clips_used=crops)}
+    metrics = layers.op_metrics([run_op])
     for name in ("corpus.load_corpus.self_s", "corpus.turns_per_s",
                  "corpus.render_useful_frac"):
         assert metrics[name][0] > 0, name
-    assert metrics["corpus.render_useful_frac"][0] == crops / inputs["turns"]
+    assert metrics["corpus.render_useful_frac"][0] == 1.0
+    crops_op = {"spans": run_spans + evaluate_spans, "wall_s": wall_s,
+                "check": workloads.OpCheck(clips_used=2 * crops, clips_analysed=2 * crops)}
+    assert layers.op_metrics([crops_op])["corpus.render_useful_frac"][0] == 1.0

@@ -88,6 +88,12 @@ class TestSimulate:
             == EXIT_USAGE
         assert one_error_line(capsys)
 
+    def test_report_must_be_finite(self, capsys):
+        """1e300 s passes both checks above, but the simulated delay overflows."""
+        assert main(["simulate", "--topology", "cascade", "--output-dur", "1e300"]) \
+            == EXIT_USAGE
+        assert one_error_line(capsys)
+
     def test_nan_cost(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text('{"latency": {"cascade": {"asr": {"fixed_s": NaN}, "llm": {}, "tts": {}}}}')
@@ -383,6 +389,20 @@ class TestExtractStyles:
             assert len(row["style"]) == 8
             assert "pitch_mean" in row["summary"]
 
+    @pytest.mark.parametrize("entry, value", [(4, -1e300), (5, 1e300)])
+    def test_extreme_style_renders(self, tmp_path, capsys, entry, value):
+        """An HNR of -1e300 overflowed the noise level and a rate of 1e300
+        rendered an empty clip; both are clamped to what the encoder reports."""
+        style = [0.4, 0.05, 0.1, 0.02, 0.6, 0.3, 0.05, 0.95]
+        style[entry] = value
+        p = tmp_path / "extreme.jsonl"
+        p.write_text(json.dumps({"id": "c", "turns": [
+            {"speaker": "a", "text": "hi there", "audio": None,
+             "synth": {"prosodic_style": style, "acoustic_style": [0.5] * 8}}]}) + "\n")
+        out = tmp_path / "styles.jsonl"
+        assert main(["extract-styles", "--corpus", str(p), "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1
+
     def test_no_audio(self, tmp_path, capsys):
         p = tmp_path / "textonly.jsonl"
         p.write_text(json.dumps({"id": "c", "turns": [
@@ -406,3 +426,31 @@ class TestBuildPrompt:
 
     def test_crop_out_of_range(self, capsys):
         assert main(["build-prompt", "--crop-id", "synth000:99"]) == EXIT_USAGE
+
+
+class TestRenderOnlyWhatIsRead:
+    """Commands render the synth-backed turns whose audio they read, and no
+    others: 124 clips of the bundled corpus are synth-backed."""
+
+    @pytest.fixture
+    def synth_calls(self, monkeypatch):
+        from styledialog.components import ToySynthesizer
+        calls = []
+        synthesize = ToySynthesizer.synthesize
+        monkeypatch.setattr(ToySynthesizer, "synthesize",
+                            lambda self, *args: calls.append(args[0]) or synthesize(self, *args))
+        return calls
+
+    def test_run_and_evaluate(self, tmp_path, capsys, synth_calls):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--corpus", CORPUS, "--crops", "5", "--out", str(run_dir)]) \
+            == EXIT_OK
+        assert len(synth_calls) == 5 + 5  # each crop's incoming turn and its response
+        synth_calls.clear()
+        assert main(["evaluate", "--generated", str(run_dir), "--reference", CORPUS]) \
+            == EXIT_OK
+        assert len(synth_calls) == 5  # each crop's reference turn
+
+    def test_build_prompt(self, capsys, synth_calls):
+        assert main(["build-prompt", "--crop-id", "synth000:2"]) == EXIT_OK
+        assert synth_calls == []

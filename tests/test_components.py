@@ -276,6 +276,20 @@ class TestSynthesizer:
         phase_bound = 2.0 * math.pi * 480.0 * len(brute) / 16000
         assert np.max(np.abs(fast - brute)) <= 1e-11 + 1e-15 * phase_bound
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n_tokens=st.integers(1, 40),
+           values=st.lists(st.sampled_from([-1e308, -1.0, 0.0, 1.0, 1e308])
+                           | st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=16, max_size=16))
+    def test_total_over_finite_styles(self, n_tokens, values):
+        """Any finite styles render a non-empty clip in [-1, 1]: the HNR,
+        token rate and energy the prosodic style asks for are clamped to
+        what the encoder can report."""
+        clip = ToySynthesizer().synthesize(" ".join(["tok"] * n_tokens),
+                                           prosodic(values[:8]), acoustic(values[8:]))
+        assert clip.samples.size >= 1
+        assert np.all(np.isfinite(clip.samples)) and np.max(np.abs(clip.samples)) <= 1.0
+
     def test_timbre_separates_speakers(self):
         synth = ToySynthesizer()
         style = simple_style()

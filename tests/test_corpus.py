@@ -2,6 +2,7 @@ import json
 import tempfile
 import wave
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,36 @@ class TestSaveRoundTrip:
         reloaded, _ = load_corpus(out)
         for a, b in zip(conversations[0].turns, reloaded[0].turns):
             assert np.array_equal(a.audio.samples, b.audio.samples)
+
+
+class TestSelectiveRender:
+    @given(conversations=corpora(), write_audio=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_renders_only_what_is_asked(self, conversations, write_audio, data):
+        """Asking for a subset S of source ids changes one thing: the
+        synth-backed turns outside S have no audio.  WAV-backed turns, the
+        rejects and the audio of the turns in S are those of a full load."""
+        ids = [f"{c.id}/{i}" for c in conversations for i in range(len(c.turns))]
+        wanted = data.draw(st.frozensets(st.sampled_from(ids + ["ghost/0"])))
+        asked = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            save_corpus(path, conversations, write_audio=write_audio)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"id": "bad", "turns": [{"text": "no speaker"}]}) + "\n")
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            full, full_report = load_corpus(path)
+            part, part_report = load_corpus(path, audio_for=lambda convs: asked.append(convs)
+                                            or wanted)
+        assert len(asked) == 1 and [c.id for c in asked[0]] == [c.id for c in full]
+        assert (part_report.loaded, part_report.rejects) == \
+               (full_report.loaded, full_report.rejects) and len(full_report.rejects) == 1
+        without_wav = {f"{rec['id']}/{i}" for rec in records[:-1]
+                       for i, t in enumerate(rec["turns"]) if t["audio"] is None}
+        expected = [replace(conv, turns=tuple(
+            replace(turn, audio=None) if f"{conv.id}/{i}" in without_wav - wanted else turn
+            for i, turn in enumerate(conv.turns))) for conv in full]
+        assert_same_corpus(part, expected)
 
 
 class TestReadWav:
