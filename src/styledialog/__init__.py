@@ -14,7 +14,7 @@ from .objectives import (LossBreakdown, ProjectionIn, ProjectionOut,
 from .prompts import (BuiltPrompt, PromptVariant, build_prompt, count_tokens,
                       truncate_to_budget)
 from .scheduler import (LatencyModel, RunConfig, SimReport, StageEvent, Topology,
-                        detect_turn_end, run_dialog, simulate_turn, stall_free_delay)
+                        detect_turn_end, run_dialog, simulate_turn)
 from .metrics import (MetricReport, NormalizationPolicy, assemble_report, bleu,
                       cosine, greedy_embed_score, meteor_exact, pearson,
                       rouge_l_f1, wer)

@@ -288,6 +288,8 @@ def _load_generated(path: Path):
             if not (isinstance(rec["audio"], str) and (path / rec["audio"]).is_file()):
                 raise CliError(f"{where}: audio {rec['audio']!r} is not a file in {path}")
             rows.append((where, rec))
+    if not rows:
+        raise CliError(f"{path / 'generated.jsonl'} holds no rows to score")
     return rows
 
 
@@ -434,13 +436,13 @@ def cmd_build_prompt(args) -> int:
         conv_id, _, k_str = args.crop_id.partition(":")
         conv = index.conversations[conv_id]
         crop = make_crop(conv, int(k_str))
+        context = context_from_turns(crop.context_turns[:-1],
+                                     index.reference_styles(crop.conversation_id))
+        audio_path = f"{crop.conversation_id}_{len(crop.context_turns) - 1}.wav"
+        built = build_prompt(crop, context, variant, audio_path)
     except (KeyError, ValueError, IndexError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    refs = index.reference_styles(crop.conversation_id)
-    context = context_from_turns(crop.context_turns[:-1], refs)
-    audio_path = f"{crop.conversation_id}_{len(crop.context_turns) - 1}.wav"
-    built = build_prompt(crop, context, variant, audio_path)
     sys.stdout.write(built.text)
     sys.stdout.write("\n---\n")
     print(f"{'offset':>7}  slot")

@@ -285,13 +285,10 @@ def generate_synthetic_corpus(n_conversations: int, seed: int):
             values = [min(max(m + rng.gauss(0.0, sd), 0.0), 1.0)
                       for m, sd in zip(mean, spread)]
             style = StyleVector(values=tuple(values), kind="prosodic")
-            clip = synthesizer.synthesize(text, style, acoustics_by_spk[speaker])
-            audio = AudioClip(sample_rate=clip.sample_rate,
-                              samples=audioio.quantize_int16(clip.samples),
-                              source_id=_source_id(conv_id, t))
-            turns.append(Turn(speaker=speaker, text=text, audio=audio, prosodic_style=style,
+            turns.append(Turn(speaker=speaker, text=text, prosodic_style=style,
                               acoustic_style=acoustics_by_spk[speaker]))
-        conversations.append(Conversation(id=conv_id, turns=tuple(turns), split="test"))
+        conversations.append(_render(Conversation(id=conv_id, turns=tuple(turns),
+                                                  split="test"), None, synthesizer))
         acoustic_records[conv_id] = {s: list(v.values)
                                      for s, v in acoustics_by_spk.items()}
     return conversations, acoustic_records

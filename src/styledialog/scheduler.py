@@ -1,13 +1,21 @@
 """Discrete-event simulation of the three pipeline topologies over a
 logical clock, plus turn-end detection and the stall-free delay rule.
 
-Delay is defined as the earliest playback start with no audio underrun.
-Only the synthesis stage of the cascade and style-talker topologies
-streams (its per-output-audio term produces audio linearly after the
-non-streaming prefix); the e2e topology generates its speech units before
-any playback, so its delay equals its full generation span.  Unfinished
-background work is charged to the next turn's delay (carryover), never
-dropped, so the context stays correct.
+Each topology runs its stages back to back in two lanes.  The critical
+lane starts when the previous turn's background work ends (carryover) and
+ends at `end`, when the reply's audio is all generated.  Delay is the
+earliest playback start with no audio underrun.  Only the synthesis stage
+of the cascade and style-talker topologies streams: its per-output-audio
+term, c seconds per audio second, produces audio linearly up to `end`, so
+audio second t is ready at end - c*(out_dur - t), and playback from d never
+stalls iff d >= end - c*out_dur + (c - 1)*t for every t in [0, out_dur]:
+
+    delay = end - min(c, 1) * out_dur    (cascade, style-talker)
+    delay = end                          (e2e: all speech units come first)
+
+The style-talker's background lane (ASR, style extraction) starts at
+playback start; whatever of it outlasts playback is charged to the next
+turn's delay (carryover), never dropped, so the context stays correct.
 
 This is the only module that knows what a stage costs: `LatencyModel` (one
 stage's affine cost) and `RunConfig` (a run's checked configuration, stage
@@ -19,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from . import acoustics
 from .acoustics import FrameSpec
@@ -43,12 +49,16 @@ class Topology(str, Enum):
         return aliases[name]
 
 
-# stage names each topology requires in the latency map
-STAGES = {
+# each topology's stages in run order: the critical lane ends when the reply's
+# audio is generated; the background lane starts at playback start
+CRITICAL = {
     Topology.CASCADE: ("asr", "llm", "tts"),
-    Topology.STYLE_TALKER: ("audio_llm", "tts", "asr", "style_enc"),
+    Topology.STYLE_TALKER: ("audio_llm", "tts"),
     Topology.E2E_SPEECH: ("e2e",),
 }
+BACKGROUND = {Topology.STYLE_TALKER: ("asr", "style_enc")}
+# stage names each topology requires in the latency map
+STAGES = {t: CRITICAL[t] + BACKGROUND.get(t, ()) for t in Topology}
 
 
 @dataclass(frozen=True)
@@ -157,42 +167,6 @@ def detect_turn_end(clip: AudioClip, silence_floor_rms: float = 1e-3,
     return None
 
 
-def stall_free_delay(production: list[tuple[float, float]], out_dur: float) -> float:
-    """Earliest playback start d with produced(d + t) >= t for all t in
-    [0, out_dur], at or after the production start time.
-
-    `production` is a non-decreasing piecewise-linear (wall_s, audio_s)
-    breakpoint list that must reach out_dur.
-    """
-    pts = sorted(production)
-    if not pts or pts[-1][1] < out_dur - 1e-12:
-        raise ValueError("production never reaches the requested duration")
-    walls = [w for w, _ in pts]
-    audio = [a for _, a in pts]
-    if any(a2 < a1 - 1e-12 for a1, a2 in zip(audio, audio[1:])):
-        raise ValueError("production must be non-decreasing")
-
-    def inverse(a: float) -> float:
-        """Earliest wall time with produced >= a."""
-        for (w1, a1), (w2, a2) in zip(pts, pts[1:]):
-            if a2 >= a:
-                if a2 == a1:
-                    continue
-                if a <= a1:
-                    return w1
-                return w1 + (w2 - w1) * (a - a1) / (a2 - a1)
-        return walls[-1]
-
-    pre_stream = inverse(np.nextafter(0.0, 1.0))  # wall time production starts
-    # the constraint d >= inverse(t) - t is piecewise-linear in t; its
-    # maximum is attained at a breakpoint audio value (or at t = out_dur)
-    candidates = [a for a in audio if 0.0 < a <= out_dur] + [out_dur]
-    d = pre_stream
-    for a in candidates:
-        d = max(d, inverse(a) - a)
-    return max(d, 0.0)
-
-
 def simulate_turn(topology: Topology, input_dur: float, out_tokens: int,
                   out_dur: float, latencies: dict,
                   prev_carryover: float = 0.0, turn_index: int = 0) -> SimReport:
@@ -208,49 +182,25 @@ def simulate_turn(topology: Topology, input_dur: float, out_tokens: int,
                                      f"for stage {stage!r}")
 
     events: list[StageEvent] = []
-    t = prev_carryover  # unfinished background work blocks the critical lane
 
-    def run_stage(stage, lane="critical", start=None):
-        nonlocal t
-        s = t if start is None else start
-        end = s + latencies[stage].evaluate(input_dur, out_tokens, out_dur)
-        events.append(StageEvent(stage=stage, start_s=s, end_s=end,
-                                 turn_index=turn_index, lane=lane))
-        if lane == "critical":
-            t = end
-        return end
+    def run_lane(lane: str, stages: tuple[str, ...], start: float) -> float:
+        """Run `stages` back to back from `start`; returns when the last ends."""
+        for stage in stages:
+            end = start + latencies[stage].evaluate(input_dur, out_tokens, out_dur)
+            events.append(StageEvent(stage=stage, start_s=start, end_s=end,
+                                     turn_index=turn_index, lane=lane))
+            start = end
+        return start
 
-    def stream_tts():
-        """Run the synthesis stage; returns its production curve, in which
-        only the per-output-audio term streams."""
-        end = run_stage("tts")
-        start = end - latencies["tts"].per_output_audio_s * out_dur
-        return [(0.0, 0.0), (start, 0.0), (end, out_dur)]
-
-    if topology is Topology.CASCADE:
-        run_stage("asr")
-        run_stage("llm")
-        production = stream_tts()
-        delay = stall_free_delay(production, out_dur)
-        generation = t - prev_carryover
-        carryover = 0.0
-    elif topology is Topology.STYLE_TALKER:
-        run_stage("audio_llm")
-        production = stream_tts()
-        delay = stall_free_delay(production, out_dur)
-        generation = t - prev_carryover
-        # background ASR + style extraction start at playback start
-        bg = run_stage("asr", lane="background", start=delay)
-        bg = run_stage("style_enc", lane="background", start=bg)
-        carryover = max(0.0, bg - (delay + out_dur))
-    else:  # E2E_SPEECH: non-streaming single stage over speech units
-        end = run_stage("e2e")
-        production = [(0.0, 0.0), (end, 0.0), (end, out_dur)]
-        delay = stall_free_delay(production, out_dur)
-        generation = t - prev_carryover
-        carryover = 0.0
-
-    return SimReport(rtf=generation / out_dur, delay_s=delay,
+    # unfinished background work of the previous turn blocks the critical lane
+    end = run_lane("critical", CRITICAL[topology], prev_carryover)
+    if "tts" in CRITICAL[topology]:
+        delay = end - min(latencies["tts"].per_output_audio_s, 1.0) * out_dur
+    else:
+        delay = end
+    background_end = run_lane("background", BACKGROUND.get(topology, ()), delay)
+    carryover = max(0.0, background_end - (delay + out_dur))
+    return SimReport(rtf=(end - prev_carryover) / out_dur, delay_s=delay,
                      timeline=tuple(events), carryover_s=carryover)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -88,11 +89,23 @@ class TestSimulate:
             == EXIT_USAGE
         assert one_error_line(capsys)
 
-    def test_report_must_be_finite(self, capsys):
-        """1e300 s passes both checks above, but the simulated delay overflows."""
-        assert main(["simulate", "--topology", "cascade", "--output-dur", "1e300"]) \
-            == EXIT_USAGE
+    def test_report_must_be_finite(self, tmp_path, capsys):
+        """1e300 s of input passes the duration check, but at 1e10 s per
+        input second the ASR cost overflows."""
+        cfg = {"latency": {"cascade": {"asr": {"per_input_audio_s": 1e10},
+                                       "llm": {}, "tts": {}}}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", "--topology", "cascade", "--config", str(p),
+                     "--input-dur", "1e300"]) == EXIT_USAGE
         assert one_error_line(capsys)
+
+    def test_huge_output_gives_finite_delay(self, tmp_path):
+        """Every cost of a 1e300 s reply is finite, and so is its delay."""
+        out_file = tmp_path / "report.json"
+        assert main(["simulate", "--topology", "cascade", "--output-dur", "1e300",
+                     "--out", str(out_file)]) == EXIT_OK
+        assert math.isfinite(json.loads(out_file.read_text())["delay_s"])
 
     def test_nan_cost(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -287,6 +300,16 @@ class TestEvaluateInputs:
         err = capsys.readouterr().err
         assert "generated.jsonl:2" in err and len(err.splitlines()) == 1
 
+    def test_no_rows(self, run_dir, tmp_path, capsys):
+        """A file holding only the `_config` header has nothing to score."""
+        gen = shutil.copytree(run_dir, tmp_path / "gen")
+        header = (gen / "generated.jsonl").read_text().splitlines()[0]
+        (gen / "generated.jsonl").write_text(header + "\n")
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--generated", str(gen), "--reference", CORPUS,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert one_error_line(capsys) and not out.exists()
+
 
 ST_ZERO = {s: {} for s in ("audio_llm", "tts", "asr", "style_enc")}
 
@@ -426,6 +449,19 @@ class TestBuildPrompt:
 
     def test_crop_out_of_range(self, capsys):
         assert main(["build-prompt", "--crop-id", "synth000:99"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("b_synth", [None, {"prosodic_style": [0.5] * 8}],
+                             ids=["no prosodic style", "no acoustic style"])
+    def test_missing_style(self, tmp_path, capsys, b_synth):
+        """Speaker b's turns lack the prosodic style a context turn needs, or
+        the acoustic style a reference needs."""
+        a_synth = {"prosodic_style": [0.5] * 8, "acoustic_style": [0.5] * 8}
+        turns = [{"speaker": speaker, "text": "hi there", "audio": None, "synth": synth}
+                 for speaker, synth in [("a", a_synth), ("b", b_synth)] * 2]
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(json.dumps({"id": "c", "turns": turns}) + "\n")
+        assert main(["build-prompt", "--corpus", str(p), "--crop-id", "c:3"]) == EXIT_USAGE
+        assert one_error_line(capsys)
 
 
 class TestRenderOnlyWhatIsRead:

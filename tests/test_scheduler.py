@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from styledialog.cli import calibration_path
 from styledialog.components import ToyRecognizer, ToyResponder, ToySynthesizer
 from styledialog.dialog import AudioClip, make_crop
 from styledialog.scheduler import (ConfigurationError, LatencyModel, RunConfig, SimReport,
-                                   Topology, detect_turn_end, run_dialog, simulate_turn,
-                                   stall_free_delay)
+                                   Topology, detect_turn_end, run_dialog, simulate_turn)
 from conftest import SR, make_conversation, sine_clip
 from oracles import stall_free_delay_brute
 
@@ -88,48 +90,79 @@ class TestDetectTurnEnd:
             detect_turn_end(sine_clip(220.0), min_silence_ms=0)
 
 
+def streaming(prefix=1.0, c=0.5, topology=Topology.CASCADE):
+    """Zero costs except a fixed `prefix` before synthesis and a tts that
+    streams at c seconds per output audio second."""
+    lat = dict(ZERO)
+    lat["llm" if topology is Topology.CASCADE else "audio_llm"] = LatencyModel(fixed_s=prefix)
+    lat["tts"] = LatencyModel(per_output_audio_s=c)
+    return lat
+
+
+def critical_end(report):
+    return [e for e in report.timeline if e.lane == "critical"][-1].end_s
+
+
 class TestStallFreeDelay:
+    """`simulate_turn`'s closed-form delay against the production curve it
+    stands for: audio is produced linearly over the last c*out_dur seconds
+    of the critical lane."""
+
     def test_instantaneous(self):
-        production = [(0.0, 0.0), (2.0, 0.0), (2.0, 10.0)]
-        assert stall_free_delay(production, 10.0) == pytest.approx(2.0)
+        # c = 0: all audio appears at once when the critical lane ends
+        for topology in (Topology.CASCADE, Topology.STYLE_TALKER):
+            rep = simulate_turn(topology, 10.0, 30, 10.0, nonstreaming(), prev_carryover=0.3)
+            assert rep.delay_s == critical_end(rep)
+
+    def test_instantaneous_e2e(self):
+        lat = {"e2e": LatencyModel(fixed_s=0.3, per_input_audio_s=0.07,
+                                   per_output_audio_s=1.7)}
+        rep = simulate_turn(Topology.E2E_SPEECH, 10.0, 30, 10.0, lat, prev_carryover=0.3)
+        assert rep.delay_s == critical_end(rep)
+        assert rep.delay_s == pytest.approx(0.3 + 0.3 + 0.7 + 17.0)
 
     def test_fast_stream(self):
-        # rate 2 audio-s per wall-s from t=1
-        production = [(0.0, 0.0), (1.0, 0.0), (6.0, 10.0)]
-        assert stall_free_delay(production, 10.0) == pytest.approx(1.0)
+        # 2 audio-s per wall-s from t=1: playback starts with production
+        for topology in (Topology.CASCADE, Topology.STYLE_TALKER):
+            rep = simulate_turn(topology, 10.0, 30, 10.0, streaming(1.0, 0.5, topology))
+            assert rep.delay_s == 1.0 and critical_end(rep) == 6.0
 
     def test_slow_stream_closed_form(self):
-        # rate r < 1 starting at p: delay = p + out_dur*(1-r)/r
-        p, r, out = 1.5, 0.5, 10.0
-        production = [(0.0, 0.0), (p, 0.0), (p + out / r, out)]
-        expect = p + out * (1 - r) / r
-        assert stall_free_delay(production, out) == pytest.approx(expect)
+        # 0.5 audio-s per wall-s from t=1.5: playback ends as production does
+        for topology in (Topology.CASCADE, Topology.STYLE_TALKER):
+            rep = simulate_turn(topology, 10.0, 30, 10.0, streaming(1.5, 2.0, topology))
+            assert rep.delay_s == 1.5 + 10.0 * (2.0 - 1.0) == critical_end(rep) - 10.0
 
-    def test_never_reaches(self):
-        with pytest.raises(ValueError):
-            stall_free_delay([(0.0, 0.0), (1.0, 5.0)], 10.0)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(topology=st.sampled_from([Topology.CASCADE, Topology.STYLE_TALKER]),
+           c=st.sampled_from([0.3, 0.999, 1.0, 1.7]),
+           costs=st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
+           input_dur=st.floats(0.1, 20.0), out_dur=st.floats(0.5, 20.0),
+           carryover=st.floats(0.0, 5.0))
+    def test_matches_brute_force_scan(self, topology, c, costs, input_dur, out_dur,
+                                      carryover):
+        fixed, per_in, per_token, tts_fixed = costs
+        lat = {stage: LatencyModel(fixed_s=fixed, per_input_audio_s=per_in,
+                                   per_output_token_s=per_token) for stage in ZERO}
+        lat["tts"] = LatencyModel(fixed_s=tts_fixed, per_output_audio_s=c)
+        rep = simulate_turn(topology, input_dur, 30, out_dur, lat, prev_carryover=carryover)
+        end = critical_end(rep)
+        production = [(0.0, 0.0), (end - c * out_dur, 0.0), (end, out_dur)]
+        assert rep.delay_s == pytest.approx(stall_free_delay_brute(production, out_dur),
+                                            abs=1e-6)
 
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_matches_brute_force_scan(self, seed):
-        rng = np.random.default_rng(seed)
-        out_dur = float(rng.uniform(2.0, 10.0))
-        start = float(rng.uniform(0.0, 3.0))
-        # random increasing piecewise-linear curve reaching out_dur
-        n_seg = int(rng.integers(1, 4))
-        walls = [0.0, start]
-        audio = [0.0, 0.0]
-        remaining = out_dur
-        for i in range(n_seg):
-            dur = float(rng.uniform(0.5, 5.0))
-            prod = remaining if i == n_seg - 1 else float(rng.uniform(0.0, remaining))
-            walls.append(walls[-1] + dur)
-            audio.append(audio[-1] + prod)
-            remaining -= prod
-        production = list(zip(walls, audio))
-        fast = stall_free_delay(production, out_dur)
-        brute = stall_free_delay_brute(production, out_dur)
-        assert fast == pytest.approx(brute, abs=1e-6)
+    def test_calibrated_turn_pinned(self):
+        """The calibrated 10 s in / 10 s out turn, exact to the last bit:
+        `run` writes these floats into generated.jsonl."""
+        config = json.loads(calibration_path().read_text())
+        pins = {Topology.CASCADE: (0.5912000000000001, 2.3100000000000005),
+                Topology.STYLE_TALKER: (0.38730000000000003, 1.5300000000000002),
+                Topology.E2E_SPEECH: (1.3820000000000001, 13.82)}
+        for topology, (rtf, delay) in pins.items():
+            lat = {stage: LatencyModel.from_dict(d)
+                   for stage, d in config["latency"][topology.value].items()}
+            rep = simulate_turn(topology, 10.0, 30, 10.0, lat)
+            assert (rep.rtf, rep.delay_s, rep.carryover_s) == (rtf, delay, 0.0)
 
 
 class TestSimulateTurn:
@@ -250,7 +283,6 @@ class TestRunDialog:
         lat["asr"] = LatencyModel(fixed_s=30.0)  # longer than any playback
         crops = [make_crop(conv, 1), make_crop(conv, 2)]
         results = run_dialog(RunConfig(Topology.STYLE_TALKER, lat), crops, bundle)
-        assert results[0].carryover if hasattr(results[0], "carryover") else True
         assert results[0].report.carryover_s > 0
         assert results[1].report.delay_s >= results[0].report.carryover_s
 
