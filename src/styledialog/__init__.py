@@ -4,8 +4,8 @@ evaluation metrics."""
 from .dialog import (AudioClip, Conversation, ConversationContext, DialogCrop,
                      StyleVector, Turn, append_turn, make_crop,
                      sample_crop_index, window)
-from .acoustics import (AcousticSummary, FrameSpec, acoustic_embedding,
-                        encode_style, energy_stats, hnr, pitch_track, summarize)
+from .acoustics import (AcousticSummary, acoustic_embedding, encode_style,
+                        energy_stats, hnr, pitch_track, summarize)
 from .components import (MarkovTable, ToyRecognizer, ToyResponder, ToySynthesizer,
                          train_markov)
 from .objectives import (LossBreakdown, ProjectionIn, ProjectionOut,

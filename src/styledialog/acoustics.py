@@ -32,24 +32,31 @@ HNR_SPAN_DB = 60.0
 RATE_CAP_PER_S = 20.0
 DURATION_CAP_S = 60.0
 
+# One analysis front end: every framing and the pitch search use these.
+FRAME_MS = 25.0
+HOP_MS = 10.0
+F_MIN_HZ = 50.0
+F_MAX_HZ = 500.0
+
 EMBED_DIM = 16
 NCCF_BLOCK_FRAMES = 32  # frames per FFT batch; bounds the batch's memory
 
 
-@dataclass(frozen=True)
-class FrameSpec:
-    frame_ms: float = 25.0
-    hop_ms: float = 10.0
+def frame_len(sample_rate: int) -> int:
+    """Samples per analysis frame (FRAME_MS) at `sample_rate`."""
+    return max(1, int(round(sample_rate * FRAME_MS / 1000.0)))
 
-    def __post_init__(self):
-        if not 0 < self.hop_ms <= self.frame_ms:
-            raise ValueError(f"need 0 < hop_ms <= frame_ms, got {self.hop_ms}/{self.frame_ms}")
 
-    def frame_len(self, sample_rate: int) -> int:
-        return max(1, int(round(sample_rate * self.frame_ms / 1000.0)))
+def hop_len(sample_rate: int) -> int:
+    """Samples between analysis frame starts (HOP_MS) at `sample_rate`."""
+    return max(1, int(round(sample_rate * HOP_MS / 1000.0)))
 
-    def hop_len(self, sample_rate: int) -> int:
-        return max(1, int(round(sample_rate * self.hop_ms / 1000.0)))
+
+def check_sample_rate(sample_rate: int) -> None:
+    """Raise ValueError below 2 * F_MAX_HZ, where the pitch band passes Nyquist."""
+    if sample_rate < 2 * F_MAX_HZ:
+        raise ValueError(f"sample rate {sample_rate} Hz is below {2 * F_MAX_HZ:g} Hz, "
+                         f"twice the top of the pitch band")
 
 
 @dataclass(frozen=True)
@@ -146,38 +153,34 @@ class ClipFeatures:
     voiced: np.ndarray
 
 
-# (clip, (spec, f_min, f_max), features) of the latest analyze call: encode_style and
-# summarize on one clip share it.  AudioClip is frozen with read-only samples.
+# (clip, features) of the latest analyze call: encode_style and summarize on
+# one clip share it.  AudioClip is frozen with read-only samples.
 _last_analysis = None
 
 
-def analyze(clip: AudioClip, spec: FrameSpec | None = None,
-            f_min: float = 50.0, f_max: float = 500.0) -> ClipFeatures:
+def analyze(clip: AudioClip) -> ClipFeatures:
     """Per-frame RMS, f0, NCCF peak and voicing from one framing of the clip.
     Frames at or below the silence floor skip the NCCF: f0 and peak 0."""
     global _last_analysis
-    spec = spec or FrameSpec()
-    key = (spec, f_min, f_max)
     last = _last_analysis
-    if last is not None and last[0] is clip and last[1] == key:
-        return last[2]
+    if last is not None and last[0] is clip:
+        return last[1]
     sr = clip.sample_rate
-    if not 0 < f_min < f_max <= sr / 2:
-        raise ValueError(f"invalid pitch band [{f_min}, {f_max}] at {sr} Hz")
-    frame_len = spec.frame_len(sr)
-    frames = _frames(clip.samples, frame_len, spec.hop_len(sr))
+    check_sample_rate(sr)
+    n_frame = frame_len(sr)
+    frames = _frames(clip.samples, n_frame, hop_len(sr))
     rms = np.sqrt(np.mean(frames ** 2, axis=1))
-    n_track = len(frames) if len(clip.samples) >= frame_len else 0
+    n_track = len(frames) if len(clip.samples) >= n_frame else 0
     f0, peak = np.zeros(n_track), np.zeros(n_track)
     active = np.flatnonzero(rms[:n_track] > SILENCE_FLOOR_RMS)
-    _, lag, peak[active] = _nccf_peaks(frames[active], max(2, int(math.floor(sr / f_max))),
-                                       int(math.ceil(sr / f_min)))
+    _, lag, peak[active] = _nccf_peaks(frames[active], max(2, int(math.floor(sr / F_MAX_HZ))),
+                                       int(math.ceil(sr / F_MIN_HZ)))
     f0[active] = np.divide(sr, lag, out=np.zeros_like(lag), where=lag > 0)
     voiced = peak > VOICING_THRESHOLD  # silent frames keep peak 0
     for array in (rms, f0, peak, voiced):
         array.flags.writeable = False
     features = ClipFeatures(rms=rms, f0=f0, peak=peak, voiced=voiced)
-    _last_analysis = (clip, key, features)
+    _last_analysis = (clip, features)
     return features
 
 
@@ -189,30 +192,28 @@ def _voiced_pitch(features: ClipFeatures):
     return float(np.mean(f0)), float(np.std(f0)), float(np.mean(features.voiced))
 
 
-def pitch_track(clip: AudioClip, spec: FrameSpec | None = None,
-                f_min: float = 50.0, f_max: float = 500.0):
+def pitch_track(clip: AudioClip):
     """Per-frame (f0_hz, voiced) arrays. Shorter than one frame -> empty track."""
-    features = analyze(clip, spec, f_min, f_max)
+    features = analyze(clip)
     return features.f0, features.voiced
 
 
-def frame_rms(clip: AudioClip, spec: FrameSpec | None = None) -> np.ndarray:
+def frame_rms(clip: AudioClip) -> np.ndarray:
     """Per-frame RMS; a clip shorter than one frame has one zero-padded frame."""
-    return analyze(clip, spec).rms
+    return analyze(clip).rms
 
 
-def energy_stats(clip: AudioClip, spec: FrameSpec | None = None):
+def energy_stats(clip: AudioClip):
     """(mean, population std) of the per-frame RMS."""
-    rms = frame_rms(clip, spec)
+    rms = frame_rms(clip)
     if rms.size == 0:
         return 0.0, 0.0
     return float(np.mean(rms)), float(np.std(rms))
 
 
-def hnr(clip: AudioClip, spec: FrameSpec | None = None,
-        f_min: float = 50.0, f_max: float = 500.0) -> float:
+def hnr(clip: AudioClip) -> float:
     """Mean over voiced frames of 10*log10(r/(1-r)), clamped to [-20, 40]."""
-    features = analyze(clip, spec, f_min, f_max)
+    features = analyze(clip)
     if not np.any(features.voiced):
         return HNR_DB_MIN
     r = np.clip(features.peak[features.voiced], 1e-12, 1.0 - 1e-12)
@@ -245,11 +246,11 @@ def _count_energy_peaks(rms: np.ndarray) -> int:
     return count
 
 
-def speaking_rate(clip: AudioClip, spec: FrameSpec | None = None) -> float:
+def speaking_rate(clip: AudioClip) -> float:
     """Energy-peak events per second, capped at RATE_CAP_PER_S."""
     if clip.duration_seconds <= 0:
         return 0.0
-    rate = _count_energy_peaks(frame_rms(clip, spec)) / clip.duration_seconds
+    rate = _count_energy_peaks(frame_rms(clip)) / clip.duration_seconds
     return min(rate, RATE_CAP_PER_S)
 
 
@@ -263,16 +264,15 @@ def encode_style(clip: AudioClip) -> StyleVector:
     """
     if len(clip.samples) == 0:
         raise ValueError("cannot encode an empty clip")
-    spec = FrameSpec()
-    pitch_mean, pitch_std, voiced_fraction = _voiced_pitch(analyze(clip, spec))
+    pitch_mean, pitch_std, voiced_fraction = _voiced_pitch(analyze(clip))
     # capped so the component stays within its documented bound even when
     # stray noise frames lock onto scattered pitches
     pitch_std = min(pitch_std, 1.3 * PITCH_STD_NORM_HZ)
-    e_mean, e_std = energy_stats(clip, spec)
+    e_mean, e_std = energy_stats(clip)
     dur = min(clip.duration_seconds, DURATION_CAP_S)
     values = (pitch_mean / PITCH_NORM_HZ, pitch_std / PITCH_STD_NORM_HZ, e_mean, e_std,
-              (hnr(clip, spec) - HNR_DB_MIN) / HNR_SPAN_DB,
-              speaking_rate(clip, spec) / RATE_CAP_PER_S,
+              (hnr(clip) - HNR_DB_MIN) / HNR_SPAN_DB,
+              speaking_rate(clip) / RATE_CAP_PER_S,
               math.log1p(dur) / math.log1p(DURATION_CAP_S), voiced_fraction)
     return StyleVector(values=values, kind="prosodic")
 
@@ -289,12 +289,11 @@ def acoustic_embedding(clip: AudioClip) -> np.ndarray:
     """L2-normalized band-energy ratios over 16 mel-spaced bands (50 Hz..Nyquist)."""
     if len(clip.samples) == 0:
         raise ValueError("cannot embed an empty clip")
-    spec = FrameSpec()
-    frame_len = spec.frame_len(clip.sample_rate)
-    frames = _frames(clip.samples, frame_len, spec.hop_len(clip.sample_rate))
-    win = np.hanning(frame_len)
+    n_frame = frame_len(clip.sample_rate)
+    frames = _frames(clip.samples, n_frame, hop_len(clip.sample_rate))
+    win = np.hanning(n_frame)
     power = np.mean(np.abs(np.fft.rfft(frames * win, axis=1)) ** 2, axis=0)
-    freqs = np.fft.rfftfreq(frame_len, d=1.0 / clip.sample_rate)
+    freqs = np.fft.rfftfreq(n_frame, d=1.0 / clip.sample_rate)
     edges = _mel_inv(np.linspace(_mel(50.0), _mel(clip.sample_rate / 2.0), EMBED_DIM + 1))
     bands = np.zeros(EMBED_DIM)
     for b in range(EMBED_DIM):
@@ -312,8 +311,7 @@ def summarize(clip: AudioClip) -> AcousticSummary:
     """Aggregate every per-clip feature into one summary row."""
     if len(clip.samples) == 0:
         return AcousticSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    spec = FrameSpec()
-    pitch_mean, pitch_std, voiced_fraction = _voiced_pitch(analyze(clip, spec))
-    e_mean, e_std = energy_stats(clip, spec)
-    return AcousticSummary(pitch_mean, pitch_std, e_mean, e_std, hnr(clip, spec),
+    pitch_mean, pitch_std, voiced_fraction = _voiced_pitch(analyze(clip))
+    e_mean, e_std = energy_stats(clip)
+    return AcousticSummary(pitch_mean, pitch_std, e_mean, e_std, hnr(clip),
                            clip.duration_seconds, voiced_fraction)

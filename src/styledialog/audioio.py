@@ -2,7 +2,7 @@
 
 quantize_int16 is applied both when writing WAVs and when rendering corpus
 audio in memory, so a clip compared against its own file round-trip is
-bit-identical.
+bit-identical.  A WAV sampled too slowly to analyse is refused when read.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import wave
 
 import numpy as np
 
+from .acoustics import check_sample_rate
 from .dialog import AudioClip
 
 
@@ -36,6 +37,7 @@ def read_wav(path, source_id: str | None = None) -> AudioClip:
         if fh.getsampwidth() != 2:
             raise ValueError(f"{path}: expected 16-bit PCM, got {8 * fh.getsampwidth()} bits")
         sr = fh.getframerate()
+        check_sample_rate(sr)
         raw = fh.readframes(fh.getnframes())
     # -32768 / 32767 lies just below -1, outside AudioClip's range: clamp it
     # rather than divide by 32768, which would break the bit-identity above

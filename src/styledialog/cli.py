@@ -80,8 +80,9 @@ def finite_positive(text: str) -> float:
     return value
 
 
-def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunConfig]:
-    """Read a config file (None: all defaults) into a checked RunConfig.
+def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunConfig, float]:
+    """Read a config file (None: all defaults) into a checked RunConfig and
+    the checked tokens per output second.
 
     Returns the file's contents too, for provenance.  No `latency` key means
     zero cost for every stage; any fault is a CliError (exit 2).
@@ -103,7 +104,7 @@ def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunCo
                                                          "target_wer") if k in config})
     except (AttributeError, TypeError, ValueError) as exc:
         raise CliError(f"config {path}: {exc}") from exc
-    return config, run_config
+    return config, run_config, tokens_per_s
 
 
 def resolve_policy(path) -> metrics_mod.NormalizationPolicy:
@@ -129,8 +130,7 @@ def cmd_ingest(args) -> int:
     try:
         conversations, report = corpus_mod.load_corpus(args.corpus)
     except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(str(exc)) from exc
     policy = metrics_mod.NormalizationPolicy()
     kept = []
     discarded = 0
@@ -166,8 +166,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_simulate(args) -> int:
     topology = args.topology
-    config, run_config = resolve_config(args.config, topology)
-    tokens_per_s = config.get("tokens_per_output_second", 3)
+    config, run_config, tokens_per_s = resolve_config(args.config, topology)
     out_tokens = tokens_per_s * args.output_dur
     if not math.isfinite(out_tokens):
         raise CliError(f"--output-dur {args.output_dur:g} at {tokens_per_s} tokens per "
@@ -177,8 +176,7 @@ def cmd_simulate(args) -> int:
         report = simulate_turn(topology, args.input_dur, out_tokens, args.output_dur,
                                run_config.latencies)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(str(exc)) from exc
     figures = {"RTF": report.rtf, "delay": report.delay_s, "carryover": report.carryover_s}
     if not all(math.isfinite(v) for v in figures.values()):
         raise CliError("the simulated report is not finite: " + ", ".join(
@@ -211,7 +209,7 @@ def pick_crops(conversations, n_crops: int, seed: int) -> list[DialogCrop]:
 def cmd_run(args) -> int:
     if args.crops < 1:
         raise CliError("--crops must be >= 1")
-    _, run_config = resolve_config(args.components, args.topology, args.seed)
+    _, run_config, _ = resolve_config(args.components, args.topology, args.seed)
 
     def incoming_turns(conversations):
         return [f"{crop.conversation_id}/{len(crop.context_turns) - 1}"
@@ -220,8 +218,7 @@ def cmd_run(args) -> int:
         conversations, index, _ = corpus_mod.load_corpus_with_index(args.corpus,
                                                                     incoming_turns)
     except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(str(exc)) from exc
     markov = train_markov(conversations) if run_config.responder_mode == "markov" else None
     components = SimpleNamespace(recognizer=ToyRecognizer(index.transcripts),
                                  responder=ToyResponder(index.targets, markov=markov),
@@ -303,8 +300,7 @@ def cmd_evaluate(args) -> int:
         _, index, _ = corpus_mod.load_corpus_with_index(args.reference,
                                                         lambda _: references)
     except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(str(exc)) from exc
     generated, reference = [], []
     for where, row in rows:
         conv = index.conversations.get(row["conversation_id"])
@@ -335,8 +331,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError("--trials must be >= 1")
     rng = np.random.default_rng(args.seed)
     from .dialog import STYLE_DIM, StyleVector
 
@@ -403,8 +398,7 @@ def cmd_extract_styles(args) -> int:
     try:
         conversations, _ = corpus_mod.load_corpus(args.corpus)
     except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(str(exc)) from exc
     lines = []
     for conv in conversations:
         for i, turn in enumerate(conv.turns):
@@ -417,8 +411,7 @@ def cmd_extract_styles(args) -> int:
                                      "style": list(style.values),
                                      "summary": summary.as_dict()}))
     if not lines:
-        print("error: no audio to extract styles from", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError("no audio to extract styles from")
     text = "\n".join(lines) + "\n"
     if args.out:
         corpus_mod.write_atomic(Path(args.out), text)
@@ -434,15 +427,18 @@ def cmd_build_prompt(args) -> int:
         _, index, _ = corpus_mod.load_corpus_with_index(args.corpus, lambda _: ())
         variant = PromptVariant.parse(args.variant)
         conv_id, _, k_str = args.crop_id.partition(":")
+        if conv_id not in index.conversations:
+            raise CliError(f"unknown conversation {conv_id!r}")
         conv = index.conversations[conv_id]
         crop = make_crop(conv, int(k_str))
         context = context_from_turns(crop.context_turns[:-1],
                                      index.reference_styles(crop.conversation_id))
         audio_path = f"{crop.conversation_id}_{len(crop.context_turns) - 1}.wav"
         built = build_prompt(crop, context, variant, audio_path)
-    except (KeyError, ValueError, IndexError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except KeyError as exc:  # str() of a KeyError would quote its message
+        raise CliError(exc.args[0]) from exc
+    except (ValueError, IndexError, FileNotFoundError) as exc:
+        raise CliError(str(exc)) from exc
     sys.stdout.write(built.text)
     sys.stdout.write("\n---\n")
     print(f"{'offset':>7}  slot")

@@ -54,8 +54,8 @@ class MarkovTable:
         total = self.totals.get(prev, 0)
         return (c + 1) / (total + len(self.vocab))
 
-    def sample(self, rng: random.Random, max_tokens: int = MARKOV_MAX_TOKENS) -> str:
-        """Tokens drawn from `rng` until END_TOKEN or `max_tokens`.  An
+    def sample(self, rng: random.Random) -> str:
+        """Tokens drawn from `rng` until END_TOKEN or MARKOV_MAX_TOKENS.  An
         END_TOKEN drawn first is redrawn from the same stream, up to
         MARKOV_EMPTY_REDRAWS times, so a response is empty only past that
         cap; every response that is non-empty without redraws is unchanged."""
@@ -63,7 +63,7 @@ class MarkovTable:
         prev = START_TOKEN
         weights_cache = {}
         redraws = 0
-        while len(out) < max_tokens:
+        while len(out) < MARKOV_MAX_TOKENS:
             if prev not in weights_cache:
                 weights_cache[prev] = [self.probability(prev, w) for w in self.vocab]
             token = rng.choices(self.vocab, weights=weights_cache[prev])[0]
@@ -235,8 +235,7 @@ class ToySynthesizer:
 
         weights = [HARMONIC_BASE[0]]
         for k in range(1, len(HARMONIC_BASE)):
-            a = abs(acoustic.values[k - 1]) if k - 1 < len(acoustic.values) else 0.0
-            weights.append(HARMONIC_BASE[k] * (0.25 + min(a, 1.0)))
+            weights.append(HARMONIC_BASE[k] * (0.25 + min(abs(acoustic.values[k - 1]), 1.0)))
         signal = self._harmonic_sum(phase, weights)
 
         hnr_db = min(max(p[4] * acoustics.HNR_SPAN_DB + acoustics.HNR_DB_MIN,
@@ -261,9 +260,8 @@ class ToySynthesizer:
         # scale so the mean frame RMS matches the requested energy component,
         # capped at 1, the most a clip in [-1, 1] can have
         target = min(max(p[2], 1e-3), 1.0)
-        spec = acoustics.FrameSpec()
         power = np.multiply(signal, signal, out=envelope)
-        frames = acoustics._frames(power, spec.frame_len(sr), spec.hop_len(sr))
+        frames = acoustics._frames(power, acoustics.frame_len(sr), acoustics.hop_len(sr))
         mean_rms = float(np.mean(np.sqrt(np.mean(frames, axis=1))))
         if mean_rms > 0:
             signal *= target / mean_rms

@@ -14,17 +14,6 @@ import numpy as np
 
 STYLE_DIM = 8
 
-# Index layout of a prosodic style vector.  Every component is normalized
-# to roughly [0, 1]; see acoustics.encode_style for the exact scaling.
-STYLE_PITCH_MEAN = 0
-STYLE_PITCH_STD = 1
-STYLE_ENERGY_MEAN = 2
-STYLE_ENERGY_STD = 3
-STYLE_HNR = 4
-STYLE_RATE = 5
-STYLE_LOG_DURATION = 6
-STYLE_VOICED_FRACTION = 7
-
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -145,14 +134,15 @@ class DialogCrop:
     conversation_id: str
     context_turns: tuple[Turn, ...]
     target_turn: Turn
-    incoming_turn: Turn
 
     def __post_init__(self):
         object.__setattr__(self, "context_turns", tuple(self.context_turns))
         if len(self.context_turns) < 1:
             raise ValueError("a crop needs at least one context turn")
-        if self.context_turns[-1] is not self.incoming_turn and self.context_turns[-1] != self.incoming_turn:
-            raise ValueError("incoming turn must be the last context turn")
+
+    @property
+    def incoming_turn(self) -> Turn:
+        return self.context_turns[-1]
 
 
 def append_turn(context: ConversationContext, speaker: str, text: str,
@@ -170,9 +160,8 @@ def make_crop(conv: Conversation, k: int) -> DialogCrop:
     n = len(conv.turns)
     if not 1 <= k <= n - 1:
         raise IndexError(f"crop index {k} out of range for a {n}-turn conversation")
-    context = conv.turns[:k]
-    return DialogCrop(conversation_id=conv.id, context_turns=context,
-                      target_turn=conv.turns[k], incoming_turn=context[-1])
+    return DialogCrop(conversation_id=conv.id, context_turns=conv.turns[:k],
+                      target_turn=conv.turns[k])
 
 
 def window(context: ConversationContext, max_turns: int) -> ConversationContext:

@@ -45,7 +45,6 @@ class MetricReport:
     semantic: dict       # metric name -> percentage (wer stored as percent)
     acoustic: dict       # feature name -> Pearson r or None when undefined
     speaker_similarity: float
-    timing: dict | None = None
     notes: tuple = ()
 
 
@@ -76,7 +75,10 @@ def _ngrams(words, n):
     return Counter(tuple(words[i:i + n]) for i in range(len(words) - n + 1))
 
 
-def bleu(refs: list[str], hyp: str, max_n: int = 4) -> float:
+BLEU_MAX_N = 4
+
+
+def bleu(refs: list[str], hyp: str) -> float:
     """BLEU with clipped n-gram precisions, add-one smoothing on zero
     counts, and the closest-reference brevity penalty; percentage."""
     if not refs or not any(r.split() for r in refs):
@@ -86,7 +88,7 @@ def bleu(refs: list[str], hyp: str, max_n: int = 4) -> float:
         return 0.0
     ref_word_lists = [r.split() for r in refs]
     log_precisions = []
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         hyp_ngrams = _ngrams(hyp_words, n)
         total = sum(hyp_ngrams.values())
         if total == 0:
@@ -214,13 +216,13 @@ def trigram_embedder(token: str) -> np.ndarray:
     return vec / norm if norm > 0 else vec
 
 
-def greedy_embed_score(ref: str, hyp: str, embedder=trigram_embedder) -> float:
+def greedy_embed_score(ref: str, hyp: str) -> float:
     """Greedy max-cosine matching in both directions; F1 as a percentage."""
     ref_words, hyp_words = ref.split(), hyp.split()
     if not ref_words or not hyp_words:
         return 0.0
-    ref_vecs = np.stack([embedder(w) for w in ref_words])
-    hyp_vecs = np.stack([embedder(w) for w in hyp_words])
+    ref_vecs = np.stack([trigram_embedder(w) for w in ref_words])
+    hyp_vecs = np.stack([trigram_embedder(w) for w in hyp_words])
     sims = hyp_vecs @ ref_vecs.T
     p = float(np.mean(sims.max(axis=1)))
     r = float(np.mean(sims.max(axis=0)))
@@ -261,8 +263,8 @@ ACOUSTIC_FEATURES = ("pitch_mean", "pitch_std", "energy_mean", "energy_std",
                      "hnr_db", "duration_s")
 
 
-def assemble_report(generated, reference, policy: NormalizationPolicy | None = None,
-                    timing: dict | None = None) -> MetricReport:
+def assemble_report(generated, reference,
+                    policy: NormalizationPolicy | None = None) -> MetricReport:
     """Score aligned (generated, ground-truth) turn pairs.
 
     Semantic metrics are averaged per pair on normalized text (WER uses
@@ -316,8 +318,8 @@ def assemble_report(generated, reference, policy: NormalizationPolicy | None = N
             ry = [s[feature] for s in ref_summaries]
             try:
                 acoustic[feature] = pearson(gx, ry)
-            except (UndefinedStatisticError, ValueError):
+            except ValueError:
                 acoustic[feature] = None
     similarity = float(np.mean(sims)) if sims else float("nan")
     return MetricReport(semantic=semantic, acoustic=acoustic,
-                        speaker_similarity=similarity, timing=timing)
+                        speaker_similarity=similarity)

@@ -2,9 +2,8 @@
 next-token cross-entropy, the lambda-weighted total, and their analytic
 gradients (verified against central finite differences in the test suite).
 
-Style loss defaults to the mean absolute error over the style dimensions
-so the loss weight's scale is independent of the style width; pass
-reduction="sum" for the plain summed variant.
+Style loss is the mean absolute error over the style dimensions, so the
+loss weight's scale is independent of the style width.
 
 Token ids are 1-based: targets lie in [1, V] and index logit columns
 target-1.  Positions t in (1, T] are scored; position 1 never is.
@@ -80,18 +79,11 @@ def project_out(h: np.ndarray, proj: ProjectionOut) -> StyleVector:
 def _check_style_pair(pred: StyleVector, target: StyleVector):
     if pred.kind != "prosodic" or target.kind != "prosodic":
         raise ValueError("style loss is defined over prosodic styles")
-    if len(pred.values) != len(target.values):
-        raise ValueError("style dimension mismatch")
 
 
-def style_loss(pred: StyleVector, target: StyleVector, reduction: str = "mean") -> float:
+def style_loss(pred: StyleVector, target: StyleVector) -> float:
     _check_style_pair(pred, target)
-    diff = np.abs(pred.as_array() - target.as_array())
-    if reduction == "mean":
-        return float(np.mean(diff))
-    if reduction == "sum":
-        return float(np.sum(diff))
-    raise ValueError(f"unknown reduction {reduction!r}")
+    return float(np.mean(np.abs(pred.as_array() - target.as_array())))
 
 
 def _scored_rows(logit_rows: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -128,15 +120,14 @@ def total_loss(style: float, text: float, lam: float) -> LossBreakdown:
 
 
 def grad_style_loss(pred: StyleVector, target: StyleVector, h: np.ndarray,
-                    proj: ProjectionOut, reduction: str = "mean"):
+                    proj: ProjectionOut):
     """d(style_loss)/dW and /db for pred = W h + b; sign(0) := 0."""
     _check_style_pair(pred, target)
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (proj.hidden_dim,):
         raise ValueError("hidden vector shape mismatch")
     sign = np.sign(pred.as_array() - target.as_array())
-    scale = 1.0 / len(pred.values) if reduction == "mean" else 1.0
-    grad_b = scale * sign
+    grad_b = sign / STYLE_DIM
     grad_w = np.outer(grad_b, h)
     return grad_w, grad_b
 

@@ -55,13 +55,9 @@ class BuiltPrompt:
     token_count: int
 
 
-def default_tokenizer(text: str) -> int:
+def count_tokens(text: str) -> int:
     """Whitespace word count; placeholders contain no spaces so each counts 1."""
     return len(text.split())
-
-
-def count_tokens(text: str, tokenizer=default_tokenizer) -> int:
-    return tokenizer(text)
 
 
 def _header_speakers(crop: DialogCrop, context: ConversationContext) -> list[str]:
@@ -77,8 +73,7 @@ def _header_speakers(crop: DialogCrop, context: ConversationContext) -> list[str
 
 
 def build_prompt(crop: DialogCrop, context: ConversationContext,
-                 variant: PromptVariant, audio_path: str,
-                 tokenizer=default_tokenizer) -> BuiltPrompt:
+                 variant: PromptVariant, audio_path: str) -> BuiltPrompt:
     """Assemble the prompt for one crop.
 
     The context must already be windowed/truncated; its entries are the
@@ -147,11 +142,10 @@ def build_prompt(crop: DialogCrop, context: ConversationContext,
     assert text.count(OUTPUT_STYLE_TOKEN) == 1
     return BuiltPrompt(text=text, input_style_slots=tuple(slots),
                        output_style_slot=output_offset,
-                       token_count=count_tokens(text, tokenizer))
+                       token_count=count_tokens(text))
 
 
-def truncate_to_budget(context: ConversationContext, budget: int,
-                       tokenizer=default_tokenizer, *, crop: DialogCrop,
+def truncate_to_budget(context: ConversationContext, budget: int, *, crop: DialogCrop,
                        variant: PromptVariant = PromptVariant.FULL,
                        audio_path: str = "") -> ConversationContext:
     """Drop whole oldest turns until the built prompt fits the token budget.
@@ -163,7 +157,7 @@ def truncate_to_budget(context: ConversationContext, budget: int,
 
     current = context
     while True:
-        built = build_prompt(crop, current, variant, audio_path, tokenizer)
+        built = build_prompt(crop, current, variant, audio_path)
         if built.token_count <= budget:
             return current
         if not current.entries:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import acoustics
-from .acoustics import FrameSpec
 from .components import RESPONDER_MODES, STYLE_MODES
 from .dialog import AudioClip, Turn, append_turn, context_from_turns
 
@@ -59,6 +58,10 @@ CRITICAL = {
 BACKGROUND = {Topology.STYLE_TALKER: ("asr", "style_enc")}
 # stage names each topology requires in the latency map
 STAGES = {t: CRITICAL[t] + BACKGROUND.get(t, ()) for t in Topology}
+
+# turn end: this long a run of frames below this RMS
+TURN_END_FLOOR_RMS = 1e-3
+TURN_END_SILENCE_MS = 700.0
 
 
 @dataclass(frozen=True)
@@ -139,21 +142,17 @@ class RunConfig:
             raise ConfigurationError(f"target_wer must be in [0, 1], got {self.target_wer}")
 
 
-def detect_turn_end(clip: AudioClip, silence_floor_rms: float = 1e-3,
-                    min_silence_ms: float = 700.0) -> int | None:
-    """First sample index s with every frame covering [s, s+min_silence]
-    below the floor; None when no such silent run exists."""
-    if min_silence_ms <= 0:
-        raise ValueError("min_silence_ms must be positive")
-    spec = FrameSpec()
+def detect_turn_end(clip: AudioClip) -> int | None:
+    """First sample index s with every frame covering [s, s + TURN_END_SILENCE_MS]
+    below TURN_END_FLOOR_RMS; None when no such silent run exists."""
     sr = clip.sample_rate
-    rms = acoustics.frame_rms(clip, spec)
+    rms = acoustics.frame_rms(clip)
     if rms.size == 0:
         return None
-    hop = spec.hop_len(sr)
-    frame_len = spec.frame_len(sr)
-    min_silence = int(round(min_silence_ms / 1000.0 * sr))
-    silent = rms < silence_floor_rms
+    hop = acoustics.hop_len(sr)
+    frame_len = acoustics.frame_len(sr)
+    min_silence = int(round(TURN_END_SILENCE_MS / 1000.0 * sr))
+    silent = rms < TURN_END_FLOOR_RMS
     run_start = None
     for i, s in enumerate(silent):
         if s and run_start is None:

@@ -345,8 +345,7 @@ def synthesize_brute(text, prosodic, acoustic):
 
     # scale so the mean frame RMS matches the requested energy component
     target = max(p[2], 1e-3)
-    spec = acoustics.FrameSpec()
-    frames = acoustics._frames(signal, spec.frame_len(sr), spec.hop_len(sr))
+    frames = acoustics._frames(signal, acoustics.frame_len(sr), acoustics.hop_len(sr))
     mean_rms = float(np.mean(np.sqrt(np.mean(frames ** 2, axis=1))))
     if mean_rms > 0:
         signal *= target / mean_rms

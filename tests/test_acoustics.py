@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog import acoustics
-from styledialog.acoustics import (FrameSpec, acoustic_embedding, analyze, encode_style,
-                                   energy_stats, hnr, pitch_track, speaking_rate,
+from styledialog.acoustics import (acoustic_embedding, analyze, encode_style, energy_stats,
+                                   frame_len, hnr, hop_len, pitch_track, speaking_rate,
                                    summarize)
 from styledialog.dialog import AudioClip
 from conftest import SR, noise_clip, silence_clip, sine_clip
@@ -15,13 +15,8 @@ from oracles import nccf_track_brute
 
 class TestFrameSpec:
     def test_defaults(self):
-        spec = FrameSpec()
-        assert spec.frame_len(16000) == 400
-        assert spec.hop_len(16000) == 160
-
-    def test_invalid_hop(self):
-        with pytest.raises(ValueError):
-            FrameSpec(frame_ms=10.0, hop_ms=25.0)
+        assert frame_len(16000) == 400
+        assert hop_len(16000) == 160
 
 
 class TestPitchTrack:
@@ -50,8 +45,10 @@ class TestPitchTrack:
         assert f0.size == 0 and voiced.size == 0
 
     def test_invalid_band(self):
-        with pytest.raises(ValueError):
-            pitch_track(sine_clip(220.0), f_min=500.0, f_max=50.0)
+        # below 2 * F_MAX_HZ the pitch band passes Nyquist
+        pitch_track(AudioClip(samples=np.zeros(1000), sample_rate=1000))
+        with pytest.raises(ValueError, match="sample rate 800 Hz"):
+            pitch_track(AudioClip(samples=np.zeros(800), sample_rate=800))
 
 
 class TestEnergyStats:
@@ -206,7 +203,7 @@ class TestScalingInvariants:
 
     def test_hop_shift_preserves_interior(self):
         clip = sine_clip(220.0)
-        hop = FrameSpec().hop_len(clip.sample_rate)
+        hop = hop_len(clip.sample_rate)
         shifted = AudioClip(samples=np.concatenate([np.zeros(2 * hop), clip.samples]),
                             sample_rate=clip.sample_rate)
         f0a, va = pitch_track(clip)
@@ -220,11 +217,11 @@ def nccf_clips(draw):
     """Sines, harmonic mixes, noise, silence and sines switched on and off, with
     lengths from under one frame to a few frames past a 32-frame block edge."""
     sr = draw(st.sampled_from([8000, 16000]))
-    frame_len, hop_len = FrameSpec().frame_len(sr), FrameSpec().hop_len(sr)
+    n_frame, n_hop = frame_len(sr), hop_len(sr)
     n_frames = draw(st.sampled_from([0, 1, 2, 31, 32, 33, 63, 64, 65, 70]))
-    extra = draw(st.integers(0, hop_len - 1))
-    n = (draw(st.integers(1, frame_len - 1)) if n_frames == 0
-         else frame_len + (n_frames - 1) * hop_len + extra)
+    extra = draw(st.integers(0, n_hop - 1))
+    n = (draw(st.integers(1, n_frame - 1)) if n_frames == 0
+         else n_frame + (n_frames - 1) * n_hop + extra)
     t = np.arange(n) / sr
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     kind = draw(st.sampled_from(["sine", "harmonics", "noise", "silence", "gated"]))
@@ -250,15 +247,13 @@ class TestBatchedNccfMatchesOracle:
     @settings(max_examples=80, deadline=None)
     @given(clip=nccf_clips())
     def test_matches_per_frame_loop(self, clip):
-        spec, sr = FrameSpec(), clip.sample_rate
-        base, f0, peak, voiced = nccf_track_brute(clip.samples, sr, spec.frame_len(sr),
-                                                  spec.hop_len(sr))
+        sr = clip.sample_rate
+        base, f0, peak, voiced = nccf_track_brute(clip.samples, sr, frame_len(sr), hop_len(sr))
         features = analyze(clip)
         assert np.array_equal(features.voiced, voiced)
         np.testing.assert_allclose(features.f0, f0, rtol=0, atol=1e-9)
         np.testing.assert_allclose(features.peak, peak, rtol=0, atol=1e-9)
-        frames = acoustics._frames(clip.samples, spec.frame_len(sr),
-                                   spec.hop_len(sr))[:len(base)]
+        frames = acoustics._frames(clip.samples, frame_len(sr), hop_len(sr))[:len(base)]
         active = np.flatnonzero(features.rms[:len(base)] > acoustics.SILENCE_FLOOR_RMS)
         fast_base, _, _ = acoustics._nccf_peaks(frames[active], max(2, sr // 500),
                                                 math.ceil(sr / 50))
@@ -285,5 +280,3 @@ class TestAnalyze:
         assert len(calls) == 1
         summarize(b)  # equal samples, another clip: analysed afresh
         assert len(calls) == 2
-        pitch_track(b, f_max=400.0)  # another band
-        assert len(calls) == 3

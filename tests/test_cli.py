@@ -3,10 +3,13 @@ import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from styledialog.audioio import write_wav
 from styledialog.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                              bundled_corpus_path, calibration_path, main)
+from styledialog.dialog import AudioClip
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = str(bundled_corpus_path())
@@ -15,6 +18,12 @@ CORPUS = str(bundled_corpus_path())
 def one_error_line(capsys) -> bool:
     err = capsys.readouterr().err
     return len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def write_800hz_wav(path):
+    """A 16-bit mono WAV sampled below twice the top of the pitch band."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_wav(path, AudioClip(sample_rate=800, samples=np.full(800, 0.25)))
 
 
 class TestArgHandling:
@@ -310,6 +319,17 @@ class TestEvaluateInputs:
                      "--out", str(out)]) == EXIT_USAGE
         assert one_error_line(capsys) and not out.exists()
 
+    def test_sub_khz_audio(self, run_dir, tmp_path, capsys):
+        """An 800 Hz WAV crashed the analysis inside assemble_report."""
+        gen = shutil.copytree(run_dir, tmp_path / "gen")
+        write_800hz_wav(gen / "audio" / "low.wav")
+        lines = (gen / "generated.jsonl").read_text().splitlines()
+        lines[1] = json.dumps(json.loads(lines[1]) | {"audio": "audio/low.wav"})
+        (gen / "generated.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", "--generated", str(gen), "--reference", CORPUS]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "generated.jsonl:2" in err and "800 Hz" in err and len(err.splitlines()) == 1
+
 
 ST_ZERO = {s: {} for s in ("audio_llm", "tts", "asr", "style_enc")}
 
@@ -432,6 +452,21 @@ class TestExtractStyles:
             {"speaker": "a", "text": "hi", "audio": None}]}) + "\n")
         assert main(["extract-styles", "--corpus", str(p)]) == EXIT_USAGE
 
+    def test_sub_khz_wav_is_a_reject(self, tmp_path, capsys):
+        """An 800 Hz WAV crashed the analysis; now its record is a reject
+        and the other conversations are still extracted."""
+        write_800hz_wav(tmp_path / "low.wav")
+        synth = {"prosodic_style": [0.4, 0.05, 0.1, 0.02, 0.6, 0.3, 0.05, 0.95],
+                 "acoustic_style": [0.5] * 8}
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(json.dumps({"id": "good", "turns": [
+            {"speaker": "a", "text": "hi there", "audio": None, "synth": synth}]}) + "\n"
+            + json.dumps({"id": "low", "turns": [
+                {"speaker": "a", "text": "hi", "audio": "low.wav"}]}) + "\n")
+        out = tmp_path / "styles.jsonl"
+        assert main(["extract-styles", "--corpus", str(p), "--out", str(out)]) == EXIT_OK
+        assert [json.loads(l)["source_id"] for l in out.read_text().splitlines()] == ["good/0"]
+
 
 class TestBuildPrompt:
     def test_valid_crop(self, capsys):
@@ -446,13 +481,16 @@ class TestBuildPrompt:
 
     def test_unknown_conversation(self, capsys):
         assert main(["build-prompt", "--crop-id", "ghost:1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unknown conversation 'ghost'\n"
 
     def test_crop_out_of_range(self, capsys):
         assert main(["build-prompt", "--crop-id", "synth000:99"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("b_synth", [None, {"prosodic_style": [0.5] * 8}],
-                             ids=["no prosodic style", "no acoustic style"])
-    def test_missing_style(self, tmp_path, capsys, b_synth):
+    @pytest.mark.parametrize("b_synth, message", [
+        (None, "turn by 'b' has no prosodic style"),
+        ({"prosodic_style": [0.5] * 8}, "no acoustic style for 'b' in 'c'")],
+        ids=["no prosodic style", "no acoustic style"])
+    def test_missing_style(self, tmp_path, capsys, b_synth, message):
         """Speaker b's turns lack the prosodic style a context turn needs, or
         the acoustic style a reference needs."""
         a_synth = {"prosodic_style": [0.5] * 8, "acoustic_style": [0.5] * 8}
@@ -461,7 +499,7 @@ class TestBuildPrompt:
         p = tmp_path / "corpus.jsonl"
         p.write_text(json.dumps({"id": "c", "turns": turns}) + "\n")
         assert main(["build-prompt", "--corpus", str(p), "--crop-id", "c:3"]) == EXIT_USAGE
-        assert one_error_line(capsys)
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRenderOnlyWhatIsRead:

@@ -215,6 +215,19 @@ class TestReadWav:
         conversations, report = load_corpus(tmp_path / "c.jsonl")
         assert report.rejects == [] and conversations[0].turns[0].audio.samples[0] == -1.0
 
+    def test_sub_khz_rate_is_a_reject(self, tmp_path):
+        """Analysis needs at least 2 * F_MAX_HZ samples per second, so an
+        800 Hz WAV is refused when it is read, as one reject."""
+        write_wav(tmp_path / "low.wav", AudioClip(sample_rate=800, samples=np.zeros(800)))
+        with pytest.raises(ValueError, match="sample rate 800 Hz"):
+            read_wav(tmp_path / "low.wav")
+        (tmp_path / "c.jsonl").write_text("\n".join(json.dumps({"id": cid, "turns": [
+            {"speaker": "a", "text": "hi", "audio": wav}]}) for cid, wav in
+            (("low", "low.wav"), ("text", None))) + "\n")
+        conversations, report = load_corpus(tmp_path / "c.jsonl")
+        assert [c.id for c in conversations] == ["text"]
+        assert len(report.rejects) == 1 and "sample rate 800 Hz" in report.rejects[0][1]
+
     def test_write_read_bit_identical_to_quantize(self, tmp_path):
         x = np.linspace(-1.0, 1.0, 1001)
         write_wav(tmp_path / "x.wav", AudioClip(sample_rate=16000, samples=x))

@@ -265,8 +265,3 @@ class TestAssembleReport:
         report = assemble_report(gen, gen, RAW)
         for feat in ("pitch_mean", "duration_s"):
             assert report.acoustic[feat] == pytest.approx(1.0)
-
-    def test_timing_passthrough(self):
-        timing = {"rtf": 0.4}
-        report = assemble_report([_pair("a")], [_pair("a")], RAW, timing=timing)
-        assert report.timing == timing

@@ -7,7 +7,7 @@ from styledialog.dialog import (AudioClip, Conversation, ConversationContext,
                                 StyleVector, Turn, context_from_turns, make_crop)
 from styledialog.prompts import (INPUT_STYLE_TOKEN, OUTPUT_STYLE_TOKEN,
                                  PromptVariant, build_prompt, count_tokens,
-                                 default_tokenizer, truncate_to_budget)
+                                 truncate_to_budget)
 
 GOLDEN = Path(__file__).parent / "golden"
 
