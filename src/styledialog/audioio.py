@@ -2,7 +2,8 @@
 
 quantize_int16 is applied both when writing WAVs and when rendering corpus
 audio in memory, so a clip compared against its own file round-trip is
-bit-identical.  A WAV sampled too slowly to analyse is refused when read.
+bit-identical.  A WAV sampled too slowly to analyse, or a file that is not
+a 16-bit mono WAV, is refused when read with a ValueError.
 """
 
 from __future__ import annotations
@@ -31,14 +32,19 @@ def write_wav(path, clip: AudioClip) -> None:
 
 
 def read_wav(path, source_id: str | None = None) -> AudioClip:
-    with wave.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono audio, got {fh.getnchannels()} channels")
-        if fh.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * fh.getsampwidth()} bits")
-        sr = fh.getframerate()
-        check_sample_rate(sr)
-        raw = fh.readframes(fh.getnframes())
+    """Raises OSError when the file cannot be opened and ValueError for
+    anything else wrong with it, including a file that is not a WAV."""
+    try:
+        with wave.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono audio, got {fh.getnchannels()} channels")
+            if fh.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * fh.getsampwidth()} bits")
+            sr = fh.getframerate()
+            check_sample_rate(sr)
+            raw = fh.readframes(fh.getnframes())
+    except (EOFError, wave.Error) as exc:  # EOFError: the file ends inside a header
+        raise ValueError(f"{path}: not a readable WAV file: {str(exc) or 'it ends early'}") from exc
     # -32768 / 32767 lies just below -1, outside AudioClip's range: clamp it
     # rather than divide by 32768, which would break the bit-identity above
     samples = np.maximum(np.frombuffer(raw, dtype=np.int16) / 32767.0, -1.0)

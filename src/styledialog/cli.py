@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-import wave
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -164,6 +163,13 @@ def cmd_ingest(args) -> int:
     return EXIT_CHECK_FAILED if report.rejects else EXIT_OK
 
 
+def _figure(value: float, decimals: int, width: int = 8) -> str:
+    """`value` to `decimals` places, right-aligned in `width` columns, or to
+    three significant digits when that would not fit."""
+    text = f"{value:>{width}.{decimals}f}"
+    return text if len(text) <= width else f"{value:>{width}.3g}"
+
+
 def cmd_simulate(args) -> int:
     topology = args.topology
     config, run_config, tokens_per_s = resolve_config(args.config, topology)
@@ -182,7 +188,7 @@ def cmd_simulate(args) -> int:
         raise CliError("the simulated report is not finite: " + ", ".join(
             f"{name} {value:g}" for name, value in figures.items()))
     print(f"{'Model':<14} {'RTF':>8} {'Delay':>9}")
-    print(f"{topology.value:<14} {report.rtf:>8.4f} {report.delay_s:>8.2f} s")
+    print(f"{topology.value:<14} {_figure(report.rtf, 4)} {_figure(report.delay_s, 2)} s")
     payload = {"topology": topology.value, "input_dur": args.input_dur,
                "output_dur": args.output_dur, "rtf": report.rtf,
                "delay_s": report.delay_s, "carryover_s": report.carryover_s,
@@ -310,7 +316,7 @@ def cmd_evaluate(args) -> int:
         target = conv.turns[row["k"]]
         try:
             clip = audioio.read_wav(gen_dir / row["audio"])
-        except (EOFError, OSError, ValueError, wave.Error) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"{where}: cannot read {row['audio']}: {exc}") from exc
         generated.append(Turn(speaker=row["speaker"], text=row["text"], audio=clip))
         reference.append(target)
@@ -427,6 +433,9 @@ def cmd_build_prompt(args) -> int:
         _, index, _ = corpus_mod.load_corpus_with_index(args.corpus, lambda _: ())
         variant = PromptVariant.parse(args.variant)
         conv_id, _, k_str = args.crop_id.partition(":")
+        if not (k_str.isascii() and k_str.isdigit()):
+            raise CliError(f"--crop-id must be <conversation>:<turn index>, "
+                           f"got {args.crop_id!r}")
         if conv_id not in index.conversations:
             raise CliError(f"unknown conversation {conv_id!r}")
         conv = index.conversations[conv_id]

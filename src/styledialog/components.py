@@ -182,6 +182,11 @@ def _synthesis_seed(text: str, prosodic: StyleVector, acoustic: StyleVector) -> 
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
+def _token_rate(prosodic: StyleVector) -> float:
+    return min(max(prosodic.values[5] * acoustics.RATE_CAP_PER_S, MIN_TOKEN_RATE),
+               acoustics.RATE_CAP_PER_S)
+
+
 class ToySynthesizer:
     """Renders text as a harmonic tone with one amplitude bump per token.
 
@@ -205,8 +210,15 @@ class ToySynthesizer:
     style asks for are clamped to [HNR_DB_MIN, HNR_DB_MAX] dB,
     [MIN_TOKEN_RATE, RATE_CAP_PER_S] tokens/s and at most 1, so the clip is
     never empty and lies in [-1, 1].  Styles in [0, 1] are inside every
-    clamp and render as without them.
+    clamp and render as without them.  `n_samples` gives the clip's length
+    without rendering it.
     """
+
+    @staticmethod
+    def n_samples(text: str, prosodic: StyleVector) -> int:
+        """Length of the clip `synthesize` renders: one token per bump at
+        the clamped token rate."""
+        return int(round(len(text.split()) / _token_rate(prosodic) * SYNTH_SAMPLE_RATE))
 
     def synthesize(self, text: str, prosodic: StyleVector,
                    acoustic: StyleVector) -> AudioClip:
@@ -217,11 +229,9 @@ class ToySynthesizer:
         if acoustic.kind != "acoustic":
             raise ValueError("second style must be acoustic")
         sr = SYNTH_SAMPLE_RATE
-        tokens = text.split()
         p = prosodic.values
-        rate = min(max(p[5] * acoustics.RATE_CAP_PER_S, MIN_TOKEN_RATE), acoustics.RATE_CAP_PER_S)
-        duration = len(tokens) / rate
-        n = int(round(duration * sr))
+        rate = _token_rate(prosodic)
+        n = self.n_samples(text, prosodic)
         rng = np.random.default_rng(_synthesis_seed(text, prosodic, acoustic))
 
         t = np.arange(n) / sr

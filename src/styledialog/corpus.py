@@ -11,21 +11,25 @@ Audio paths are relative to the corpus file's directory and point at 16-bit
 PCM mono WAVs.
 
 WAV or synth: a turn's audio comes from its WAV when it has a path.  A turn
-with no path is synth-backed when it has both styles and some text: the
-loader renders its audio with the toy synthesizer and passes it through
-int16 quantization, so it is bit-identical to a WAV round trip.  Any other
-turn without a path has no audio.  WAV-backed turns are always read, but
-the loader renders only the synth-backed turns its caller asks for through
+with no path is synth-backed when it has both styles and some text: its
+audio is rendered by `_synth_clip`, the toy synthesizer followed by int16
+quantization, so it is bit-identical to a WAV round trip.  Any other turn
+without a path has no audio.  WAV-backed turns are always read, and a
+record whose WAV cannot be read is a reject.  The loader renders, inside
+`load_corpus`, only the synth-backed turns its caller asks for through
 `audio_for` (all of them by default): `run` asks for its crops' incoming
 turns, `evaluate` for its reference turns and `build-prompt` for none.  A
 synth-backed turn left with `audio=None` was not requested; it still has
-its styles and text.  `save_corpus` writes a turn's audio to a
+its styles and text.  `generate_synthetic_corpus` renders nothing: each of
+its turns carries a `SynthAudio`, whose audio is rendered on the first read
+of its samples.  `save_corpus` writes a turn's audio to a
 WAV when asked to, or when the turn is not synth-backed and so could not be
 re-rendered; otherwise it writes the styles alone, and the loader renders
 the audio again.  A synth-backed turn renders from its text as written, so
 when `ingest` normalisation changes the text of such a turn, it is
 re-rendered from the new text unless `--write-audio` keeps the audio as
-loaded.
+loaded.  Conversation ids are unique: a later record with an id already
+loaded is a reject.
 
 Also implements the diarization-filtering and verbatim-normalization steps
 used when ingesting re-transcribed podcast data, plus deterministic
@@ -38,12 +42,14 @@ import json
 import random
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import audioio
-from .components import ToySynthesizer
+from .components import SYNTH_SAMPLE_RATE, ToySynthesizer
 from .dialog import AudioClip, Conversation, StyleVector, Turn
 from .metrics import NormalizationPolicy
 
@@ -93,18 +99,46 @@ def _turn_from_record(rec: dict, sid: str, root: Path) -> Turn:
                 prosodic_style=prosodic, acoustic_style=acoustic)
 
 
-def _render(conv: Conversation, wanted, synthesizer: ToySynthesizer) -> Conversation:
+def _synth_clip(text: str, prosodic, acoustic, source_id: str) -> AudioClip:
+    """The audio of a synth-backed turn: the toy synthesizer's clip,
+    int16-quantized, so it is bit-identical to a WAV round trip."""
+    clip = ToySynthesizer().synthesize(text, prosodic, acoustic)
+    return AudioClip(sample_rate=clip.sample_rate, samples=audioio.quantize_int16(clip.samples),
+                     source_id=source_id)
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare
+class SynthAudio:
+    """The audio of a synth-backed turn, rendered by `_synth_clip` on the
+    first read of `samples` and kept.  `sample_rate`, `source_id` and
+    `duration_seconds` need no render.  Reads like an `AudioClip`."""
+
+    text: str
+    prosodic: StyleVector
+    acoustic: StyleVector
+    source_id: str
+    sample_rate: ClassVar[int] = SYNTH_SAMPLE_RATE
+
+    @property
+    def duration_seconds(self) -> float:
+        return ToySynthesizer.n_samples(self.text, self.prosodic) / self.sample_rate
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """Read-only, like an `AudioClip`'s."""
+        return _synth_clip(self.text, self.prosodic, self.acoustic, self.source_id).samples
+
+
+def _render(conv: Conversation, wanted) -> Conversation:
     """`conv` with the audio of its synth-backed turns in `wanted` (None:
-    all of them) rendered and int16-quantized."""
+    all of them) rendered."""
     turns = list(conv.turns)
     for i, turn in enumerate(turns):
         sid = _source_id(conv.id, i)
         if (turn.audio is None and (wanted is None or sid in wanted)
                 and _synth_backed(turn.text, turn.prosodic_style, turn.acoustic_style)):
-            clip = synthesizer.synthesize(turn.text, turn.prosodic_style, turn.acoustic_style)
-            turns[i] = replace(turn, audio=AudioClip(
-                sample_rate=clip.sample_rate, samples=audioio.quantize_int16(clip.samples),
-                source_id=sid))
+            turns[i] = replace(turn, audio=_synth_clip(turn.text, turn.prosodic_style,
+                                                       turn.acoustic_style, sid))
     return replace(conv, turns=tuple(turns))
 
 
@@ -125,6 +159,7 @@ def load_corpus(path, audio_for=None):
     root = path.parent
     report = LoadReport()
     conversations = []
+    first_line = {}  # conversation id -> line it was loaded from
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -132,10 +167,15 @@ def load_corpus(path, audio_for=None):
                 continue
             try:
                 rec = json.loads(line)
-                turns = tuple(_turn_from_record(t, _source_id(rec["id"], i), root)
+                conv_id = str(rec["id"])
+                if conv_id in first_line:
+                    raise ValueError(f"duplicate conversation id {conv_id!r}, "
+                                     f"first on line {first_line[conv_id]}")
+                turns = tuple(_turn_from_record(t, _source_id(conv_id, i), root)
                               for i, t in enumerate(rec["turns"]))
-                conversations.append(Conversation(id=str(rec["id"]), turns=turns,
+                conversations.append(Conversation(id=conv_id, turns=turns,
                                                   split=rec.get("split", "train")))
+                first_line[conv_id] = line_no
                 report.loaded += 1
             except (AttributeError, KeyError, ValueError, TypeError, OSError) as exc:
                 report.rejects.append((line_no, str(exc)))
@@ -143,8 +183,7 @@ def load_corpus(path, audio_for=None):
         raise ValueError(f"no valid conversations in {path} "
                          f"({len(report.rejects)} rejected)")
     wanted = None if audio_for is None else frozenset(audio_for(conversations))
-    synthesizer = ToySynthesizer()
-    return [_render(conv, wanted, synthesizer) for conv in conversations], report
+    return [_render(conv, wanted) for conv in conversations], report
 
 
 def save_corpus(path, conversations, write_audio: bool = False) -> None:
@@ -257,8 +296,10 @@ def generate_synthetic_corpus(n_conversations: int, seed: int):
     """Deterministic corpus of 4-8 turn conversations between 2-3 speakers.
 
     Each turn carries template text, a prosodic style sampled from the
-    speaker's prior, the speaker's acoustic style, and audio rendered by the
-    toy synthesizer, so audio, text, and styles are mutually consistent.
+    speaker's prior, the speaker's acoustic style, and its audio as a
+    `SynthAudio`, so audio, text, and styles are mutually consistent.  No
+    clip is rendered here: each renders on the first read of its samples,
+    while its duration is known at once.
     Returns the conversations and the acoustic styles again as
     `{conversation id: {speaker: values}}`, the records
     `save_synthetic_corpus` takes.
@@ -266,7 +307,6 @@ def generate_synthetic_corpus(n_conversations: int, seed: int):
     if n_conversations < 1:
         raise ValueError("need at least one conversation")
     rng = random.Random(seed)
-    synthesizer = ToySynthesizer()
     conversations = []
     acoustic_records = {}
     for c in range(n_conversations):
@@ -285,10 +325,10 @@ def generate_synthetic_corpus(n_conversations: int, seed: int):
             values = [min(max(m + rng.gauss(0.0, sd), 0.0), 1.0)
                       for m, sd in zip(mean, spread)]
             style = StyleVector(values=tuple(values), kind="prosodic")
-            turns.append(Turn(speaker=speaker, text=text, prosodic_style=style,
+            audio = SynthAudio(text, style, acoustics_by_spk[speaker], _source_id(conv_id, t))
+            turns.append(Turn(speaker=speaker, text=text, audio=audio, prosodic_style=style,
                               acoustic_style=acoustics_by_spk[speaker]))
-        conversations.append(_render(Conversation(id=conv_id, turns=tuple(turns),
-                                                  split="test"), None, synthesizer))
+        conversations.append(Conversation(id=conv_id, turns=tuple(turns), split="test"))
         acoustic_records[conv_id] = {s: list(v.values)
                                      for s, v in acoustics_by_spk.items()}
     return conversations, acoustic_records

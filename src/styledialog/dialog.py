@@ -70,7 +70,8 @@ class StyleVector:
 @dataclass(frozen=True)
 class Turn:
     """One utterance: who spoke, what was said, and (optionally) how: its
-    audio, its prosodic style and the speaker's acoustic style."""
+    audio, its prosodic style and the speaker's acoustic style.  The audio
+    is an `AudioClip` or reads like one (`corpus.SynthAudio`)."""
 
     speaker: str
     text: str

@@ -116,6 +116,23 @@ class TestSimulate:
                      "--out", str(out_file)]) == EXIT_OK
         assert math.isfinite(json.loads(out_file.read_text())["delay_s"])
 
+    def test_calibrated_table_is_unchanged(self, capsys):
+        assert main(["simulate", "--topology", "cascade",
+                     "--input-dur", "10", "--output-dur", "10"]) == EXIT_OK
+        assert capsys.readouterr().out == ("Model               RTF     Delay\n"
+                                           "cascade          0.5912     2.31 s\n")
+
+    @pytest.mark.parametrize("topology", ["cascade", "style-talker", "e2e"])
+    @pytest.mark.parametrize("flag, value", [("--output-dur", "1e300"),
+                                             ("--output-dur", "1e-300"),
+                                             ("--input-dur", "1e300")])
+    def test_extreme_figures_stay_narrow(self, capsys, topology, flag, value):
+        """A 1e300 delay or RTF printed 300 digits; a figure too wide for its
+        column now prints to three significant digits."""
+        assert main(["simulate", "--topology", topology, flag, value]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and all(len(line) < 40 for line in lines)
+
     def test_nan_cost(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text('{"latency": {"cascade": {"asr": {"fixed_s": NaN}, "llm": {}, "tts": {}}}}')
@@ -160,6 +177,22 @@ class TestIngest:
         assert [line for line, _ in report["rejected_records"]] == [2]
         kept = [json.loads(l) for l in (out / "corpus.jsonl").read_text().splitlines()]
         assert [c["id"] for c in kept] == ["good"]
+
+    def test_duplicate_id_is_a_check_failure(self, tmp_path, capsys):
+        """Both records with id "b" were written; now the first wins and the
+        second is a reject naming the first's line."""
+        corpus = tmp_path / "raw.jsonl"
+        records = [{"id": cid, "turns": [{"speaker": "a", "text": text}]}
+                   for cid, text in (("a", "one"), ("b", "two"), ("b", "three"))]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "clean"
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(out)]) \
+            == EXIT_CHECK_FAILED
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["rejected_records"] == [[3, "duplicate conversation id 'b', "
+                                                  "first on line 2"]]
+        kept = [json.loads(l) for l in (out / "corpus.jsonl").read_text().splitlines()]
+        assert [(c["id"], c["turns"][0]["text"]) for c in kept] == [("a", "one"), ("b", "two")]
 
     def test_ingested_corpus_runs(self, tmp_path, capsys):
         """The bundled corpus ingested with or without its audio written out
@@ -482,6 +515,12 @@ class TestBuildPrompt:
     def test_unknown_conversation(self, capsys):
         assert main(["build-prompt", "--crop-id", "ghost:1"]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: unknown conversation 'ghost'\n"
+
+    @pytest.mark.parametrize("crop_id", ["synth000", "synth000:", "synth000:two"])
+    def test_malformed_crop_id(self, capsys, crop_id):
+        assert main(["build-prompt", "--crop-id", crop_id]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: --crop-id must be <conversation>:"
+                                           f"<turn index>, got {crop_id!r}\n")
 
     def test_crop_out_of_range(self, capsys):
         assert main(["build-prompt", "--crop-id", "synth000:99"]) == EXIT_USAGE

@@ -290,6 +290,19 @@ class TestSynthesizer:
         assert clip.samples.size >= 1
         assert np.all(np.isfinite(clip.samples)) and np.max(np.abs(clip.samples)) <= 1.0
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(words=st.lists(st.sampled_from(["a", "tok", "hello"]), min_size=1, max_size=60),
+           values=st.lists(st.sampled_from([-1e308, -1.0, 0.0, 1.0, 1e308])
+                           | st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=8, max_size=8))
+    def test_n_samples_is_the_rendered_length(self, words, values):
+        """The length known without a render is the rendered length, also
+        where the token rate is clamped."""
+        text = " ".join(words)
+        style = prosodic(values)
+        clip = ToySynthesizer().synthesize(text, style, acoustic([0.5] * 8))
+        assert ToySynthesizer.n_samples(text, style) == len(clip.samples)
+
     def test_timbre_separates_speakers(self):
         synth = ToySynthesizer()
         style = simple_style()

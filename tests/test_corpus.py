@@ -228,6 +228,23 @@ class TestReadWav:
         assert [c.id for c in conversations] == ["text"]
         assert len(report.rejects) == 1 and "sample rate 800 Hz" in report.rejects[0][1]
 
+    @pytest.mark.parametrize("content", [b"notawav", b"", b"RIFF\x04\x00\x00\x00WAVE",
+                                         b"RIFX\x04\x00\x00\x00WAVE"],
+                             ids=["not riff", "empty", "no chunks", "rifx"])
+    def test_unreadable_wav_is_a_reject(self, tmp_path, content):
+        """A file that is not a WAV raised EOFError or wave.Error, which
+        sank the whole load; now its record is one reject."""
+        (tmp_path / "bad.wav").write_bytes(content)
+        with pytest.raises(ValueError, match="not a readable WAV file"):
+            read_wav(tmp_path / "bad.wav")
+        (tmp_path / "c.jsonl").write_text("\n".join(json.dumps({"id": cid, "turns": [
+            {"speaker": "a", "text": "hi", "audio": wav}]}) for cid, wav in
+            (("text", None), ("bad", "bad.wav"))) + "\n")
+        conversations, report = load_corpus(tmp_path / "c.jsonl")
+        assert [c.id for c in conversations] == ["text"]
+        assert [line for line, _ in report.rejects] == [2]
+        assert "not a readable WAV file" in report.rejects[0][1]
+
     def test_write_read_bit_identical_to_quantize(self, tmp_path):
         x = np.linspace(-1.0, 1.0, 1001)
         write_wav(tmp_path / "x.wav", AudioClip(sample_rate=16000, samples=x))
@@ -350,6 +367,43 @@ class TestSyntheticCorpus:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             generate_synthetic_corpus(0, seed=1)
+
+
+class TestLazySynthAudio:
+    @pytest.fixture
+    def synth_calls(self, monkeypatch):
+        calls = []
+        synthesize = ToySynthesizer.synthesize
+        monkeypatch.setattr(ToySynthesizer, "synthesize",
+                            lambda self, *args: calls.append(args[0]) or synthesize(self, *args))
+        return calls
+
+    def test_renders_once_on_first_read(self, synth_calls):
+        conversations, _ = generate_synthetic_corpus(20, seed=413)
+        turns = [t for c in conversations for t in c.turns]
+        for turn in turns:
+            assert turn.audio.sample_rate == 16000 and turn.audio.duration_seconds > 0
+            assert turn.audio.source_id is not None
+        assert synth_calls == []
+        first = [turn.audio.samples for turn in turns]
+        assert synth_calls == [t.text for t in turns]
+        assert all(a is turn.audio.samples for a, turn in zip(first, turns))
+        assert len(synth_calls) == len(turns) == 124
+        assert not any(a.flags.writeable for a in first)
+
+    def test_matches_what_the_loader_renders(self, tmp_path):
+        """Lazy clips of the bundled regeneration equal, bit for bit, those
+        `load_corpus` renders from the saved file, and their durations are
+        the rendered ones."""
+        conversations, records = generate_synthetic_corpus(20, seed=413)
+        path = tmp_path / "regen.jsonl"
+        save_synthetic_corpus(path, conversations, records)
+        loaded, _ = load_corpus(path)
+        for lazy, eager in zip(conversations, loaded):
+            for a, b in zip(lazy.turns, eager.turns, strict=True):
+                assert (a.audio.source_id, a.audio.sample_rate, a.audio.duration_seconds) == \
+                       (b.audio.source_id, b.audio.sample_rate, b.audio.duration_seconds)
+                assert np.array_equal(a.audio.samples, b.audio.samples)
 
 
 class TestCorpusIndex:
