@@ -3,18 +3,17 @@ evaluation metrics."""
 
 from .dialog import (AudioClip, Conversation, ConversationContext, DialogCrop,
                      StyleVector, Turn, append_turn, make_crop,
-                     sample_crop_index, window)
+                     sample_crop_index)
 from .acoustics import (AcousticSummary, acoustic_embedding, encode_style,
                         energy_stats, hnr, pitch_track, summarize)
 from .components import (MarkovTable, ToyRecognizer, ToyResponder, ToySynthesizer,
                          train_markov)
-from .objectives import (LossBreakdown, ProjectionIn, ProjectionOut,
-                         grad_style_loss, grad_text_loss, project_out,
-                         style_loss, text_loss, total_loss)
+from .objectives import (ProjectionOut, grad_style_loss, grad_text_loss, project_out,
+                         style_loss, text_loss)
 from .prompts import (BuiltPrompt, PromptVariant, build_prompt, count_tokens,
                       truncate_to_budget)
 from .scheduler import (LatencyModel, RunConfig, SimReport, StageEvent, Topology,
-                        detect_turn_end, run_dialog, simulate_turn)
+                        run_dialog, simulate_turn)
 from .metrics import (MetricReport, NormalizationPolicy, assemble_report, bleu,
                       cosine, greedy_embed_score, meteor_exact, pearson,
                       rouge_l_f1, wer)

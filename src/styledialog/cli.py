@@ -123,13 +123,22 @@ def resolve_policy(path) -> metrics_mod.NormalizationPolicy:
                                            filler_list=frozenset(fillers))
 
 
+def _load_corpus(path, audio_for=None):
+    """`corpus.load_corpus_with_index` for a command: a corpus with nothing
+    to load is a CliError, and each rejected record is a line on stderr."""
+    try:
+        conversations, index, report = corpus_mod.load_corpus_with_index(path, audio_for)
+    except (FileNotFoundError, ValueError) as exc:
+        raise CliError(str(exc)) from exc
+    for line_no, reason in report.rejects:
+        print(f"{path}:{line_no}: rejected: {reason}", file=sys.stderr)
+    return conversations, index, report
+
+
 # --- subcommands ------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    try:
-        conversations, report = corpus_mod.load_corpus(args.corpus)
-    except (FileNotFoundError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    conversations, _, report = _load_corpus(args.corpus)
     policy = metrics_mod.NormalizationPolicy()
     kept = []
     discarded = 0
@@ -144,7 +153,7 @@ def cmd_ingest(args) -> int:
             if args.filter_diarization:
                 text, did = corpus_mod.strip_leading_indicator(text)
                 stripped += int(did)
-            turns.append(replace(turn, text=corpus_mod.normalize_verbatim(text, policy)))
+            turns.append(replace(turn, text=policy.apply(text)))
         if turns:
             kept.append(replace(conv, turns=tuple(turns)))
     out = Path(args.out)
@@ -220,11 +229,7 @@ def cmd_run(args) -> int:
     def incoming_turns(conversations):
         return [f"{crop.conversation_id}/{len(crop.context_turns) - 1}"
                 for crop in pick_crops(conversations, args.crops, args.seed)]
-    try:
-        conversations, index, _ = corpus_mod.load_corpus_with_index(args.corpus,
-                                                                    incoming_turns)
-    except (FileNotFoundError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    conversations, index, _ = _load_corpus(args.corpus, incoming_turns)
     markov = train_markov(conversations) if run_config.responder_mode == "markov" else None
     components = SimpleNamespace(recognizer=ToyRecognizer(index.transcripts),
                                  responder=ToyResponder(index.targets, markov=markov),
@@ -302,11 +307,10 @@ def cmd_evaluate(args) -> int:
     policy = resolve_policy(args.policy)
     try:
         rows = _load_generated(gen_dir)
-        references = {f"{row['conversation_id']}/{row['k']}" for _, row in rows}
-        _, index, _ = corpus_mod.load_corpus_with_index(args.reference,
-                                                        lambda _: references)
     except (FileNotFoundError, ValueError) as exc:
         raise CliError(str(exc)) from exc
+    references = {f"{row['conversation_id']}/{row['k']}" for _, row in rows}
+    _, index, _ = _load_corpus(args.reference, lambda _: references)
     generated, reference = [], []
     for where, row in rows:
         conv = index.conversations.get(row["conversation_id"])
@@ -401,10 +405,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_extract_styles(args) -> int:
     from . import acoustics
-    try:
-        conversations, _ = corpus_mod.load_corpus(args.corpus)
-    except (FileNotFoundError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    conversations, _, _ = _load_corpus(args.corpus)
     lines = []
     for conv in conversations:
         for i, turn in enumerate(conv.turns):
@@ -428,9 +429,9 @@ def cmd_extract_styles(args) -> int:
 
 
 def cmd_build_prompt(args) -> int:
+    # a prompt holds text and styles, never audio
+    _, index, _ = _load_corpus(args.corpus, lambda _: ())
     try:
-        # a prompt holds text and styles, never audio
-        _, index, _ = corpus_mod.load_corpus_with_index(args.corpus, lambda _: ())
         variant = PromptVariant.parse(args.variant)
         conv_id, _, k_str = args.crop_id.partition(":")
         if not (k_str.isascii() and k_str.isdigit()):

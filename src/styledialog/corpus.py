@@ -31,9 +31,8 @@ re-rendered from the new text unless `--write-audio` keeps the audio as
 loaded.  Conversation ids are unique: a later record with an id already
 loaded is a reject.
 
-Also implements the diarization-filtering and verbatim-normalization steps
-used when ingesting re-transcribed podcast data, plus deterministic
-conversation-level splits and the bundled synthetic corpus generator.
+Also implements the diarization-filtering step used when ingesting
+re-transcribed podcast data, and the bundled synthetic corpus generator.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ import numpy as np
 from . import audioio
 from .components import SYNTH_SAMPLE_RATE, ToySynthesizer
 from .dialog import AudioClip, Conversation, StyleVector, Turn
-from .metrics import NormalizationPolicy
 
 SPEAKER_INDICATOR_RE = re.compile(r"\[S\d+\]")
 
@@ -224,40 +222,6 @@ def strip_leading_indicator(transcript: str) -> tuple[str, bool]:
     if m:
         return stripped[m.end():].lstrip(), True
     return transcript, False
-
-
-def normalize_verbatim(text: str, policy: NormalizationPolicy | None = None) -> str:
-    return (policy or NormalizationPolicy()).apply(text)
-
-
-def split_corpus(conversations, ratios, seed: int):
-    """Assign splits at the conversation level with largest-remainder
-    rounding; deterministic per seed."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
-    names = ("train", "validation", "test")
-    n = len(conversations)
-    nonzero = sum(1 for r in ratios if r > 0)
-    if n < nonzero:
-        raise ValueError(f"{n} conversations cannot fill {nonzero} non-empty splits")
-    exact = [r * n for r in ratios]
-    counts = [int(e) for e in exact]
-    order = sorted(range(3), key=lambda i: exact[i] - counts[i], reverse=True)
-    for i in order:
-        if sum(counts) == n:
-            break
-        counts[i] += 1
-    rng = random.Random(seed)
-    shuffled = list(conversations)
-    rng.shuffle(shuffled)
-    out = []
-    cursor = 0
-    for name, count in zip(names, counts):
-        for conv in shuffled[cursor:cursor + count]:
-            out.append(Conversation(id=conv.id, turns=conv.turns, split=name))
-        cursor += count
-    out.sort(key=lambda c: c.id)
-    return out
 
 
 # --- synthetic corpus -------------------------------------------------------

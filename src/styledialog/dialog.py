@@ -165,14 +165,6 @@ def make_crop(conv: Conversation, k: int) -> DialogCrop:
                       target_turn=conv.turns[k])
 
 
-def window(context: ConversationContext, max_turns: int) -> ConversationContext:
-    """Keep only the last max_turns entries; reference styles are preserved."""
-    if max_turns < 1:
-        raise ValueError(f"max_turns must be >= 1, got {max_turns}")
-    return ConversationContext(entries=context.entries[-max_turns:],
-                               reference_styles=dict(context.reference_styles))
-
-
 def sample_crop_index(conv: Conversation, rng_seed: int) -> int:
     """Uniform crop index in [1, len(turns) - 1], deterministic per seed."""
     n = len(conv.turns)

@@ -1,6 +1,6 @@
 """Training objectives: L1 style loss over a linear output projection,
-next-token cross-entropy, the lambda-weighted total, and their analytic
-gradients (verified against central finite differences in the test suite).
+next-token cross-entropy, and their analytic gradients (verified against
+central finite differences in the test suite).
 
 Style loss is the mean absolute error over the style dimensions, so the
 loss weight's scale is independent of the style width.
@@ -16,27 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dialog import STYLE_DIM, StyleVector
-
-
-@dataclass(frozen=True)
-class ProjectionIn:
-    """Style -> hidden linear map (H x D weights, H bias)."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        if w.ndim != 2 or w.shape[1] != STYLE_DIM or b.shape != (w.shape[0],):
-            raise ValueError(f"bad input projection shapes {w.shape}, {b.shape}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError("projection parameters must be finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
-
-    def project(self, style: StyleVector) -> np.ndarray:
-        return self.weights @ style.as_array() + self.bias
 
 
 @dataclass(frozen=True)
@@ -59,14 +38,6 @@ class ProjectionOut:
     @property
     def hidden_dim(self) -> int:
         return self.weights.shape[1]
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    style_loss: float
-    text_loss: float
-    total: float
-    lam: float
 
 
 def project_out(h: np.ndarray, proj: ProjectionOut) -> StyleVector:
@@ -110,13 +81,6 @@ def text_loss(logit_rows: np.ndarray, targets) -> float:
     log_z = np.log(np.sum(np.exp(shifted), axis=1))
     picked = shifted[np.arange(len(ids)), ids]
     return float(np.mean(log_z - picked))
-
-
-def total_loss(style: float, text: float, lam: float) -> LossBreakdown:
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    return LossBreakdown(style_loss=style, text_loss=text,
-                         total=text + lam * style, lam=lam)
 
 
 def grad_style_loss(pred: StyleVector, target: StyleVector, h: np.ndarray,

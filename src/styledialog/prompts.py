@@ -153,8 +153,6 @@ def truncate_to_budget(context: ConversationContext, budget: int, *, crop: Dialo
     Never splits a turn; the header reference styles are always retained.
     Raises if even the zero-turn scaffold exceeds the budget.
     """
-    from .dialog import ConversationContext as Ctx
-
     current = context
     while True:
         built = build_prompt(crop, current, variant, audio_path)
@@ -164,5 +162,5 @@ def truncate_to_budget(context: ConversationContext, budget: int, *, crop: Dialo
             raise ValueError(
                 f"token budget {budget} is below the prompt scaffold "
                 f"({built.token_count} tokens with no context turns)")
-        current = Ctx(entries=current.entries[1:],
-                      reference_styles=dict(current.reference_styles))
+        current = ConversationContext(entries=current.entries[1:],
+                                      reference_styles=dict(current.reference_styles))

@@ -1,5 +1,5 @@
 """Discrete-event simulation of the three pipeline topologies over a
-logical clock, plus turn-end detection and the stall-free delay rule.
+logical clock, with the stall-free delay rule.
 
 Each topology runs its stages back to back in two lanes.  The critical
 lane starts when the previous turn's background work ends (carryover) and
@@ -28,9 +28,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import acoustics
 from .components import RESPONDER_MODES, STYLE_MODES
-from .dialog import AudioClip, Turn, append_turn, context_from_turns
+from .dialog import Turn, append_turn, context_from_turns
 
 
 class Topology(str, Enum):
@@ -58,10 +57,6 @@ CRITICAL = {
 BACKGROUND = {Topology.STYLE_TALKER: ("asr", "style_enc")}
 # stage names each topology requires in the latency map
 STAGES = {t: CRITICAL[t] + BACKGROUND.get(t, ()) for t in Topology}
-
-# turn end: this long a run of frames below this RMS
-TURN_END_FLOOR_RMS = 1e-3
-TURN_END_SILENCE_MS = 700.0
 
 
 @dataclass(frozen=True)
@@ -140,30 +135,6 @@ class RunConfig:
             raise ConfigurationError(f"unknown style_mode {self.style_mode!r}")
         if not 0.0 <= self.target_wer <= 1.0:
             raise ConfigurationError(f"target_wer must be in [0, 1], got {self.target_wer}")
-
-
-def detect_turn_end(clip: AudioClip) -> int | None:
-    """First sample index s with every frame covering [s, s + TURN_END_SILENCE_MS]
-    below TURN_END_FLOOR_RMS; None when no such silent run exists."""
-    sr = clip.sample_rate
-    rms = acoustics.frame_rms(clip)
-    if rms.size == 0:
-        return None
-    hop = acoustics.hop_len(sr)
-    frame_len = acoustics.frame_len(sr)
-    min_silence = int(round(TURN_END_SILENCE_MS / 1000.0 * sr))
-    silent = rms < TURN_END_FLOOR_RMS
-    run_start = None
-    for i, s in enumerate(silent):
-        if s and run_start is None:
-            run_start = i
-        elif not s:
-            run_start = None
-        if run_start is not None:
-            covered = (i * hop + frame_len) - run_start * hop
-            if covered >= min_silence:
-                return run_start * hop
-    return None
 
 
 def simulate_turn(topology: Topology, input_dur: float, out_tokens: int,

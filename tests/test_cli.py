@@ -175,6 +175,7 @@ class TestIngest:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["loaded"] == 1
         assert [line for line, _ in report["rejected_records"]] == [2]
+        assert f"{corpus}:2: rejected: record missing 'speaker'\n" in capsys.readouterr().err
         kept = [json.loads(l) for l in (out / "corpus.jsonl").read_text().splitlines()]
         assert [c["id"] for c in kept] == ["good"]
 
@@ -486,8 +487,8 @@ class TestExtractStyles:
         assert main(["extract-styles", "--corpus", str(p)]) == EXIT_USAGE
 
     def test_sub_khz_wav_is_a_reject(self, tmp_path, capsys):
-        """An 800 Hz WAV crashed the analysis; now its record is a reject
-        and the other conversations are still extracted."""
+        """An 800 Hz WAV crashed the analysis; now its record is a reject,
+        reported on stderr, and the other conversations are still extracted."""
         write_800hz_wav(tmp_path / "low.wav")
         synth = {"prosodic_style": [0.4, 0.05, 0.1, 0.02, 0.6, 0.3, 0.05, 0.95],
                  "acoustic_style": [0.5] * 8}
@@ -499,6 +500,8 @@ class TestExtractStyles:
         out = tmp_path / "styles.jsonl"
         assert main(["extract-styles", "--corpus", str(p), "--out", str(out)]) == EXIT_OK
         assert [json.loads(l)["source_id"] for l in out.read_text().splitlines()] == ["good/0"]
+        rejects = [line for line in capsys.readouterr().err.splitlines() if "rejected" in line]
+        assert len(rejects) == 1 and rejects[0].startswith(f"{p}:2: rejected: ")
 
 
 class TestBuildPrompt:

@@ -1,7 +1,6 @@
 import json
 import tempfile
 import wave
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,9 +14,8 @@ from styledialog.cli import bundled_corpus_path
 from styledialog.components import ToySynthesizer
 from styledialog.corpus import (CorpusIndex, filter_diarization,
                                 generate_synthetic_corpus, load_corpus,
-                                load_corpus_with_index, normalize_verbatim,
-                                save_corpus, save_synthetic_corpus, split_corpus,
-                                strip_leading_indicator)
+                                load_corpus_with_index, save_corpus,
+                                save_synthetic_corpus, strip_leading_indicator)
 from styledialog.dialog import AudioClip, Conversation, StyleVector, Turn
 
 
@@ -268,48 +266,6 @@ class TestDiarizationFilter:
     def test_strip_idempotent(self):
         text, stripped = strip_leading_indicator("[S2] once")
         assert strip_leading_indicator(text) == (text, False)
-
-
-class TestNormalizeVerbatim:
-    def test_fixture_sentence(self):
-        assert normalize_verbatim("Um, How are you today?") == "how are you today"
-
-    def test_hyphen_restart(self):
-        assert normalize_verbatim("Than-Thank you!") == "than-thank you"
-
-    def test_empty(self):
-        assert normalize_verbatim("") == ""
-
-
-class TestSplitCorpus:
-    @pytest.fixture(scope="class")
-    def bundled(self):
-        return load_corpus(bundled_corpus_path())[0]
-
-    def test_largest_remainder_counts(self, bundled):
-        out = split_corpus(bundled, (0.8, 0.1, 0.1), seed=1)
-        counts = Counter(c.split for c in out)
-        assert counts == {"train": 16, "validation": 2, "test": 2}
-
-    def test_same_seed_deterministic(self, bundled):
-        a = split_corpus(bundled, (0.8, 0.1, 0.1), seed=5)
-        b = split_corpus(bundled, (0.8, 0.1, 0.1), seed=5)
-        assert [(c.id, c.split) for c in a] == [(c.id, c.split) for c in b]
-
-    def test_all_train(self, bundled):
-        out = split_corpus(bundled, (1.0, 0.0, 0.0), seed=0)
-        assert all(c.split == "train" for c in out)
-
-    def test_bad_ratios(self, bundled):
-        with pytest.raises(ValueError):
-            split_corpus(bundled, (0.5, 0.4, 0.0), seed=0)
-
-    @given(seed=st.integers(0, 1000))
-    @settings(max_examples=15, deadline=None)
-    def test_partition_property(self, bundled, seed):
-        out = split_corpus(bundled, (0.6, 0.2, 0.2), seed=seed)
-        assert sorted(c.id for c in out) == sorted(c.id for c in bundled)
-        assert [c.id for c in out] == sorted(c.id for c in out)
 
 
 class TestSyntheticCorpus:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from styledialog.dialog import (AudioClip, Conversation, ConversationContext,
                                 StyleVector, Turn, append_turn, context_from_turns,
-                                make_crop, sample_crop_index, window)
+                                make_crop, sample_crop_index)
 from conftest import make_conversation, prosodic, simple_style
 
 
@@ -124,30 +123,6 @@ class TestContext:
     def test_context_from_turns_requires_styles(self):
         with pytest.raises(ValueError):
             context_from_turns([Turn(speaker="a", text="hi")], {})
-
-
-class TestWindow:
-    def test_keeps_last(self):
-        ctx = ConversationContext()
-        for i in range(5):
-            ctx = append_turn(ctx, "a", f"t{i}", simple_style())
-        w = window(ctx, 3)
-        assert [e.text for e in w.entries] == ["t2", "t3", "t4"]
-
-    def test_shorter_than_window(self):
-        ctx = append_turn(ConversationContext(), "a", "only", simple_style())
-        assert window(ctx, 3).entries == ctx.entries
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            window(ConversationContext(), 0)
-
-    @given(a=st.integers(1, 8), b=st.integers(1, 8), n=st.integers(0, 10))
-    def test_composition(self, a, b, n):
-        ctx = ConversationContext()
-        for i in range(n):
-            ctx = append_turn(ctx, "s", f"t{i}", simple_style())
-        assert window(window(ctx, a), b).entries == window(ctx, min(a, b)).entries
 
 
 class TestSampleCropIndex:

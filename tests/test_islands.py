@@ -1,0 +1,68 @@
+"""Every top-level name in the package is reached from the package or the
+benchmark: a function, class or module constant that only tests call is an
+island, code that no command runs."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "styledialog"
+# re-exports and the benchmark's own tests are not uses
+NOT_USES = {PACKAGE / "__init__.py", ROOT / "bench" / "test_bench.py"}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for each top-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _uses(tree: ast.AST, skip=()):
+    """Names read in `tree` outside the nodes in `skip`: bare names,
+    attributes, and strings, since the benchmark reaches the functions it
+    times by name (`getattr`)."""
+    skip_ids = {id(node) for node in skip}
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in skip_ids:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def find_islands():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: _parse(path) for path in sources}
+    uses = {path: _uses(tree) for path, tree in trees.items() if path not in NOT_USES}
+    islands = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _definitions(trees[path]):
+            # in its own module, a definition's own body does not count
+            here = _uses(trees[path], skip=[node]) if path not in NOT_USES else set()
+            if name not in here and not any(name in names for other, names in uses.items()
+                                            if other != path):
+                islands.append(f"{path.name}:{node.lineno}: {name}")
+    return islands
+
+
+def test_no_islands():
+    islands = find_islands()
+    assert not islands, "reached only from tests:\n" + "\n".join(islands)

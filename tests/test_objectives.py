@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog.dialog import StyleVector
-from styledialog.objectives import (LossBreakdown, ProjectionIn, ProjectionOut,
-                                    grad_style_loss, grad_text_loss, project_out,
-                                    style_loss, text_loss, total_loss)
+from styledialog.objectives import (ProjectionOut, grad_style_loss, grad_text_loss,
+                                    project_out, style_loss, text_loss)
 from conftest import prosodic
 
 
@@ -20,8 +19,6 @@ class TestProjections:
     def test_shapes_enforced(self):
         with pytest.raises(ValueError):
             ProjectionOut(weights=np.zeros((7, 4)), bias=np.zeros(8))
-        with pytest.raises(ValueError):
-            ProjectionIn(weights=np.zeros((4, 7)), bias=np.zeros(4))
 
     def test_nonfinite_rejected(self):
         w = np.zeros((8, 4))
@@ -54,13 +51,6 @@ class TestProjections:
         proj = random_proj(np.random.default_rng(0))
         with pytest.raises(ValueError):
             project_out(np.zeros(5), proj)
-
-    def test_projection_in(self):
-        rng = np.random.default_rng(1)
-        proj = ProjectionIn(weights=rng.normal(size=(5, 8)), bias=rng.normal(size=5))
-        s = prosodic(rng.normal(size=8))
-        assert np.allclose(proj.project(s), proj.weights @ s.as_array() + proj.bias)
-
 
 class TestStyleLoss:
     def test_identity_zero(self):
@@ -131,31 +121,6 @@ class TestTextLoss:
         a = text_loss(logits, targets)
         b = text_loss(logits + shift, targets)
         assert a == pytest.approx(b, abs=1e-10)
-
-
-class TestTotalLoss:
-    def test_lambda_zero(self):
-        assert total_loss(0.7, 1.2, 0.0).total == 1.2
-
-    def test_unit_lambda(self):
-        assert total_loss(0.5, 0.5, 1.0).total == pytest.approx(1.0)
-
-    def test_random_triples_exact(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            s, t, lam = rng.uniform(0, 2, 3)
-            bd = total_loss(s, t, lam)
-            assert bd.total == t + lam * s
-
-    def test_affine_in_lambda(self):
-        s, t = 0.37, 0.91
-        l1, l2 = 0.4, 1.7
-        assert (total_loss(s, t, l1).total + total_loss(s, t, l2).total - t
-                == pytest.approx(total_loss(s, t, l1 + l2).total))
-
-    def test_negative_lambda(self):
-        with pytest.raises(ValueError):
-            total_loss(0.1, 0.1, -1.0)
 
 
 def central_diff(f, x, eps):

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from styledialog.cli import calibration_path
 from styledialog.components import ToyRecognizer, ToyResponder, ToySynthesizer
-from styledialog.dialog import AudioClip, make_crop
+from styledialog.dialog import make_crop
 from styledialog.scheduler import (ConfigurationError, LatencyModel, RunConfig, SimReport,
-                                   Topology, detect_turn_end, run_dialog, simulate_turn)
-from conftest import SR, make_conversation, sine_clip
+                                   Topology, run_dialog, simulate_turn)
+from conftest import make_conversation
 from oracles import stall_free_delay_brute
 
 ZERO = {s: LatencyModel() for s in ("asr", "llm", "audio_llm", "tts", "style_enc", "e2e")}
@@ -68,22 +68,6 @@ class TestTopology:
         assert Topology.parse("e2e") is Topology.E2E_SPEECH
         with pytest.raises(ValueError):
             Topology.parse("hybrid")
-
-
-class TestDetectTurnEnd:
-    def test_tone_then_silence(self):
-        t = np.arange(2 * SR) / SR
-        x = np.concatenate([0.5 * np.sin(2 * np.pi * 220 * t), np.zeros(SR)])
-        idx = detect_turn_end(AudioClip(samples=x, sample_rate=SR))
-        hop = 160
-        assert abs(idx - 2 * SR) <= hop + 400  # one frame of slack
-
-    def test_continuous_tone(self):
-        assert detect_turn_end(sine_clip(220.0, 2.0)) is None
-
-    def test_all_silence(self):
-        clip = AudioClip(samples=np.zeros(SR), sample_rate=SR)
-        assert detect_turn_end(clip) == 0
 
 
 def streaming(prefix=1.0, c=0.5, topology=Topology.CASCADE):
