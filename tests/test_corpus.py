@@ -17,6 +17,7 @@ from styledialog.corpus import (CorpusIndex, filter_diarization,
                                 load_corpus_with_index, save_corpus,
                                 save_synthetic_corpus, strip_leading_indicator)
 from styledialog.dialog import AudioClip, Conversation, StyleVector, Turn
+from styledialog.metrics import NormalizationPolicy
 
 
 def small_corpus_lines():
@@ -266,6 +267,17 @@ class TestDiarizationFilter:
     def test_strip_idempotent(self):
         text, stripped = strip_leading_indicator("[S2] once")
         assert strip_leading_indicator(text) == (text, False)
+
+
+class TestNormalizeVerbatim:
+    def test_fixture_sentence(self):
+        assert NormalizationPolicy().apply("Um, How are you today?") == "how are you today"
+
+    def test_hyphen_restart(self):
+        assert NormalizationPolicy().apply("Than-Thank you!") == "than-thank you"
+
+    def test_empty(self):
+        assert NormalizationPolicy().apply("") == ""
 
 
 class TestSyntheticCorpus:

@@ -31,8 +31,6 @@ class TestNormalization:
     def test_lowercase_and_punct(self):
         p = NormalizationPolicy()
         assert p.apply("Hello, World!") == "hello world"
-        assert p.apply("Um, How are you today?") == "how are you today"
-        assert p.apply("") == ""
 
     def test_hyphen_preserved(self):
         assert NormalizationPolicy().apply("Than-Thank you!") == "than-thank you"
