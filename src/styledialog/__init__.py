@@ -14,8 +14,8 @@ from .prompts import (BuiltPrompt, PromptVariant, build_prompt, count_tokens,
                       truncate_to_budget)
 from .scheduler import (LatencyModel, RunConfig, SimReport, StageEvent, Topology,
                         run_dialog, simulate_turn)
-from .metrics import (MetricReport, NormalizationPolicy, assemble_report, bleu,
-                      cosine, greedy_embed_score, meteor_exact, pearson,
-                      rouge_l_f1, wer)
+from .metrics import (MetricReport, assemble_report, bleu, cosine,
+                      greedy_embed_score, meteor_exact, normalize, pearson,
+                      rouge_l_f1)
 
 __version__ = "0.1.0"

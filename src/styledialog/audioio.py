@@ -1,8 +1,8 @@
 """16-bit PCM mono WAV reading/writing via the stdlib wave module.
 
-quantize_int16 is applied both when writing WAVs and when rendering corpus
-audio in memory, so a clip compared against its own file round-trip is
-bit-identical.  A WAV sampled too slowly to analyse, or a file that is not
+Writing a WAV and rendering corpus audio in memory (quantize_int16) share
+one int16 conversion, so a clip compared against its own file round-trip
+is bit-identical.  A WAV sampled too slowly to analyse, or a file that is not
 a 16-bit mono WAV, is refused when read with a ValueError.
 """
 
@@ -16,14 +16,18 @@ from .acoustics import check_sample_rate
 from .dialog import AudioClip
 
 
+def _to_int16(samples) -> np.ndarray:
+    """The 16-bit PCM values a WAV stores for float samples."""
+    return np.clip(np.round(np.asarray(samples) * 32767.0), -32768, 32767).astype(np.int16)
+
+
 def quantize_int16(samples: np.ndarray) -> np.ndarray:
     """Round-trip float samples through int16, like a WAV write+read."""
-    ints = np.clip(np.round(np.asarray(samples) * 32767.0), -32768, 32767).astype(np.int16)
-    return ints.astype(np.float64) / 32767.0
+    return _to_int16(samples).astype(np.float64) / 32767.0
 
 
 def write_wav(path, clip: AudioClip) -> None:
-    ints = np.clip(np.round(clip.samples * 32767.0), -32768, 32767).astype(np.int16)
+    ints = _to_int16(clip.samples)
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)

@@ -34,10 +34,6 @@ EXIT_USAGE = 2
 # keys a `run --components` / `simulate --config` file may hold
 CONFIG_KEYS = frozenset({"_comment", "latency", "tokens_per_output_second",
                          "responder_mode", "style_mode", "target_wer"})
-# keys an `evaluate --policy` file may hold, at the top level and under
-# "normalization"
-POLICY_KEYS = frozenset({"_comment", "normalization"})
-NORMALIZATION_KEYS = frozenset({"lowercase", "strip_punctuation", "fillers"})
 # keys every row of generated.jsonl after the `_config` header holds
 GENERATED_KEYS = ("crop", "conversation_id", "k", "speaker", "text", "audio")
 
@@ -106,23 +102,6 @@ def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunCo
     return config, run_config, tokens_per_s
 
 
-def resolve_policy(path) -> metrics_mod.NormalizationPolicy:
-    """Read an `evaluate --policy` file (None: the default policy) into a
-    NormalizationPolicy; any fault is a CliError (exit 2)."""
-    config = _load_config(path) if path else {}
-    _check_keys(config, POLICY_KEYS, f"policy {path}")
-    norm = config.get("normalization", {})
-    _check_keys(norm, NORMALIZATION_KEYS, f"policy {path}: normalization")
-    lowercase, strip = norm.get("lowercase", True), norm.get("strip_punctuation", True)
-    fillers = norm.get("fillers", list(metrics_mod.DEFAULT_FILLERS))
-    if not (isinstance(lowercase, bool) and isinstance(strip, bool)
-            and isinstance(fillers, list) and all(isinstance(f, str) for f in fillers)):
-        raise CliError(f"policy {path}: lowercase and strip_punctuation must be true or "
-                       f"false, fillers a list of strings")
-    return metrics_mod.NormalizationPolicy(lowercase=lowercase, strip_punctuation=strip,
-                                           filler_list=frozenset(fillers))
-
-
 def _load_corpus(path, audio_for=None):
     """`corpus.load_corpus_with_index` for a command: a corpus with nothing
     to load is a CliError, and each rejected record is a line on stderr."""
@@ -139,7 +118,6 @@ def _load_corpus(path, audio_for=None):
 
 def cmd_ingest(args) -> int:
     conversations, _, report = _load_corpus(args.corpus)
-    policy = metrics_mod.NormalizationPolicy()
     kept = []
     discarded = 0
     stripped = 0
@@ -153,7 +131,7 @@ def cmd_ingest(args) -> int:
             if args.filter_diarization:
                 text, did = corpus_mod.strip_leading_indicator(text)
                 stripped += int(did)
-            turns.append(replace(turn, text=policy.apply(text)))
+            turns.append(replace(turn, text=metrics_mod.normalize(text)))
         if turns:
             kept.append(replace(conv, turns=tuple(turns)))
     out = Path(args.out)
@@ -304,7 +282,6 @@ def _load_generated(path: Path):
 def cmd_evaluate(args) -> int:
     from . import audioio
     gen_dir = Path(args.generated)
-    policy = resolve_policy(args.policy)
     try:
         rows = _load_generated(gen_dir)
     except (FileNotFoundError, ValueError) as exc:
@@ -324,7 +301,7 @@ def cmd_evaluate(args) -> int:
             raise CliError(f"{where}: cannot read {row['audio']}: {exc}") from exc
         generated.append(Turn(speaker=row["speaker"], text=row["text"], audio=clip))
         reference.append(target)
-    report = metrics_mod.assemble_report(generated, reference, policy)
+    report = metrics_mod.assemble_report(generated, reference)
     print(f"{'metric':<12} {'value':>8}")
     for name, value in report.semantic.items():
         print(f"{name:<12} {value:>8.2f}")
@@ -375,8 +352,6 @@ def cmd_gradcheck(args) -> int:
         proj = objectives.ProjectionOut(weights=w.copy(), bias=b.copy())
         pred = objectives.project_out(h, proj)
         gw, gb = objectives.grad_style_loss(pred, target, h, proj)
-        if args.inject_error:
-            gw = -gw
         diff = pred.as_array() - target.as_array()
         mask_w = np.abs(diff)[:, None] > 1e-6 * np.ones((1, H))
         num_w = fd(loss, w)
@@ -408,13 +383,12 @@ def cmd_extract_styles(args) -> int:
     conversations, _, _ = _load_corpus(args.corpus)
     lines = []
     for conv in conversations:
-        for i, turn in enumerate(conv.turns):
+        for turn in conv.turns:
             if turn.audio is None:
                 continue
-            sid = turn.audio.source_id or f"{conv.id}/{i}"
             style = acoustics.encode_style(turn.audio)
             summary = acoustics.summarize(turn.audio)
-            lines.append(json.dumps({"source_id": sid,
+            lines.append(json.dumps({"source_id": turn.audio.source_id,
                                      "style": list(style.values),
                                      "summary": summary.as_dict()}))
     if not lines:
@@ -491,14 +465,12 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score generated turns against ground truth")
     p.add_argument("--generated", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--policy")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("extract-styles", help="encode per-utterance styles and summaries")

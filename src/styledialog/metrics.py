@@ -3,8 +3,9 @@
 These are re-implementations of the canonical formulas (word-level WER,
 BLEU-4 with add-one smoothing on zero counts, ROUGE-L F1, exact-match
 METEOR, greedy embedding F1) pinned against brute-force oracles in the
-test suite.  All text metrics return percentages in [0, 100] except wer,
-which returns a fraction.
+test suite.  All text metrics return percentages in [0, 100].
+assemble_report scores both sides of a pair after one fixed normalisation,
+`normalize`, the one `ingest` applies to transcripts.
 """
 
 from __future__ import annotations
@@ -17,32 +18,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_FILLERS = frozenset({"um", "uh", "uhm", "er", "ah"})
+FILLERS = frozenset({"um", "uh", "uhm", "er", "ah"})
 
 _PUNCT = set(string.punctuation) - {"-"}
 
 
-@dataclass(frozen=True)
-class NormalizationPolicy:
-    lowercase: bool = True
-    strip_punctuation: bool = True
-    filler_list: frozenset = DEFAULT_FILLERS
-
-    def apply(self, text: str) -> str:
-        if self.lowercase:
-            text = text.lower()
-        if self.strip_punctuation:
-            # keep hyphens only between word characters ("than-thank")
-            text = re.sub(r"(?<=\w)-(?=\w)", "\x00", text)
-            text = "".join(c for c in text if c not in _PUNCT and c != "-")
-            text = text.replace("\x00", "-")
-        tokens = [t for t in text.split() if t not in self.filler_list]
-        return " ".join(tokens)
+def normalize(text: str) -> str:
+    """Lowercase, strip punctuation except in-word hyphens, drop FILLERS."""
+    text = text.lower()
+    # keep hyphens only between word characters ("than-thank")
+    text = re.sub(r"(?<=\w)-(?=\w)", "\x00", text)
+    text = "".join(c for c in text if c not in _PUNCT and c != "-")
+    text = text.replace("\x00", "-")
+    tokens = [t for t in text.split() if t not in FILLERS]
+    return " ".join(tokens)
 
 
 @dataclass(frozen=True)
 class MetricReport:
-    semantic: dict       # metric name -> percentage (wer stored as percent)
+    semantic: dict       # metric name -> percentage
     acoustic: dict       # feature name -> Pearson r or None when undefined
     speaker_similarity: float
     notes: tuple = ()
@@ -58,17 +52,6 @@ def word_edit_distance(ref_words, hyp_words) -> int:
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, sub)
         prev = cur
     return prev[m]
-
-
-def wer(ref: str, hyp: str, policy: NormalizationPolicy | None = None) -> float:
-    """Word error rate after normalization.  Empty reference with a
-    non-empty hypothesis falls back to the insertions/1 convention."""
-    policy = policy or NormalizationPolicy()
-    ref_words = policy.apply(ref).split()
-    hyp_words = policy.apply(hyp).split()
-    if not ref_words:
-        return 0.0 if not hyp_words else float(len(hyp_words))
-    return word_edit_distance(ref_words, hyp_words) / len(ref_words)
 
 
 def _ngrams(words, n):
@@ -263,8 +246,7 @@ ACOUSTIC_FEATURES = ("pitch_mean", "pitch_std", "energy_mean", "energy_std",
                      "hnr_db", "duration_s")
 
 
-def assemble_report(generated, reference,
-                    policy: NormalizationPolicy | None = None) -> MetricReport:
+def assemble_report(generated, reference) -> MetricReport:
     """Score aligned (generated, ground-truth) turn pairs.
 
     Semantic metrics are averaged per pair on normalized text (WER uses
@@ -274,7 +256,6 @@ def assemble_report(generated, reference,
     """
     from . import acoustics
 
-    policy = policy or NormalizationPolicy()
     if len(generated) != len(reference):
         raise ValueError(f"misaligned lists: {len(generated)} generated vs "
                          f"{len(reference)} reference turns")
@@ -285,8 +266,8 @@ def assemble_report(generated, reference,
     edits = 0
     ref_len = 0
     for gen, ref in zip(generated, reference):
-        g = policy.apply(gen.text)
-        r = policy.apply(ref.text)
+        g = normalize(gen.text)
+        r = normalize(ref.text)
         bleu_scores.append(bleu([r], g) if r.split() else 0.0)
         rouge_scores.append(rouge_l_f1(r, g))
         meteor_scores.append(meteor_exact(r, g))

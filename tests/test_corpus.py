@@ -17,7 +17,7 @@ from styledialog.corpus import (CorpusIndex, filter_diarization,
                                 load_corpus_with_index, save_corpus,
                                 save_synthetic_corpus, strip_leading_indicator)
 from styledialog.dialog import AudioClip, Conversation, StyleVector, Turn
-from styledialog.metrics import NormalizationPolicy
+from styledialog.metrics import normalize
 
 
 def small_corpus_lines():
@@ -271,13 +271,13 @@ class TestDiarizationFilter:
 
 class TestNormalizeVerbatim:
     def test_fixture_sentence(self):
-        assert NormalizationPolicy().apply("Um, How are you today?") == "how are you today"
+        assert normalize("Um, How are you today?") == "how are you today"
 
     def test_hyphen_restart(self):
-        assert NormalizationPolicy().apply("Than-Thank you!") == "than-thank you"
+        assert normalize("Than-Thank you!") == "than-thank you"
 
     def test_empty(self):
-        assert NormalizationPolicy().apply("") == ""
+        assert normalize("") == ""
 
 
 class TestSyntheticCorpus:

@@ -9,6 +9,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "styledialog"
 # re-exports and the benchmark's own tests are not uses
 NOT_USES = {PACKAGE / "__init__.py", ROOT / "bench" / "test_bench.py"}
+# the one module that reaches functions by name (`getattr`), so in it a
+# string constant is a use too
+BY_NAME = ROOT / "bench" / "layers.py"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -27,10 +30,9 @@ def _definitions(tree: ast.Module):
                     yield target.id, node
 
 
-def _uses(tree: ast.AST, skip=()):
+def _uses(tree: ast.AST, skip=(), strings=False):
     """Names read in `tree` outside the nodes in `skip`: bare names,
-    attributes, and strings, since the benchmark reaches the functions it
-    times by name (`getattr`)."""
+    attributes, and with `strings` string constants too."""
     skip_ids = {id(node) for node in skip}
     names = set()
     stack = [tree]
@@ -42,7 +44,7 @@ def _uses(tree: ast.AST, skip=()):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
     return names
@@ -51,7 +53,8 @@ def _uses(tree: ast.AST, skip=()):
 def find_islands():
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     trees = {path: _parse(path) for path in sources}
-    uses = {path: _uses(tree) for path, tree in trees.items() if path not in NOT_USES}
+    uses = {path: _uses(tree, strings=path == BY_NAME)
+            for path, tree in trees.items() if path not in NOT_USES}
     islands = []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, node in _definitions(trees[path]):

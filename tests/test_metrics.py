@@ -6,18 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog.metrics import (ACOUSTIC_FEATURES, MetricReport,
-                                 NormalizationPolicy, UndefinedStatisticError,
-                                 assemble_report, bleu, cosine,
-                                 greedy_embed_score, meteor_exact, pearson,
-                                 rouge_l_f1, trigram_embedder, wer,
-                                 word_edit_distance)
+                                 UndefinedStatisticError, assemble_report,
+                                 bleu, cosine, greedy_embed_score,
+                                 meteor_exact, normalize, pearson, rouge_l_f1,
+                                 trigram_embedder, word_edit_distance)
 from conftest import sine_clip
 from oracles import (bleu_brute, cosine_brute, edit_distance_brute,
                      greedy_embed_brute, meteor_brute, pearson_brute,
                      rouge_l_brute)
-
-RAW = NormalizationPolicy(lowercase=False, strip_punctuation=False,
-                          filler_list=frozenset())
 
 VOCAB = ["a", "b", "cat", "dog", "the", "run", "sat", "mat"]
 
@@ -29,40 +25,43 @@ def random_sentence(rng, max_len=8, min_len=1):
 
 class TestNormalization:
     def test_lowercase_and_punct(self):
-        p = NormalizationPolicy()
-        assert p.apply("Hello, World!") == "hello world"
+        assert normalize("Hello, World!") == "hello world"
 
     def test_hyphen_preserved(self):
-        assert NormalizationPolicy().apply("Than-Thank you!") == "than-thank you"
+        assert normalize("Than-Thank you!") == "than-thank you"
 
     def test_fillers_dropped(self):
-        assert NormalizationPolicy().apply("um hello uh there") == "hello there"
+        assert normalize("um hello uh there") == "hello there"
 
-    def test_raw_policy_identity(self):
-        assert RAW.apply("Um, Hello!") == "Um, Hello!"
+
+def report_wer(ref: str, hyp: str) -> float:
+    """The report's WER, in percent, of one (generated, reference) pair."""
+    return assemble_report([_pair(hyp)], [_pair(ref)]).semantic["wer"]
 
 
 class TestWer:
     def test_single_substitution(self):
-        assert wer("hello world", "hello word", RAW) == pytest.approx(0.5)
+        assert word_edit_distance(["hello", "world"], ["hello", "word"]) == 1
+        assert report_wer("hello world", "hello word") == pytest.approx(50.0)
 
     def test_filler_free_match(self):
-        assert wer("um hello", "hello") == 0.0
+        assert report_wer("um hello", "hello") == 0.0
 
     def test_empty_reference(self):
-        assert wer("", "", RAW) == 0.0
-        assert wer("", "two words", RAW) == 2.0
+        # the pooled reference length counts as at least one word
+        assert report_wer("", "") == 0.0
+        assert report_wer("", "two words") == 200.0
 
     def test_can_exceed_one(self):
-        assert wer("a", "x y z", RAW) == 3.0
+        assert report_wer("a", "x y z") == 300.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             ref = random_sentence(rng)
             hyp = random_sentence(rng, min_len=0) or "x"
-            want = edit_distance_brute(ref.split(), hyp.split()) / len(ref.split())
-            assert wer(ref, hyp, RAW) == pytest.approx(want, abs=1e-9)
+            assert word_edit_distance(ref.split(), hyp.split()) \
+                == edit_distance_brute(ref.split(), hyp.split())
 
 
 class TestBleu:
@@ -242,16 +241,21 @@ class TestAssembleReport:
         assert report.acoustic == {}
         assert math.isnan(report.speaker_similarity)
 
+    def test_normalises_both_sides(self):
+        report = assemble_report([_pair("Um, The cat sat!")], [_pair("the cat sat")])
+        assert report.semantic["bleu"] == pytest.approx(100.0)
+        assert report.semantic["wer"] == 0.0
+
     def test_pooled_wer(self):
         gen = [_pair("a b"), _pair("cat dog run")]
         ref = [_pair("a x"), _pair("cat dog run")]
-        report = assemble_report(gen, ref, RAW)
+        report = assemble_report(gen, ref)
         assert report.semantic["wer"] == pytest.approx(100.0 * 1 / 5)
 
     def test_zero_variance_cells_none(self):
         clips = [sine_clip(220.0, 1.0, source_id=f"z/{i}") for i in range(2)]
         gen = [_pair("a", clips[0]), _pair("b", clips[1])]
-        report = assemble_report(gen, gen, RAW)
+        report = assemble_report(gen, gen)
         # identical fixed-duration sines: every feature is constant across
         # pairs, so every correlation cell is undefined
         assert set(report.acoustic) == set(ACOUSTIC_FEATURES)
@@ -262,6 +266,6 @@ class TestAssembleReport:
         clips = [sine_clip(f, d, source_id=f"v/{f}")
                  for f, d in ((150.0, 0.8), (250.0, 1.2), (380.0, 1.6))]
         gen = [_pair("a", c) for c in clips]
-        report = assemble_report(gen, gen, RAW)
+        report = assemble_report(gen, gen)
         for feat in ("pitch_mean", "duration_s"):
             assert report.acoustic[feat] == pytest.approx(1.0)
