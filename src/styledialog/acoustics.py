@@ -198,14 +198,9 @@ def pitch_track(clip: AudioClip):
     return features.f0, features.voiced
 
 
-def frame_rms(clip: AudioClip) -> np.ndarray:
-    """Per-frame RMS; a clip shorter than one frame has one zero-padded frame."""
-    return analyze(clip).rms
-
-
 def energy_stats(clip: AudioClip):
     """(mean, population std) of the per-frame RMS."""
-    rms = frame_rms(clip)
+    rms = analyze(clip).rms
     if rms.size == 0:
         return 0.0, 0.0
     return float(np.mean(rms)), float(np.std(rms))
@@ -250,7 +245,7 @@ def speaking_rate(clip: AudioClip) -> float:
     """Energy-peak events per second, capped at RATE_CAP_PER_S."""
     if clip.duration_seconds <= 0:
         return 0.0
-    rate = _count_energy_peaks(frame_rms(clip)) / clip.duration_seconds
+    rate = _count_energy_peaks(analyze(clip).rms) / clip.duration_seconds
     return min(rate, RATE_CAP_PER_S)
 
 

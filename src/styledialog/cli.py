@@ -19,11 +19,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import acoustics, audioio, objectives
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
-from . import objectives
 from .components import ToyRecognizer, ToyResponder, ToySynthesizer, train_markov
-from .dialog import DialogCrop, Turn, context_from_turns, make_crop, sample_crop_index
+from .dialog import (STYLE_DIM, DialogCrop, StyleVector, Turn, context_from_turns, make_crop,
+                     sample_crop_index)
 from .prompts import PromptVariant, build_prompt
 from .scheduler import STAGES, LatencyModel, RunConfig, Topology, run_dialog, simulate_turn
 
@@ -106,18 +107,18 @@ def _load_corpus(path, audio_for=None):
     """`corpus.load_corpus_with_index` for a command: a corpus with nothing
     to load is a CliError, and each rejected record is a line on stderr."""
     try:
-        conversations, index, report = corpus_mod.load_corpus_with_index(path, audio_for)
+        conversations, index, rejects = corpus_mod.load_corpus_with_index(path, audio_for)
     except (FileNotFoundError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    for line_no, reason in report.rejects:
+    for line_no, reason in rejects:
         print(f"{path}:{line_no}: rejected: {reason}", file=sys.stderr)
-    return conversations, index, report
+    return conversations, index, rejects
 
 
 # --- subcommands ------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    conversations, _, report = _load_corpus(args.corpus)
+    conversations, _, rejects = _load_corpus(args.corpus)
     kept = []
     discarded = 0
     stripped = 0
@@ -138,16 +139,16 @@ def cmd_ingest(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     corpus_mod.save_corpus(out / "corpus.jsonl", kept, write_audio=args.write_audio)
     summary = {
-        "loaded": report.loaded,
-        "rejected_records": report.rejects,
+        "loaded": len(conversations),
+        "rejected_records": rejects,
         "discarded_multi_speaker": discarded,
         "stripped_leading_indicators": stripped,
         "seed": args.seed,
     }
     corpus_mod.write_atomic(out / "ingest_report.json", json.dumps(summary, indent=2) + "\n")
-    print(f"ingest: {report.loaded} conversations, {len(report.rejects)} rejects, "
+    print(f"ingest: {len(conversations)} conversations, {len(rejects)} rejects, "
           f"{discarded} discarded segments, {stripped} stripped indicators")
-    return EXIT_CHECK_FAILED if report.rejects else EXIT_OK
+    return EXIT_CHECK_FAILED if rejects else EXIT_OK
 
 
 def _figure(value: float, decimals: int, width: int = 8) -> str:
@@ -218,7 +219,6 @@ def cmd_run(args) -> int:
     results = run_dialog(run_config, crops, components)
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)
-    from . import audioio
     lines = []
     for i, (crop, result) in enumerate(zip(crops, results)):
         wav_rel = f"audio/gen_{i:04d}.wav"
@@ -280,7 +280,6 @@ def _load_generated(path: Path):
 
 
 def cmd_evaluate(args) -> int:
-    from . import audioio
     gen_dir = Path(args.generated)
     try:
         rows = _load_generated(gen_dir)
@@ -320,7 +319,6 @@ def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise CliError("--trials must be >= 1")
     rng = np.random.default_rng(args.seed)
-    from .dialog import STYLE_DIM, StyleVector
 
     def fd(f, x, eps=1e-5):
         g = np.zeros_like(x)
@@ -379,7 +377,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_extract_styles(args) -> int:
-    from . import acoustics
     conversations, _, _ = _load_corpus(args.corpus)
     lines = []
     for conv in conversations:

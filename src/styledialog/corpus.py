@@ -12,24 +12,25 @@ PCM mono WAVs.
 
 WAV or synth: a turn's audio comes from its WAV when it has a path.  A turn
 with no path is synth-backed when it has both styles and some text: its
-audio is rendered by `_synth_clip`, the toy synthesizer followed by int16
-quantization, so it is bit-identical to a WAV round trip.  Any other turn
-without a path has no audio.  WAV-backed turns are always read, and a
-record whose WAV cannot be read is a reject.  The loader renders, inside
-`load_corpus`, only the synth-backed turns its caller asks for through
-`audio_for` (all of them by default): `run` asks for its crops' incoming
-turns, `evaluate` for its reference turns and `build-prompt` for none.  A
-synth-backed turn left with `audio=None` was not requested; it still has
-its styles and text.  `generate_synthetic_corpus` renders nothing: each of
-its turns carries a `SynthAudio`, whose audio is rendered on the first read
-of its samples.  `save_corpus` writes a turn's audio to a
-WAV when asked to, or when the turn is not synth-backed and so could not be
-re-rendered; otherwise it writes the styles alone, and the loader renders
-the audio again.  A synth-backed turn renders from its text as written, so
-when `ingest` normalisation changes the text of such a turn, it is
-re-rendered from the new text unless `--write-audio` keeps the audio as
-loaded.  Conversation ids are unique: a later record with an id already
-loaded is a reject.
+audio is a `SynthAudio` of that text and those styles, the one form of
+rendered synth audio: the toy synthesizer's clip, int16-quantized so that
+it is bit-identical to a WAV round trip.  Any other turn without a path
+has no audio.  WAV-backed turns are always read, and a record whose WAV cannot
+be read is a reject.  The loader renders, inside `load_corpus`, only the
+synth-backed turns its caller asks for through `audio_for` (all of them by
+default): `run` asks for its crops' incoming turns, `evaluate` for its
+reference turns and `build-prompt` for none.  A synth-backed turn left with
+`audio=None` was not requested; it still has its styles and text.
+`generate_synthetic_corpus` renders nothing: each of its turns carries a
+`SynthAudio`, whose audio is rendered on the first read of its samples.
+
+`save_corpus` leaves a turn's audio out of the file only when it is a
+`SynthAudio` of exactly the turn's own text and styles and `write_audio`
+is off, so the loader renders the same clip again; any other audio goes
+to a WAV.  So when `ingest` normalisation or indicator stripping changes
+the text of a synth-backed turn, its audio is kept in a WAV, not rendered
+again from the new text.  Conversation ids are unique: a later record with
+an id already loaded is a reject.
 
 Also implements the diarization-filtering step used when ingesting
 re-transcribed podcast data, and the bundled synthetic corpus generator.
@@ -40,7 +41,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
@@ -52,12 +53,6 @@ from .components import SYNTH_SAMPLE_RATE, ToySynthesizer
 from .dialog import AudioClip, Conversation, StyleVector, Turn
 
 SPEAKER_INDICATOR_RE = re.compile(r"\[S\d+\]")
-
-
-@dataclass
-class LoadReport:
-    loaded: int = 0
-    rejects: list = field(default_factory=list)  # (line_number, reason)
 
 
 def write_atomic(path, text: str) -> None:
@@ -72,11 +67,6 @@ def write_atomic(path, text: str) -> None:
 
 def _source_id(conv_id: str, turn_idx: int) -> str:
     return f"{conv_id}/{turn_idx}"
-
-
-def _synth_backed(text: str, prosodic, acoustic) -> bool:
-    """Whether the toy synthesizer can render a turn's audio from its record."""
-    return prosodic is not None and acoustic is not None and bool(text.split())
 
 
 def _style(synth: dict, kind: str) -> StyleVector | None:
@@ -97,19 +87,11 @@ def _turn_from_record(rec: dict, sid: str, root: Path) -> Turn:
                 prosodic_style=prosodic, acoustic_style=acoustic)
 
 
-def _synth_clip(text: str, prosodic, acoustic, source_id: str) -> AudioClip:
-    """The audio of a synth-backed turn: the toy synthesizer's clip,
-    int16-quantized, so it is bit-identical to a WAV round trip."""
-    clip = ToySynthesizer().synthesize(text, prosodic, acoustic)
-    return AudioClip(sample_rate=clip.sample_rate, samples=audioio.quantize_int16(clip.samples),
-                     source_id=source_id)
-
-
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare
 class SynthAudio:
-    """The audio of a synth-backed turn, rendered by `_synth_clip` on the
-    first read of `samples` and kept.  `sample_rate`, `source_id` and
-    `duration_seconds` need no render.  Reads like an `AudioClip`."""
+    """The audio of a synth-backed turn, rendered on the first read of
+    `samples` and kept.  `sample_rate`, `source_id` and `duration_seconds`
+    need no render.  Reads like an `AudioClip`."""
 
     text: str
     prosodic: StyleVector
@@ -123,26 +105,30 @@ class SynthAudio:
 
     @cached_property
     def samples(self) -> np.ndarray:
-        """Read-only, like an `AudioClip`'s."""
-        return _synth_clip(self.text, self.prosodic, self.acoustic, self.source_id).samples
+        """The toy synthesizer's clip, int16-quantized so it is bit-identical
+        to a WAV round trip.  Read-only, like an `AudioClip`'s."""
+        clip = ToySynthesizer().synthesize(self.text, self.prosodic, self.acoustic)
+        return AudioClip(self.sample_rate, audioio.quantize_int16(clip.samples)).samples
 
 
 def _render(conv: Conversation, wanted) -> Conversation:
-    """`conv` with the audio of its synth-backed turns in `wanted` (None:
-    all of them) rendered."""
+    """`conv` with each synth-backed turn in `wanted` (None: all of them)
+    given its `SynthAudio`, rendered at once."""
     turns = list(conv.turns)
     for i, turn in enumerate(turns):
         sid = _source_id(conv.id, i)
-        if (turn.audio is None and (wanted is None or sid in wanted)
-                and _synth_backed(turn.text, turn.prosodic_style, turn.acoustic_style)):
-            turns[i] = replace(turn, audio=_synth_clip(turn.text, turn.prosodic_style,
-                                                       turn.acoustic_style, sid))
+        if (turn.audio is None and (wanted is None or sid in wanted) and turn.text.split()
+                and turn.prosodic_style is not None and turn.acoustic_style is not None):
+            audio = SynthAudio(turn.text, turn.prosodic_style, turn.acoustic_style, sid)
+            audio.samples  # render here, where the benchmark's corpus metrics time it
+            turns[i] = replace(turn, audio=audio)
     return replace(conv, turns=tuple(turns))
 
 
 def load_corpus(path, audio_for=None):
-    """Parse a corpus file: malformed records go to the report, valid
-    conversations are returned.  Raises when nothing valid is left.
+    """Parse a corpus file into (conversations, rejects): the valid
+    conversations, and a (line number, reason) pair for each malformed
+    record.  Raises when nothing valid is left.
 
     WAV-backed turns are read whatever is asked.  `audio_for(conversations)`
     is called once after the parse and returns the source ids
@@ -155,8 +141,7 @@ def load_corpus(path, audio_for=None):
     if not path.is_file():
         raise FileNotFoundError(f"corpus file not found: {path}")
     root = path.parent
-    report = LoadReport()
-    conversations = []
+    conversations, rejects = [], []
     first_line = {}  # conversation id -> line it was loaded from
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -174,32 +159,33 @@ def load_corpus(path, audio_for=None):
                 conversations.append(Conversation(id=conv_id, turns=turns,
                                                   split=rec.get("split", "train")))
                 first_line[conv_id] = line_no
-                report.loaded += 1
             except (AttributeError, KeyError, ValueError, TypeError, OSError) as exc:
-                report.rejects.append((line_no, str(exc)))
+                rejects.append((line_no, str(exc)))
     if not conversations:
-        raise ValueError(f"no valid conversations in {path} "
-                         f"({len(report.rejects)} rejected)")
+        raise ValueError(f"no valid conversations in {path} ({len(rejects)} rejected)")
     wanted = None if audio_for is None else frozenset(audio_for(conversations))
-    return [_render(conv, wanted) for conv in conversations], report
+    return [_render(conv, wanted) for conv in conversations], rejects
 
 
 def save_corpus(path, conversations, write_audio: bool = False) -> None:
     """Write conversations in the one corpus schema.  A turn's audio goes to
-    `audio/<id>_<turn>.wav` beside the file when `write_audio` is set or the
-    turn is not synth-backed; a synth-backed turn is otherwise stored as its
-    styles alone and re-rendered on load."""
+    `audio/<id>_<turn>.wav` beside the file unless it is a `SynthAudio` of
+    the turn's own text and styles and `write_audio` is off: such a turn is
+    stored as its styles alone and rendered again on load."""
     root = Path(path).parent
     lines = []
     for conv in conversations:
         turns = []
         for i, turn in enumerate(conv.turns):
             rec = {"speaker": turn.speaker, "text": turn.text, "audio": None}
-            if turn.audio is not None and (write_audio or not _synth_backed(
-                    turn.text, turn.prosodic_style, turn.acoustic_style)):
+            audio = turn.audio
+            rendered_on_load = (isinstance(audio, SynthAudio) and not write_audio
+                                and (audio.text, audio.prosodic, audio.acoustic)
+                                == (turn.text, turn.prosodic_style, turn.acoustic_style))
+            if audio is not None and not rendered_on_load:
                 rec["audio"] = f"audio/{conv.id}_{i}.wav"
                 (root / "audio").mkdir(parents=True, exist_ok=True)
-                audioio.write_wav(root / rec["audio"], turn.audio)
+                audioio.write_wav(root / rec["audio"], audio)
             synth = {f"{style.kind}_style": list(style.values)
                      for style in (turn.prosodic_style, turn.acoustic_style)
                      if style is not None}
@@ -350,5 +336,5 @@ class CorpusIndex:
 
 def load_corpus_with_index(path, audio_for=None):
     """`load_corpus` plus the `CorpusIndex` of what it loaded."""
-    conversations, report = load_corpus(path, audio_for)
-    return conversations, CorpusIndex(conversations), report
+    conversations, rejects = load_corpus(path, audio_for)
+    return conversations, CorpusIndex(conversations), rejects

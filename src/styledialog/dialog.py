@@ -71,7 +71,8 @@ class StyleVector:
 class Turn:
     """One utterance: who spoke, what was said, and (optionally) how: its
     audio, its prosodic style and the speaker's acoustic style.  The audio
-    is an `AudioClip` or reads like one (`corpus.SynthAudio`)."""
+    is an `AudioClip` read from a WAV, or a `corpus.SynthAudio`, the one
+    form of rendered synth audio, which reads like an `AudioClip`."""
 
     speaker: str
     text: str

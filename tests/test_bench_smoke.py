@@ -21,6 +21,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 CHILD_TIMEOUT_S = 120
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+# per-layer metrics bench/run.py measures itself, not from spans or the probe
+RUN_PY_METRICS = {"cli.startup_s", "corpus.generate_synthetic_corpus.s", "trace.overhead_frac"}
 
 
 def _bench_module(monkeypatch, name):
@@ -28,9 +31,9 @@ def _bench_module(monkeypatch, name):
     return importlib.import_module(name)
 
 
-def _run(*args):
+def _run(*args, cwd=ROOT):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    res = subprocess.run([sys.executable, *map(str, args)], cwd=ROOT, env=env,
+    res = subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
                          capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
     assert res.returncode == 0, f"{args[:2]} exited {res.returncode}: {res.stderr[-2000:]}"
     return res.stdout
@@ -158,3 +161,37 @@ def test_run_reports_corpus_layers(monkeypatch, tmp_path, inputs):
     crops_op = {"spans": run_spans + evaluate_spans, "wall_s": wall_s,
                 "check": workloads.OpCheck(clips_used=2 * crops, clips_analysed=2 * crops)}
     assert layers.op_metrics([crops_op])["corpus.render_useful_frac"][0] == 1.0
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in SPEC["workloads"]])
+def test_traced_op_reports_every_per_layer_name(monkeypatch, tmp_path, name):
+    """One traced op of each workload BENCHMARK.json lists, run from a fresh
+    directory as bench/run.py runs it, passes the workload's check and gives
+    every `per_layer` name BENCHMARK.json lists.  `op_metrics` leaves out a
+    metric whose layer saw nothing (`corpus.render_useful_frac` when nothing
+    renders inside `load_corpus`), and bench/run.py prints only the metrics
+    present, so a missing name would otherwise show only as a malformed
+    benchmark result."""
+    layers = _bench_module(monkeypatch, "layers")
+    tracer = _bench_module(monkeypatch, "tracer")
+    workloads = _bench_module(monkeypatch, "workloads")
+    workload = workloads.WORKLOADS[name]
+    (tmp_path / "input").mkdir()
+    info = json.loads(_run(BENCH / "inproc.py", "inputs", name, 1, tmp_path / "input", 1))
+    inputs = workloads.Inputs(corpus=Path(info["corpus"]), corpus_sha256=info["corpus_sha256"],
+                              turns=info["turns"], audio_s=info["audio_s"])
+    monkeypatch.chdir(ROOT)  # commands() resolves the calibration path from here
+    spans, wall_s = [], 0.0
+    for command, cli_args in workload.commands(inputs, 1):
+        spans_path = tmp_path / f"{command}.spans.json"
+        t0 = time.perf_counter()
+        _run(BENCH / "traced_cli.py", spans_path, "--", *cli_args, cwd=tmp_path)
+        wall_s += time.perf_counter() - t0
+        payload = json.loads(spans_path.read_text(encoding="utf-8"))
+        spans += tracer.spans_from_json(payload, id_offset=len(spans))
+    check = workload.check(tmp_path / "op", inputs)
+    assert check.errors == []
+    probe = json.loads(_run(BENCH / "inproc.py", "probe", inputs.corpus, 1, 20, 0.05))
+    reported = set(layers.op_metrics([{"spans": spans, "wall_s": wall_s, "check": check}]))
+    reported |= set(probe) | RUN_PY_METRICS
+    assert [m["name"] for m in SPEC["per_layer"] if m["name"] not in reported] == []

@@ -220,6 +220,27 @@ class TestIngest:
             styles.append((out / "styles.jsonl").read_bytes())
         assert styles[0] == styles[1]
 
+    def test_edited_text_keeps_its_audio(self, tmp_path, capsys):
+        """Normalisation shortens turn 0's text, so its audio is kept in a WAV:
+        rendered again from the new text it would last 0.702625 s, not
+        0.9836875 s.  The turns whose text is unchanged still write none."""
+        record = json.loads(Path(CORPUS).read_text().splitlines()[0])
+        record["turns"][0]["text"] = "Um, uh, could NEEDS about... think, please?"
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(json.dumps(record) + "\n")
+        ingested = tmp_path / "clean" / "corpus.jsonl"
+        assert main(["ingest", "--corpus", str(raw), "--out", str(ingested.parent)]) == EXIT_OK
+        turns = json.loads(ingested.read_text())["turns"]
+        assert turns[0]["text"] == "could needs about think please"
+        assert [t["audio"] for t in turns] == ["audio/synth000_0.wav"] + [None] * (len(turns) - 1)
+        rows = []
+        for corpus in (raw, ingested):
+            out = corpus.with_suffix(".styles.jsonl")
+            assert main(["extract-styles", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+            rows.append(json.loads(out.read_text().splitlines()[0]))
+        assert rows[0] == rows[1]
+        assert (rows[1]["source_id"], rows[1]["summary"]["duration_s"]) == ("synth000/0", 0.9836875)
+
 
 class TestRunAndEvaluate:
     def _run(self, out_dir, seed=0):

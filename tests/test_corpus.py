@@ -12,7 +12,7 @@ from styledialog.acoustics import encode_style
 from styledialog.audioio import quantize_int16, read_wav, write_wav
 from styledialog.cli import bundled_corpus_path
 from styledialog.components import ToySynthesizer
-from styledialog.corpus import (CorpusIndex, filter_diarization,
+from styledialog.corpus import (CorpusIndex, SynthAudio, filter_diarization,
                                 generate_synthetic_corpus, load_corpus,
                                 load_corpus_with_index, save_corpus,
                                 save_synthetic_corpus, strip_leading_indicator)
@@ -34,10 +34,9 @@ def small_corpus_lines():
 
 class TestLoadCorpus:
     def test_bundled_corpus_clean(self):
-        conversations, report = load_corpus(bundled_corpus_path())
+        conversations, rejects = load_corpus(bundled_corpus_path())
         assert len(conversations) == 20
-        assert report.loaded == 20
-        assert report.rejects == []
+        assert rejects == []
         for conv in conversations:
             assert 4 <= len(conv.turns) <= 8
             for turn in conv.turns:
@@ -54,10 +53,10 @@ class TestLoadCorpus:
         lines.insert(1, json.dumps({"id": "bad", "turns": [{"text": "no speaker"}]}))
         p = tmp_path / "c.jsonl"
         p.write_text("\n".join(lines) + "\n")
-        conversations, report = load_corpus(p)
+        conversations, rejects = load_corpus(p)
         assert len(conversations) == 2
-        assert len(report.rejects) == 1
-        line_no, reason = report.rejects[0]
+        assert len(rejects) == 1
+        line_no, reason = rejects[0]
         assert line_no == 2
         assert "speaker" in reason
 
@@ -70,8 +69,8 @@ class TestLoadCorpus:
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text("\n" + "\n\n".join(small_corpus_lines()) + "\n\n")
-        conversations, report = load_corpus(p)
-        assert len(conversations) == 2 and report.rejects == []
+        conversations, rejects = load_corpus(p)
+        assert len(conversations) == 2 and rejects == []
 
 
 def styles(kind):
@@ -81,10 +80,11 @@ def styles(kind):
 
 @st.composite
 def corpora(draw):
-    """Conversations whose turns are synth-backed (both styles and some
-    text; audio as the synthesizer renders it), WAV-backed (a style or the
-    text missing; any 16-bit audio) or without audio, in any mix."""
-    synthesizer = ToySynthesizer()
+    """Conversations in any mix of turns with both styles and some text,
+    whose audio is their own `SynthAudio`, the `SynthAudio` of other text
+    (as after normalisation) or a foreign clip, and turns lacking a style or
+    the text, with a foreign clip or no audio.  A foreign clip is any
+    16-bit audio."""
     conversations = []
     for c in range(draw(st.integers(1, 3))):
         turns = []
@@ -93,16 +93,19 @@ def corpora(draw):
             prosodic = draw(st.none() | styles("prosodic"))
             acoustic = draw(st.none() | styles("acoustic"))
             if prosodic is not None and acoustic is not None and text.split():
-                rendered = synthesizer.synthesize(text, prosodic, acoustic)
-                samples, rate = rendered.samples, rendered.sample_rate
-            elif draw(st.booleans()):
-                samples = draw(st.lists(st.floats(-1.0, 1.0), max_size=64))
-                rate = draw(st.sampled_from([8000, 16000, 44100]))
+                source = draw(st.sampled_from(["own", "edited", "foreign"]))
             else:
-                samples = None
-            audio = None if samples is None else AudioClip(
-                sample_rate=rate, samples=quantize_int16(np.asarray(samples, dtype=float)),
-                source_id=f"c{c}/{i}")
+                source = draw(st.sampled_from(["foreign", None]))
+            if source == "foreign":
+                samples = draw(st.lists(st.floats(-1.0, 1.0), max_size=64))
+                audio = AudioClip(sample_rate=draw(st.sampled_from([8000, 16000, 44100])),
+                                  samples=quantize_int16(np.asarray(samples, dtype=float)),
+                                  source_id=f"c{c}/{i}")
+            elif source is not None:
+                audio = SynthAudio(text if source == "own" else text + " b", prosodic,
+                                   acoustic, f"c{c}/{i}")
+            else:
+                audio = None
             turns.append(Turn(speaker=draw(st.sampled_from(["a", "b", "spk é"])), text=text,
                               audio=audio, prosodic_style=prosodic, acoustic_style=acoustic))
         conversations.append(Conversation(id=f"c{c}", turns=tuple(turns),
@@ -132,8 +135,8 @@ class TestSaveRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
             save_corpus(path, conversations, write_audio=write_audio)
-            reloaded, report = load_corpus(path)
-        assert report.rejects == []
+            reloaded, rejects = load_corpus(path)
+        assert rejects == []
         assert_same_corpus(reloaded, conversations)
 
     def test_synth_backed_turns_write_no_wav(self, tmp_path):
@@ -182,12 +185,11 @@ class TestSelectiveRender:
             with open(path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps({"id": "bad", "turns": [{"text": "no speaker"}]}) + "\n")
             records = [json.loads(line) for line in path.read_text().splitlines()]
-            full, full_report = load_corpus(path)
-            part, part_report = load_corpus(path, audio_for=lambda convs: asked.append(convs)
+            full, full_rejects = load_corpus(path)
+            part, part_rejects = load_corpus(path, audio_for=lambda convs: asked.append(convs)
                                             or wanted)
         assert len(asked) == 1 and [c.id for c in asked[0]] == [c.id for c in full]
-        assert (part_report.loaded, part_report.rejects) == \
-               (full_report.loaded, full_report.rejects) and len(full_report.rejects) == 1
+        assert part_rejects == full_rejects and len(full_rejects) == 1
         without_wav = {f"{rec['id']}/{i}" for rec in records[:-1]
                        for i, t in enumerate(rec["turns"]) if t["audio"] is None}
         expected = [replace(conv, turns=tuple(
@@ -211,8 +213,8 @@ class TestReadWav:
         assert np.array_equal(clip.samples[1:], quantize_int16(ints[1:] / 32767.0))
         (tmp_path / "c.jsonl").write_text(json.dumps({"id": "c", "turns": [
             {"speaker": "a", "text": "hi", "audio": "full_scale.wav"}]}) + "\n")
-        conversations, report = load_corpus(tmp_path / "c.jsonl")
-        assert report.rejects == [] and conversations[0].turns[0].audio.samples[0] == -1.0
+        conversations, rejects = load_corpus(tmp_path / "c.jsonl")
+        assert rejects == [] and conversations[0].turns[0].audio.samples[0] == -1.0
 
     def test_sub_khz_rate_is_a_reject(self, tmp_path):
         """Analysis needs at least 2 * F_MAX_HZ samples per second, so an
@@ -223,9 +225,9 @@ class TestReadWav:
         (tmp_path / "c.jsonl").write_text("\n".join(json.dumps({"id": cid, "turns": [
             {"speaker": "a", "text": "hi", "audio": wav}]}) for cid, wav in
             (("low", "low.wav"), ("text", None))) + "\n")
-        conversations, report = load_corpus(tmp_path / "c.jsonl")
+        conversations, rejects = load_corpus(tmp_path / "c.jsonl")
         assert [c.id for c in conversations] == ["text"]
-        assert len(report.rejects) == 1 and "sample rate 800 Hz" in report.rejects[0][1]
+        assert len(rejects) == 1 and "sample rate 800 Hz" in rejects[0][1]
 
     @pytest.mark.parametrize("content", [b"notawav", b"", b"RIFF\x04\x00\x00\x00WAVE",
                                          b"RIFX\x04\x00\x00\x00WAVE"],
@@ -239,10 +241,10 @@ class TestReadWav:
         (tmp_path / "c.jsonl").write_text("\n".join(json.dumps({"id": cid, "turns": [
             {"speaker": "a", "text": "hi", "audio": wav}]}) for cid, wav in
             (("text", None), ("bad", "bad.wav"))) + "\n")
-        conversations, report = load_corpus(tmp_path / "c.jsonl")
+        conversations, rejects = load_corpus(tmp_path / "c.jsonl")
         assert [c.id for c in conversations] == ["text"]
-        assert [line for line, _ in report.rejects] == [2]
-        assert "not a readable WAV file" in report.rejects[0][1]
+        assert [line for line, _ in rejects] == [2]
+        assert "not a readable WAV file" in rejects[0][1]
 
     def test_write_read_bit_identical_to_quantize(self, tmp_path):
         x = np.linspace(-1.0, 1.0, 1001)
@@ -376,8 +378,8 @@ class TestLazySynthAudio:
 
 class TestCorpusIndex:
     def test_lookup_tables(self):
-        conversations, index, report = load_corpus_with_index(bundled_corpus_path())
-        assert report.rejects == []
+        conversations, index, rejects = load_corpus_with_index(bundled_corpus_path())
+        assert rejects == []
         conv = conversations[0]
         assert index.transcripts[f"{conv.id}/0"] == conv.turns[0].text
         text, style, speaker = index.targets[f"{conv.id}/0"]
