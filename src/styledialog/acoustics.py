@@ -154,7 +154,8 @@ class ClipFeatures:
 
 
 # (clip, features) of the latest analyze call: encode_style and summarize on
-# one clip share it.  AudioClip is frozen with read-only samples.
+# one clip share it, so they make its float samples once.  Every clip type
+# is frozen, and its samples are read-only.
 _last_analysis = None
 
 
@@ -168,9 +169,10 @@ def analyze(clip: AudioClip) -> ClipFeatures:
     sr = clip.sample_rate
     check_sample_rate(sr)
     n_frame = frame_len(sr)
-    frames = _frames(clip.samples, n_frame, hop_len(sr))
+    samples = clip.samples
+    frames = _frames(samples, n_frame, hop_len(sr))
     rms = np.sqrt(np.mean(frames ** 2, axis=1))
-    n_track = len(frames) if len(clip.samples) >= n_frame else 0
+    n_track = len(frames) if len(samples) >= n_frame else 0
     f0, peak = np.zeros(n_track), np.zeros(n_track)
     active = np.flatnonzero(rms[:n_track] > SILENCE_FLOOR_RMS)
     _, lag, peak[active] = _nccf_peaks(frames[active], max(2, int(math.floor(sr / F_MAX_HZ))),
@@ -257,7 +259,7 @@ def encode_style(clip: AudioClip) -> StyleVector:
     Silence is legal input and yields zero pitch components with
     voiced_fraction 0; an empty clip is an error.
     """
-    if len(clip.samples) == 0:
+    if clip.duration_seconds == 0:
         raise ValueError("cannot encode an empty clip")
     pitch_mean, pitch_std, voiced_fraction = _voiced_pitch(analyze(clip))
     # capped so the component stays within its documented bound even when
@@ -282,7 +284,7 @@ def _mel_inv(m):
 
 def acoustic_embedding(clip: AudioClip) -> np.ndarray:
     """L2-normalized band-energy ratios over 16 mel-spaced bands (50 Hz..Nyquist)."""
-    if len(clip.samples) == 0:
+    if clip.duration_seconds == 0:
         raise ValueError("cannot embed an empty clip")
     n_frame = frame_len(clip.sample_rate)
     frames = _frames(clip.samples, n_frame, hop_len(clip.sample_rate))
@@ -304,7 +306,7 @@ def acoustic_embedding(clip: AudioClip) -> np.ndarray:
 
 def summarize(clip: AudioClip) -> AcousticSummary:
     """Aggregate every per-clip feature into one summary row."""
-    if len(clip.samples) == 0:
+    if clip.duration_seconds == 0:
         return AcousticSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     pitch_mean, pitch_std, voiced_fraction = _voiced_pitch(analyze(clip))
     e_mean, e_std = energy_stats(clip)

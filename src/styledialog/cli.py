@@ -175,8 +175,9 @@ def cmd_simulate(args) -> int:
     if not all(math.isfinite(v) for v in figures.values()):
         raise CliError("the simulated report is not finite: " + ", ".join(
             f"{name} {value:g}" for name, value in figures.items()))
-    print(f"{'Model':<14} {'RTF':>8} {'Delay':>9}")
-    print(f"{topology.value:<14} {_figure(report.rtf, 4)} {_figure(report.delay_s, 2)} s")
+    print(f"{'Model':<14} {'RTF':>8} {'Delay':>9} {'Carryover':>10}")
+    print(f"{topology.value:<14} {_figure(report.rtf, 4)} {_figure(report.delay_s, 2)} s "
+          f"{_figure(report.carryover_s, 2)} s")
     payload = {"topology": topology.value, "input_dur": args.input_dur,
                "output_dur": args.output_dur, "rtf": report.rtf,
                "delay_s": report.delay_s, "carryover_s": report.carryover_s,

@@ -13,16 +13,17 @@ PCM mono WAVs.
 WAV or synth: a turn's audio comes from its WAV when it has a path.  A turn
 with no path is synth-backed when it has both styles and some text: its
 audio is a `SynthAudio` of that text and those styles, the one form of
-rendered synth audio: the toy synthesizer's clip, int16-quantized so that
-it is bit-identical to a WAV round trip.  Any other turn without a path
-has no audio.  WAV-backed turns are always read, and a record whose WAV cannot
-be read is a reject.  The loader renders, inside `load_corpus`, only the
-synth-backed turns its caller asks for through `audio_for` (all of them by
-default): `run` asks for its crops' incoming turns, `evaluate` for its
-reference turns and `build-prompt` for none.  A synth-backed turn left with
-`audio=None` was not requested; it still has its styles and text.
-`generate_synthetic_corpus` renders nothing: each of its turns carries a
-`SynthAudio`, whose audio is rendered on the first read of its samples.
+rendered synth audio: the toy synthesizer's clip, held as the int16 PCM a
+WAV of it would hold, as a WAV-backed turn's `audioio.PcmClip` is.  Any
+other turn without a path has no audio.  WAV-backed turns are always read,
+and a record whose WAV cannot be read is a reject.  The loader renders,
+inside `load_corpus`, only the synth-backed turns its caller asks for
+through `audio_for` (all of them by default): `run` asks for its crops'
+incoming turns, `evaluate` for its reference turns and `build-prompt` for
+none.  A synth-backed turn left with `audio=None` was not requested; it
+still has its styles and text.  `generate_synthetic_corpus` renders
+nothing: each of its turns carries a `SynthAudio`, whose audio is rendered
+on the first read of its PCM.
 
 `save_corpus` leaves a turn's audio out of the file only when it is a
 `SynthAudio` of exactly the turn's own text and styles and `write_audio`
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import audioio
 from .components import SYNTH_SAMPLE_RATE, ToySynthesizer
-from .dialog import AudioClip, Conversation, StyleVector, Turn
+from .dialog import Conversation, StyleVector, Turn
 
 SPEAKER_INDICATOR_RE = re.compile(r"\[S\d+\]")
 
@@ -90,8 +91,9 @@ def _turn_from_record(rec: dict, sid: str, root: Path) -> Turn:
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare
 class SynthAudio:
     """The audio of a synth-backed turn, rendered on the first read of
-    `samples` and kept.  `sample_rate`, `source_id` and `duration_seconds`
-    need no render.  Reads like an `AudioClip`."""
+    `pcm` or `samples` and kept as its 16-bit `pcm`.  `sample_rate`,
+    `source_id` and `duration_seconds` need no render.  Reads like an
+    `audioio.PcmClip`: each read of `samples` makes its floats anew."""
 
     text: str
     prosodic: StyleVector
@@ -104,11 +106,17 @@ class SynthAudio:
         return ToySynthesizer.n_samples(self.text, self.prosodic) / self.sample_rate
 
     @cached_property
+    def pcm(self) -> np.ndarray:
+        """The toy synthesizer's clip as the read-only int16 values a WAV of
+        it holds."""
+        pcm = audioio.to_pcm(ToySynthesizer().synthesize(self.text, self.prosodic,
+                                                         self.acoustic).samples)
+        pcm.flags.writeable = False
+        return pcm
+
+    @property
     def samples(self) -> np.ndarray:
-        """The toy synthesizer's clip, int16-quantized so it is bit-identical
-        to a WAV round trip.  Read-only, like an `AudioClip`'s."""
-        clip = ToySynthesizer().synthesize(self.text, self.prosodic, self.acoustic)
-        return AudioClip(self.sample_rate, audioio.quantize_int16(clip.samples)).samples
+        return audioio.from_pcm(self.pcm)
 
 
 def _render(conv: Conversation, wanted) -> Conversation:
@@ -120,7 +128,7 @@ def _render(conv: Conversation, wanted) -> Conversation:
         if (turn.audio is None and (wanted is None or sid in wanted) and turn.text.split()
                 and turn.prosodic_style is not None and turn.acoustic_style is not None):
             audio = SynthAudio(turn.text, turn.prosodic_style, turn.acoustic_style, sid)
-            audio.samples  # render here, where the benchmark's corpus metrics time it
+            audio.pcm  # render here, where the benchmark's corpus metrics time it
             turns[i] = replace(turn, audio=audio)
     return replace(conv, turns=tuple(turns))
 
@@ -248,7 +256,7 @@ def generate_synthetic_corpus(n_conversations: int, seed: int):
     Each turn carries template text, a prosodic style sampled from the
     speaker's prior, the speaker's acoustic style, and its audio as a
     `SynthAudio`, so audio, text, and styles are mutually consistent.  No
-    clip is rendered here: each renders on the first read of its samples,
+    clip is rendered here: each renders on the first read of its PCM,
     while its duration is known at once.
     Returns the conversations and the acoustic styles again as
     `{conversation id: {speaker: values}}`, the records

@@ -7,6 +7,7 @@ operations return new objects and never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -57,7 +58,7 @@ class StyleVector:
         values = tuple(float(v) for v in self.values)
         if len(values) != STYLE_DIM:
             raise ValueError(f"style vector must have {STYLE_DIM} entries, got {len(values)}")
-        if not all(np.isfinite(v) for v in values):
+        if not all(math.isfinite(v) for v in values):
             raise ValueError("style entries must be finite")
         if self.kind not in ("prosodic", "acoustic"):
             raise ValueError(f"unknown style kind {self.kind!r}")
@@ -71,8 +72,11 @@ class StyleVector:
 class Turn:
     """One utterance: who spoke, what was said, and (optionally) how: its
     audio, its prosodic style and the speaker's acoustic style.  The audio
-    is an `AudioClip` read from a WAV, or a `corpus.SynthAudio`, the one
-    form of rendered synth audio, which reads like an `AudioClip`."""
+    takes one of three forms, all read the same way (`sample_rate`,
+    `samples`, `source_id`, `duration_seconds`): an `audioio.PcmClip` read
+    from a WAV, a `corpus.SynthAudio`, the one form of rendered synth audio,
+    both held as int16 PCM whose float samples are made on each read, or an
+    `AudioClip` of floats made in memory, such as a synthesizer's output."""
 
     speaker: str
     text: str

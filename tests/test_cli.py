@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from styledialog import objectives
+from styledialog import audioio, objectives
 from styledialog.audioio import write_wav
 from styledialog.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                              bundled_corpus_path, calibration_path, main)
@@ -43,7 +43,7 @@ class TestSimulate:
         assert main(["simulate", "--topology", "style-talker"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "style_talker" in out
-        rtf = float(out.split()[-3])
+        rtf = float(out.splitlines()[1].split()[1])
         assert rtf == pytest.approx(0.3873, rel=0.1)
 
     def test_zero_latency_config(self, tmp_path, capsys):
@@ -120,8 +120,17 @@ class TestSimulate:
     def test_calibrated_table_is_unchanged(self, capsys):
         assert main(["simulate", "--topology", "cascade",
                      "--input-dur", "10", "--output-dur", "10"]) == EXIT_OK
-        assert capsys.readouterr().out == ("Model               RTF     Delay\n"
-                                           "cascade          0.5912     2.31 s\n")
+        assert capsys.readouterr().out == ("Model               RTF     Delay  Carryover\n"
+                                           "cascade          0.5912     2.31 s     0.00 s\n")
+
+    def test_prints_carryover(self, capsys):
+        """Background work that spills past the reply printed nothing: 1e300 s
+        of input read like 10 s.  The spill is now the Carryover column."""
+        assert main(["simulate", "--topology", "style-talker", "--input-dur", "1e300"]) \
+            == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split()[-1] == "Carryover" and row.endswith(" s")
+        assert float(row.split()[-2]) == pytest.approx(1e299, rel=0.1)
 
     @pytest.mark.parametrize("topology", ["cascade", "style-talker", "e2e"])
     @pytest.mark.parametrize("flag, value", [("--output-dur", "1e300"),
@@ -129,10 +138,11 @@ class TestSimulate:
                                              ("--input-dur", "1e300")])
     def test_extreme_figures_stay_narrow(self, capsys, topology, flag, value):
         """A 1e300 delay or RTF printed 300 digits; a figure too wide for its
-        column now prints to three significant digits."""
+        column now prints to three significant digits, so a line of the
+        three-figure table stays under 50 characters."""
         assert main(["simulate", "--topology", topology, flag, value]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 2 and all(len(line) < 40 for line in lines)
+        assert len(lines) == 2 and all(len(line) < 50 for line in lines)
 
     def test_nan_cost(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -426,6 +436,25 @@ class TestOneAnalysisPerClip:
         out = tmp_path / "styles.jsonl"
         assert main(["extract-styles", "--corpus", CORPUS, "--out", str(out)]) == EXIT_OK
         assert len(nccf_calls) == len(out.read_text().splitlines()) == 124
+
+    @pytest.mark.parametrize("write_audio", [False, True], ids=["synth", "wav"])
+    def test_extract_styles_makes_floats_once(self, tmp_path, capsys, monkeypatch,
+                                              write_audio):
+        """Loaded audio is held as 16-bit PCM, and each read of a clip's
+        samples makes its floats anew: extract-styles makes them once per
+        clip, whether the clip is rendered or read from a WAV."""
+        corpus = CORPUS
+        if write_audio:
+            assert main(["ingest", "--corpus", CORPUS, "--out", str(tmp_path / "wav"),
+                         "--write-audio"]) == EXIT_OK
+            corpus = str(tmp_path / "wav" / "corpus.jsonl")
+        made = []
+        from_pcm = audioio.from_pcm
+        monkeypatch.setattr(audioio, "from_pcm",
+                            lambda pcm: made.append(id(pcm)) or from_pcm(pcm))
+        out = tmp_path / "styles.jsonl"
+        assert main(["extract-styles", "--corpus", corpus, "--out", str(out)]) == EXIT_OK
+        assert len(made) == len(set(made)) == len(out.read_text().splitlines()) == 124
 
     def test_evaluate(self, tmp_path, capsys, nccf_calls):
         run_dir = tmp_path / "run"

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 import wave
 from dataclasses import replace
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog.acoustics import encode_style
-from styledialog.audioio import quantize_int16, read_wav, write_wav
-from styledialog.cli import bundled_corpus_path
+from styledialog.audioio import from_pcm, read_wav, to_pcm, write_wav
+from styledialog.cli import bundled_corpus_path, main
 from styledialog.components import ToySynthesizer
 from styledialog.corpus import (CorpusIndex, SynthAudio, filter_diarization,
                                 generate_synthetic_corpus, load_corpus,
@@ -99,7 +100,7 @@ def corpora(draw):
             if source == "foreign":
                 samples = draw(st.lists(st.floats(-1.0, 1.0), max_size=64))
                 audio = AudioClip(sample_rate=draw(st.sampled_from([8000, 16000, 44100])),
-                                  samples=quantize_int16(np.asarray(samples, dtype=float)),
+                                  samples=from_pcm(to_pcm(np.asarray(samples, dtype=float))),
                                   source_id=f"c{c}/{i}")
             elif source is not None:
                 audio = SynthAudio(text if source == "own" else text + " b", prosodic,
@@ -210,7 +211,7 @@ class TestReadWav:
             fh.writeframes(ints.tobytes())
         clip = read_wav(path)
         assert clip.samples[0] == -1.0
-        assert np.array_equal(clip.samples[1:], quantize_int16(ints[1:] / 32767.0))
+        assert np.array_equal(clip.samples[1:], from_pcm(to_pcm(ints[1:] / 32767.0)))
         (tmp_path / "c.jsonl").write_text(json.dumps({"id": "c", "turns": [
             {"speaker": "a", "text": "hi", "audio": "full_scale.wav"}]}) + "\n")
         conversations, rejects = load_corpus(tmp_path / "c.jsonl")
@@ -249,7 +250,7 @@ class TestReadWav:
     def test_write_read_bit_identical_to_quantize(self, tmp_path):
         x = np.linspace(-1.0, 1.0, 1001)
         write_wav(tmp_path / "x.wav", AudioClip(sample_rate=16000, samples=x))
-        assert np.array_equal(read_wav(tmp_path / "x.wav").samples, quantize_int16(x))
+        assert np.array_equal(read_wav(tmp_path / "x.wav").samples, from_pcm(to_pcm(x)))
 
 
 class TestDiarizationFilter:
@@ -357,9 +358,14 @@ class TestLazySynthAudio:
         assert synth_calls == []
         first = [turn.audio.samples for turn in turns]
         assert synth_calls == [t.text for t in turns]
-        assert all(a is turn.audio.samples for a, turn in zip(first, turns))
+        pcm = [turn.audio.pcm for turn in turns]
+        for p, samples, turn in zip(pcm, first, turns):
+            assert p.dtype == np.int16 and not p.flags.writeable
+            assert p is turn.audio.pcm
+            again = turn.audio.samples
+            assert np.array_equal(again, samples)
+            assert not (again.flags.writeable or samples.flags.writeable)
         assert len(synth_calls) == len(turns) == 124
-        assert not any(a.flags.writeable for a in first)
 
     def test_matches_what_the_loader_renders(self, tmp_path):
         """Lazy clips of the bundled regeneration equal, bit for bit, those
@@ -374,6 +380,34 @@ class TestLazySynthAudio:
                 assert (a.audio.source_id, a.audio.sample_rate, a.audio.duration_seconds) == \
                        (b.audio.source_id, b.audio.sample_rate, b.audio.duration_seconds)
                 assert np.array_equal(a.audio.samples, b.audio.samples)
+
+
+class TestLoadedAudioMemory:
+    """Loaded audio is held as 16-bit PCM, whether rendered from a turn's
+    text and styles or read from a WAV: about 2 bytes per sample, where
+    float64 samples took 8."""
+
+    @staticmethod
+    def bytes_per_sample(path) -> float:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            conversations, _ = load_corpus(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n_samples = sum(round(t.audio.duration_seconds * t.audio.sample_rate)
+                        for c in conversations for t in c.turns)
+        return held / n_samples
+
+    def test_under_3_bytes_per_sample(self, tmp_path, capsys):
+        conversations, records = generate_synthetic_corpus(3, seed=5)
+        synth = tmp_path / "synth.jsonl"
+        save_synthetic_corpus(synth, conversations, records)
+        assert main(["ingest", "--corpus", str(synth), "--out", str(tmp_path / "wav"),
+                     "--write-audio"]) == 0
+        assert self.bytes_per_sample(synth) < 3
+        assert self.bytes_per_sample(tmp_path / "wav" / "corpus.jsonl") < 3
 
 
 class TestCorpusIndex:
