@@ -154,8 +154,8 @@ class ClipFeatures:
 
 
 # (clip, features) of the latest analyze call: encode_style and summarize on
-# one clip share it, so they make its float samples once.  Every clip type
-# is frozen, and its samples are read-only.
+# one clip share it, so they make its float samples once.  Both clip types,
+# `AudioClip` and `corpus.SynthAudio`, are frozen over read-only pcm.
 _last_analysis = None
 
 

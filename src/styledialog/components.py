@@ -200,11 +200,11 @@ class ToySynthesizer:
         sum_k w_k sin(kx) = sin(x) * b_1,  b_k = w_k + 2 cos(x) b_{k+1} - b_{k+2},
 
     so a sample costs one `cos` and one `sin` of the phase instead of six
-    sines of arguments up to 6x larger.  Contract: after int16 quantization
-    the output is bit-identical to one `np.sin` per harmonic
-    (`tests/oracles.py::synthesize_brute`).  Before it the two differ only
-    by the oracle's own rounding of k x, under 1e-11 plus 1e-15 per radian
-    of phase.
+    sines of arguments up to 6x larger.  Contract: the clip's int16 `pcm`
+    is bit-identical to one `np.sin` per harmonic quantized
+    (`tests/oracles.py::synthesize_brute`).  Before quantization, in
+    `_signal`, the two differ only by the oracle's own rounding of k x, under
+    1e-11 plus 1e-15 per radian of phase.
 
     Any finite styles render: the HNR, token rate and energy a prosodic
     style asks for are clamped to [HNR_DB_MIN, HNR_DB_MAX] dB,
@@ -228,6 +228,10 @@ class ToySynthesizer:
             raise ValueError("first style must be prosodic")
         if acoustic.kind != "acoustic":
             raise ValueError("second style must be acoustic")
+        return AudioClip.from_samples(SYNTH_SAMPLE_RATE, self._signal(text, prosodic, acoustic))
+
+    def _signal(self, text: str, prosodic: StyleVector, acoustic: StyleVector) -> np.ndarray:
+        """The float samples `synthesize` quantizes."""
         sr = SYNTH_SAMPLE_RATE
         p = prosodic.values
         rate = _token_rate(prosodic)
@@ -279,7 +283,7 @@ class ToySynthesizer:
         # frame RMS, whereas rescaling the whole clip would break the energy
         # component of the style round trip
         np.clip(signal, -0.99, 0.99, out=signal)
-        return AudioClip(sample_rate=sr, samples=signal)
+        return signal
 
     @staticmethod
     def _harmonic_sum(x, weights):

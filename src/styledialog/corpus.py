@@ -13,10 +13,9 @@ PCM mono WAVs.
 WAV or synth: a turn's audio comes from its WAV when it has a path.  A turn
 with no path is synth-backed when it has both styles and some text: its
 audio is a `SynthAudio` of that text and those styles, the one form of
-rendered synth audio: the toy synthesizer's clip, held as the int16 PCM a
-WAV of it would hold, as a WAV-backed turn's `audioio.PcmClip` is.  Any
-other turn without a path has no audio.  WAV-backed turns are always read,
-and a record whose WAV cannot be read is a reject.  The loader renders,
+rendered synth audio, held as int16 PCM as a WAV-backed turn's `AudioClip`
+is.  Any other turn without a path has no audio.  WAV-backed turns are
+always read, and a record whose WAV cannot be read is a reject.  The loader renders,
 inside `load_corpus`, only the synth-backed turns its caller asks for
 through `audio_for` (all of them by default): `run` asks for its crops'
 incoming turns, `evaluate` for its reference turns and `build-prompt` for
@@ -49,7 +48,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import audioio
+from . import audioio, dialog
 from .components import SYNTH_SAMPLE_RATE, ToySynthesizer
 from .dialog import Conversation, StyleVector, Turn
 
@@ -75,16 +74,20 @@ def _style(synth: dict, kind: str) -> StyleVector | None:
     return None if values is None else StyleVector(values=tuple(values), kind=kind)
 
 
+def _string(rec: dict, key: str) -> str:
+    if key not in rec:
+        raise ValueError(f"record missing {key!r}")
+    if not isinstance(rec[key], str):
+        raise ValueError(f"{key!r} must be a string, got {type(rec[key]).__name__}")
+    return rec[key]
+
+
 def _turn_from_record(rec: dict, sid: str, root: Path) -> Turn:
-    if "speaker" not in rec:
-        raise ValueError("record missing 'speaker'")
-    if "text" not in rec:
-        raise ValueError("record missing 'text'")
-    text = str(rec["text"])
+    speaker, text = _string(rec, "speaker"), _string(rec, "text")
     synth = rec.get("synth") or {}
     prosodic, acoustic = _style(synth, "prosodic"), _style(synth, "acoustic")
     audio = audioio.read_wav(root / rec["audio"], source_id=sid) if rec.get("audio") else None
-    return Turn(speaker=str(rec["speaker"]), text=text, audio=audio,
+    return Turn(speaker=speaker, text=text, audio=audio,
                 prosodic_style=prosodic, acoustic_style=acoustic)
 
 
@@ -92,8 +95,8 @@ def _turn_from_record(rec: dict, sid: str, root: Path) -> Turn:
 class SynthAudio:
     """The audio of a synth-backed turn, rendered on the first read of
     `pcm` or `samples` and kept as its 16-bit `pcm`.  `sample_rate`,
-    `source_id` and `duration_seconds` need no render.  Reads like an
-    `audioio.PcmClip`: each read of `samples` makes its floats anew."""
+    `source_id` and `duration_seconds` need no render.  Reads like a
+    `dialog.AudioClip`: each read of `samples` makes its floats anew."""
 
     text: str
     prosodic: StyleVector
@@ -107,16 +110,11 @@ class SynthAudio:
 
     @cached_property
     def pcm(self) -> np.ndarray:
-        """The toy synthesizer's clip as the read-only int16 values a WAV of
-        it holds."""
-        pcm = audioio.to_pcm(ToySynthesizer().synthesize(self.text, self.prosodic,
-                                                         self.acoustic).samples)
-        pcm.flags.writeable = False
-        return pcm
+        return ToySynthesizer().synthesize(self.text, self.prosodic, self.acoustic).pcm
 
     @property
     def samples(self) -> np.ndarray:
-        return audioio.from_pcm(self.pcm)
+        return dialog.from_pcm(self.pcm)
 
 
 def _render(conv: Conversation, wanted) -> Conversation:
@@ -158,7 +156,7 @@ def load_corpus(path, audio_for=None):
                 continue
             try:
                 rec = json.loads(line)
-                conv_id = str(rec["id"])
+                conv_id = _string(rec, "id")
                 if conv_id in first_line:
                     raise ValueError(f"duplicate conversation id {conv_id!r}, "
                                      f"first on line {first_line[conv_id]}")

@@ -3,6 +3,10 @@ and the rolling conversation context shared by every other module.
 
 All types are immutable after construction (value semantics); the context
 operations return new objects and never mutate their inputs.
+
+Audio is 16-bit speech end to end, so an `AudioClip` holds read-only int16
+`pcm`, 2 bytes per sample, and makes its float `samples` on each read.
+Floats become a clip only through `AudioClip.from_samples`.
 """
 
 from __future__ import annotations
@@ -16,30 +20,57 @@ import numpy as np
 STYLE_DIM = 8
 
 
-@dataclass(frozen=True)
+def to_pcm(samples: np.ndarray) -> np.ndarray:
+    """The 16-bit PCM values a WAV stores for float samples in [-1, 1]."""
+    scaled = samples * 32767.0
+    return np.rint(scaled, out=scaled).astype(np.int16)
+
+
+def from_pcm(pcm: np.ndarray) -> np.ndarray:
+    """Read-only float samples of 16-bit PCM values.  -32768 / 32767 lies
+    just below -1, outside a clip's range: it is clamped rather than divided
+    by 32768, which would break the round-trip identity with `to_pcm`."""
+    samples = pcm / 32767.0
+    np.maximum(samples, -1.0, out=samples)
+    samples.flags.writeable = False
+    return samples
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare
 class AudioClip:
-    """Mono waveform. Samples are finite floats in [-1, 1]."""
+    """Mono audio held as read-only 1-D int16 `pcm`.  Each read of
+    `samples` makes its floats, in [-1, 1], anew."""
 
     sample_rate: int
-    samples: np.ndarray
+    pcm: np.ndarray
     source_id: str | None = None
 
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        samples = np.asarray(self.samples, dtype=np.float64)
+        if getattr(self.pcm, "dtype", None) != np.int16 or self.pcm.ndim != 1:
+            raise ValueError("pcm must be a 1-D int16 array")
+        self.pcm.flags.writeable = False
+
+    @classmethod
+    def from_samples(cls, sample_rate: int, samples, source_id: str | None = None) -> AudioClip:
+        """The clip of 1-D finite float samples in [-1, 1]."""
+        samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("samples must be a 1-D array")
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         if samples.size and (samples.min() < -1.0 or samples.max() > 1.0):
             raise ValueError("samples must lie in [-1, 1]")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        return cls(sample_rate, to_pcm(samples), source_id)
+
+    @property
+    def samples(self) -> np.ndarray:
+        return from_pcm(self.pcm)
 
     @property
     def duration_seconds(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.pcm) / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -72,11 +103,10 @@ class StyleVector:
 class Turn:
     """One utterance: who spoke, what was said, and (optionally) how: its
     audio, its prosodic style and the speaker's acoustic style.  The audio
-    takes one of three forms, all read the same way (`sample_rate`,
-    `samples`, `source_id`, `duration_seconds`): an `audioio.PcmClip` read
-    from a WAV, a `corpus.SynthAudio`, the one form of rendered synth audio,
-    both held as int16 PCM whose float samples are made on each read, or an
-    `AudioClip` of floats made in memory, such as a synthesizer's output."""
+    takes one of two forms, both read the same way (`sample_rate`, `pcm`,
+    `samples`, `source_id`, `duration_seconds`): an `AudioClip`, such as a
+    WAV's or a synthesizer's output, or a `corpus.SynthAudio`, a synth-backed
+    turn's audio, rendered on first read."""
 
     speaker: str
     text: str

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import acoustics
+
 FILLERS = frozenset({"um", "uh", "uhm", "er", "ah"})
 
 _PUNCT = set(string.punctuation) - {"-"}
@@ -107,9 +109,7 @@ def _lcs_len(a, b) -> int:
 
 def rouge_l_f1(ref: str, hyp: str) -> float:
     ref_words, hyp_words = ref.split(), hyp.split()
-    if not ref_words and not hyp_words:
-        return 0.0
-    lcs = _lcs_len(ref_words, hyp_words) if ref_words and hyp_words else 0
+    lcs = _lcs_len(ref_words, hyp_words)
     if lcs == 0:
         return 0.0
     p = lcs / len(hyp_words)
@@ -254,8 +254,6 @@ def assemble_report(generated, reference) -> MetricReport:
     pairs per-crop feature values; zero-variance cells come back as None.
     Speaker similarity is the mean embedding cosine.
     """
-    from . import acoustics
-
     if len(generated) != len(reference):
         raise ValueError(f"misaligned lists: {len(generated)} generated vs "
                          f"{len(reference)} reference turns")

@@ -8,18 +8,18 @@ SR = 16000
 
 def sine_clip(freq_hz, duration_s=1.0, amplitude=0.4, sr=SR, source_id=None):
     t = np.arange(int(sr * duration_s)) / sr
-    return AudioClip(samples=amplitude * np.sin(2 * np.pi * freq_hz * t),
-                     sample_rate=sr, source_id=source_id)
+    return AudioClip.from_samples(sr, amplitude * np.sin(2 * np.pi * freq_hz * t),
+                                  source_id=source_id)
 
 
 def silence_clip(duration_s=1.0, sr=SR):
-    return AudioClip(samples=np.zeros(int(sr * duration_s)), sample_rate=sr)
+    return AudioClip.from_samples(sr, np.zeros(int(sr * duration_s)))
 
 
 def noise_clip(duration_s=1.0, amplitude=0.3, sr=SR, seed=0):
     rng = np.random.default_rng(seed)
     x = np.clip(amplitude * rng.standard_normal(int(sr * duration_s)), -1, 1)
-    return AudioClip(samples=x, sample_rate=sr)
+    return AudioClip.from_samples(sr, x)
 
 
 def prosodic(values):

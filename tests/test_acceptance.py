@@ -144,7 +144,7 @@ def test_4_dsp_accuracy():
     sine = sine_clip(220.0, 1.0)
     mixed_samples = 0.5 * sine.samples + 0.1 * noise_clip(1.0, seed=3).samples
     from styledialog.dialog import AudioClip
-    mixed = AudioClip(samples=np.clip(mixed_samples, -1, 1), sample_rate=SR)
+    mixed = AudioClip.from_samples(SR, np.clip(mixed_samples, -1, 1))
     noise = noise_clip(1.0, seed=4)
     order_ok = (acoustics.hnr(sine) > acoustics.hnr(mixed) > acoustics.hnr(noise))
     elapsed = time.perf_counter() - t0

@@ -40,15 +40,15 @@ class TestPitchTrack:
         assert float(np.mean(voiced)) < 0.2
 
     def test_short_clip_empty_track(self):
-        clip = AudioClip(samples=np.zeros(100), sample_rate=16000)
+        clip = AudioClip.from_samples(16000, np.zeros(100))
         f0, voiced = pitch_track(clip)
         assert f0.size == 0 and voiced.size == 0
 
     def test_invalid_band(self):
         # below 2 * F_MAX_HZ the pitch band passes Nyquist
-        pitch_track(AudioClip(samples=np.zeros(1000), sample_rate=1000))
+        pitch_track(AudioClip.from_samples(1000, np.zeros(1000)))
         with pytest.raises(ValueError, match="sample rate 800 Hz"):
-            pitch_track(AudioClip(samples=np.zeros(800), sample_rate=800))
+            pitch_track(AudioClip.from_samples(800, np.zeros(800)))
 
 
 class TestEnergyStats:
@@ -64,12 +64,12 @@ class TestEnergyStats:
         sr = SR
         t = np.arange(sr) / sr
         x = np.concatenate([np.zeros(sr), 0.5 * np.sin(2 * np.pi * 220 * t)])
-        mean, std = energy_stats(AudioClip(samples=x, sample_rate=sr))
+        mean, std = energy_stats(AudioClip.from_samples(sr, x))
         assert 0.7 < std / mean < 1.3  # two-level frame population
 
     def test_amplitude_scaling_exact(self):
         base = sine_clip(220.0, amplitude=0.3)
-        scaled = AudioClip(samples=2.0 * base.samples, sample_rate=base.sample_rate)
+        scaled = AudioClip.from_samples(base.sample_rate, 2.0 * base.samples)
         m1, _ = energy_stats(base)
         m2, _ = energy_stats(scaled)
         assert m2 == pytest.approx(2.0 * m1, rel=1e-12)
@@ -89,7 +89,7 @@ class TestHnr:
         rng = np.random.default_rng(5)
         noise = rng.standard_normal(sr)
         noise *= np.sqrt(np.mean(sig ** 2) / np.mean(noise ** 2))
-        clip = AudioClip(samples=np.clip(sig + noise, -1, 1), sample_rate=sr)
+        clip = AudioClip.from_samples(sr, np.clip(sig + noise, -1, 1))
         assert 0.0 <= hnr(clip) <= 10.0
 
     def test_monotone_in_noise(self):
@@ -101,7 +101,7 @@ class TestHnr:
         values = []
         for sigma in (0.0, 0.25, 0.5, 1.0):
             x = np.clip(sig + sigma * 0.1 * noise, -1, 1)
-            values.append(hnr(AudioClip(samples=x, sample_rate=sr)))
+            values.append(hnr(AudioClip.from_samples(sr, x)))
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_all_silence_floor(self):
@@ -115,7 +115,7 @@ class TestSpeakingRate:
         t = np.arange(2 * sr) / sr
         env = np.sin(np.pi * ((t * 2.0) % 1.0)) ** 2
         x = 0.5 * env * np.sin(2 * np.pi * 220 * t)
-        rate = speaking_rate(AudioClip(samples=x, sample_rate=sr))
+        rate = speaking_rate(AudioClip.from_samples(sr, x))
         assert rate == pytest.approx(2.0, abs=0.5)
 
     def test_silence_zero(self):
@@ -134,7 +134,7 @@ class TestEncodeStyle:
 
     def test_empty_clip_rejected(self):
         with pytest.raises(ValueError):
-            encode_style(AudioClip(samples=np.zeros(0), sample_rate=16000))
+            encode_style(AudioClip.from_samples(16000, np.zeros(0)))
 
     def test_deterministic(self):
         clip = noise_clip(seed=9)
@@ -147,7 +147,7 @@ class TestEncodeStyle:
         t = np.arange(SR // 2) / SR
         x = np.clip(amp * np.sin(2 * np.pi * freq * t)
                     + 0.05 * rng.standard_normal(t.size), -1, 1)
-        style = encode_style(AudioClip(samples=x, sample_rate=SR))
+        style = encode_style(AudioClip.from_samples(SR, x))
         assert all(0.0 <= v <= 1.3 for v in style.values)
 
 
@@ -168,12 +168,12 @@ class TestAcousticEmbedding:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            acoustic_embedding(AudioClip(samples=np.zeros(0), sample_rate=16000))
+            acoustic_embedding(AudioClip.from_samples(16000, np.zeros(0)))
 
 
 class TestSummarize:
     def test_duration(self):
-        clip = AudioClip(samples=np.zeros(160000), sample_rate=16000)
+        clip = AudioClip.from_samples(16000, np.zeros(160000))
         assert summarize(clip).duration_s == 10.0
 
     def test_matches_individual_ops(self):
@@ -188,14 +188,14 @@ class TestSummarize:
         assert s.voiced_fraction == float(np.mean(voiced))
 
     def test_empty_all_zero(self):
-        s = summarize(AudioClip(samples=np.zeros(0), sample_rate=16000))
+        s = summarize(AudioClip.from_samples(16000, np.zeros(0)))
         assert s.duration_s == 0.0 and s.pitch_mean == 0.0
 
 
 class TestScalingInvariants:
     def test_pitch_invariant_under_gain(self):
         base = sine_clip(220.0, amplitude=0.2)
-        scaled = AudioClip(samples=3.0 * base.samples, sample_rate=base.sample_rate)
+        scaled = AudioClip.from_samples(base.sample_rate, 3.0 * base.samples)
         f0a, va = pitch_track(base)
         f0b, vb = pitch_track(scaled)
         both = va & vb
@@ -204,8 +204,8 @@ class TestScalingInvariants:
     def test_hop_shift_preserves_interior(self):
         clip = sine_clip(220.0)
         hop = hop_len(clip.sample_rate)
-        shifted = AudioClip(samples=np.concatenate([np.zeros(2 * hop), clip.samples]),
-                            sample_rate=clip.sample_rate)
+        shifted = AudioClip.from_samples(clip.sample_rate,
+                                         np.concatenate([np.zeros(2 * hop), clip.samples]))
         f0a, va = pitch_track(clip)
         f0b, vb = pitch_track(shifted)
         # interior frames of the original appear (shifted by 2) in the padded track
@@ -240,7 +240,7 @@ def nccf_clips(draw):
     else:  # a sine switched on and off: digital silence inside active frames
         gate = np.repeat(rng.uniform(size=n // 997 + 1) > 0.4, 997)[:n]
         x = amp * np.sin(2 * np.pi * f0 * t) * gate
-    return AudioClip(samples=np.clip(x, -1.0, 1.0), sample_rate=sr)
+    return AudioClip.from_samples(sr, np.clip(x, -1.0, 1.0))
 
 
 class TestBatchedNccfMatchesOracle:

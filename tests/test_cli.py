@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from styledialog import audioio, objectives
+from styledialog import dialog, objectives
 from styledialog.audioio import write_wav
 from styledialog.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                              bundled_corpus_path, calibration_path, main)
@@ -24,7 +24,7 @@ def one_error_line(capsys) -> bool:
 def write_800hz_wav(path):
     """A 16-bit mono WAV sampled below twice the top of the pitch band."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_wav(path, AudioClip(sample_rate=800, samples=np.full(800, 0.25)))
+    write_wav(path, AudioClip.from_samples(800, np.full(800, 0.25)))
 
 
 class TestArgHandling:
@@ -449,8 +449,8 @@ class TestOneAnalysisPerClip:
                          "--write-audio"]) == EXIT_OK
             corpus = str(tmp_path / "wav" / "corpus.jsonl")
         made = []
-        from_pcm = audioio.from_pcm
-        monkeypatch.setattr(audioio, "from_pcm",
+        from_pcm = dialog.from_pcm
+        monkeypatch.setattr(dialog, "from_pcm",
                             lambda pcm: made.append(id(pcm)) or from_pcm(pcm))
         out = tmp_path / "styles.jsonl"
         assert main(["extract-styles", "--corpus", corpus, "--out", str(out)]) == EXIT_OK

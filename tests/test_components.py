@@ -260,16 +260,17 @@ class TestSynthesizer:
            timbre=st.sampled_from([[0.0] * 8, [1.0] * 8])
            | st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
     def test_matches_brute_force_oracle(self, n_tokens, pitch, pitch_std, rate, rest, timbre):
-        """The Clenshaw sum against one np.sin per harmonic.  The oracle
-        rounds k * phase to float64 before each sine (exact for k = 1, 2, 4),
-        which moves harmonic k by up to k * phase * 2^-53 * w_k; over
+        """The Clenshaw sum, before quantization, against one np.sin per
+        harmonic.  The oracle rounds k * phase to float64 before each sine
+        (exact for k = 1, 2, 4), which moves harmonic k by up to
+        k * phase * 2^-53 * w_k; over
         k = 3, 5, 6 with w_k <= 1.25 * HARMONIC_BASE this is at most
         2.8e-16 per radian of phase, which the energy scaling multiplies by
         about 2 at most.  The phase stays below 2 pi 480 Hz times the
         duration, so 1e-15 per radian of that covers the oracle's rounding."""
         text = " ".join(f"w{i}" for i in range(n_tokens))
         style = prosodic([pitch, pitch_std, rest[0], rest[1], rest[2], rate, rest[3], rest[4]])
-        fast = ToySynthesizer().synthesize(text, style, acoustic(timbre)).samples
+        fast = ToySynthesizer()._signal(text, style, acoustic(timbre))
         brute = synthesize_brute(text, style, acoustic(timbre))
         assert len(fast) == len(brute)
         phase_bound = 2.0 * math.pi * 480.0 * len(brute) / 16000

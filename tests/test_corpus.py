@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog.acoustics import encode_style
-from styledialog.audioio import from_pcm, read_wav, to_pcm, write_wav
+from styledialog.audioio import read_wav, write_wav
 from styledialog.cli import bundled_corpus_path, main
 from styledialog.components import ToySynthesizer
 from styledialog.corpus import (CorpusIndex, SynthAudio, filter_diarization,
                                 generate_synthetic_corpus, load_corpus,
                                 load_corpus_with_index, save_corpus,
                                 save_synthetic_corpus, strip_leading_indicator)
-from styledialog.dialog import AudioClip, Conversation, StyleVector, Turn
+from styledialog.dialog import AudioClip, Conversation, StyleVector, Turn, from_pcm, to_pcm
 from styledialog.metrics import normalize
 
 
@@ -49,9 +49,20 @@ class TestLoadCorpus:
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "nope.jsonl")
 
-    def test_missing_speaker_rejected_with_line(self, tmp_path):
+    STYLES = {"prosodic_style": [0.5] * 8, "acoustic_style": [0.5] * 8}
+
+    @pytest.mark.parametrize("record, field", [
+        ({"id": "bad", "turns": [{"text": "no speaker"}]}, "speaker"),
+        ({"id": "bad", "turns": [{"speaker": None, "text": None, "synth": STYLES}]},
+         "speaker"),
+        ({"id": "bad", "turns": [{"speaker": "a", "text": ["x", "y"]}]}, "text"),
+        ({"id": 7, "turns": [{"speaker": "a", "text": "hi"}]}, "id"),
+    ], ids=["speaker missing", "speaker and text null", "text a list", "id a number"])
+    def test_missing_speaker_rejected_with_line(self, tmp_path, record, field):
+        """A record whose id, speaker or text is missing or not a string is
+        one reject; none of them is made a string."""
         lines = small_corpus_lines()
-        lines.insert(1, json.dumps({"id": "bad", "turns": [{"text": "no speaker"}]}))
+        lines.insert(1, json.dumps(record))
         p = tmp_path / "c.jsonl"
         p.write_text("\n".join(lines) + "\n")
         conversations, rejects = load_corpus(p)
@@ -59,7 +70,7 @@ class TestLoadCorpus:
         assert len(rejects) == 1
         line_no, reason = rejects[0]
         assert line_no == 2
-        assert "speaker" in reason
+        assert field in reason
 
     def test_all_invalid_raises(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -99,9 +110,9 @@ def corpora(draw):
                 source = draw(st.sampled_from(["foreign", None]))
             if source == "foreign":
                 samples = draw(st.lists(st.floats(-1.0, 1.0), max_size=64))
-                audio = AudioClip(sample_rate=draw(st.sampled_from([8000, 16000, 44100])),
-                                  samples=from_pcm(to_pcm(np.asarray(samples, dtype=float))),
-                                  source_id=f"c{c}/{i}")
+                audio = AudioClip.from_samples(draw(st.sampled_from([8000, 16000, 44100])),
+                                               from_pcm(to_pcm(np.asarray(samples, dtype=float))),
+                                               source_id=f"c{c}/{i}")
             elif source is not None:
                 audio = SynthAudio(text if source == "own" else text + " b", prosodic,
                                    acoustic, f"c{c}/{i}")
@@ -199,16 +210,20 @@ class TestSelectiveRender:
         assert_same_corpus(part, expected)
 
 
+def write_pcm_wav(path, ints):
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(16000)
+        fh.writeframes(ints.tobytes())
+
+
 class TestReadWav:
     def test_most_negative_sample_loads(self, tmp_path):
         # 16-bit PCM can hold -32768, one step below -32767 (= -1.0)
         ints = np.array([-32768, -32767, 0, 16384, 32767], dtype=np.int16)
         path = tmp_path / "full_scale.wav"
-        with wave.open(str(path), "wb") as fh:
-            fh.setnchannels(1)
-            fh.setsampwidth(2)
-            fh.setframerate(16000)
-            fh.writeframes(ints.tobytes())
+        write_pcm_wav(path, ints)
         clip = read_wav(path)
         assert clip.samples[0] == -1.0
         assert np.array_equal(clip.samples[1:], from_pcm(to_pcm(ints[1:] / 32767.0)))
@@ -217,10 +232,22 @@ class TestReadWav:
         conversations, rejects = load_corpus(tmp_path / "c.jsonl")
         assert rejects == [] and conversations[0].turns[0].audio.samples[0] == -1.0
 
+    def test_ingest_copies_pcm_exactly(self, tmp_path, capsys):
+        """`ingest --write-audio` writes a WAV's PCM as it read it: -32768
+        is not mapped to -32767 through floats."""
+        ints = np.array([-32768, -32767, -1, 0, 1, 16384, 32767], dtype=np.int16)
+        write_pcm_wav(tmp_path / "full_scale.wav", ints)
+        (tmp_path / "c.jsonl").write_text(json.dumps({"id": "c", "turns": [
+            {"speaker": "a", "text": "hi", "audio": "full_scale.wav"}]}) + "\n")
+        assert main(["ingest", "--corpus", str(tmp_path / "c.jsonl"),
+                     "--out", str(tmp_path / "out"), "--write-audio"]) == 0
+        with wave.open(str(tmp_path / "out" / "audio" / "c_0.wav"), "rb") as fh:
+            assert np.array_equal(np.frombuffer(fh.readframes(fh.getnframes()), np.int16), ints)
+
     def test_sub_khz_rate_is_a_reject(self, tmp_path):
         """Analysis needs at least 2 * F_MAX_HZ samples per second, so an
         800 Hz WAV is refused when it is read, as one reject."""
-        write_wav(tmp_path / "low.wav", AudioClip(sample_rate=800, samples=np.zeros(800)))
+        write_wav(tmp_path / "low.wav", AudioClip.from_samples(800, np.zeros(800)))
         with pytest.raises(ValueError, match="sample rate 800 Hz"):
             read_wav(tmp_path / "low.wav")
         (tmp_path / "c.jsonl").write_text("\n".join(json.dumps({"id": cid, "turns": [
@@ -249,7 +276,7 @@ class TestReadWav:
 
     def test_write_read_bit_identical_to_quantize(self, tmp_path):
         x = np.linspace(-1.0, 1.0, 1001)
-        write_wav(tmp_path / "x.wav", AudioClip(sample_rate=16000, samples=x))
+        write_wav(tmp_path / "x.wav", AudioClip.from_samples(16000, x))
         assert np.array_equal(read_wav(tmp_path / "x.wav").samples, from_pcm(to_pcm(x)))
 
 

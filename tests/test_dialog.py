@@ -9,27 +9,33 @@ from conftest import make_conversation, prosodic, simple_style
 
 class TestAudioClip:
     def test_duration(self):
-        clip = AudioClip(samples=np.zeros(16000), sample_rate=16000)
+        clip = AudioClip.from_samples(16000, np.zeros(16000))
         assert clip.duration_seconds == 1.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            AudioClip(samples=np.array([0.0, 1.5]), sample_rate=16000)
+            AudioClip.from_samples(16000, np.array([0.0, 1.5]))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            AudioClip(samples=np.array([0.0, np.nan]), sample_rate=16000)
+            AudioClip.from_samples(16000, np.array([0.0, np.nan]))
 
     def test_rejects_stereo(self):
         with pytest.raises(ValueError):
-            AudioClip(samples=np.zeros((2, 100)), sample_rate=16000)
+            AudioClip.from_samples(16000, np.zeros((2, 100)))
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            AudioClip(samples=np.zeros(10), sample_rate=0)
+            AudioClip.from_samples(0, np.zeros(10))
+
+    @pytest.mark.parametrize("pcm", [np.zeros(10), np.zeros((2, 10), dtype=np.int16),
+                                     [0, 1, 2]], ids=["float", "stereo", "list"])
+    def test_rejects_pcm_not_1d_int16(self, pcm):
+        with pytest.raises(ValueError, match="1-D int16"):
+            AudioClip(16000, pcm)
 
     def test_samples_immutable(self):
-        clip = AudioClip(samples=np.zeros(10), sample_rate=8000)
+        clip = AudioClip.from_samples(8000, np.zeros(10))
         with pytest.raises(ValueError):
             clip.samples[0] = 1.0
 

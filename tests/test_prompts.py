@@ -15,8 +15,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def _turn(speaker, text, pitch):
     p = np.zeros(8)
     p[0] = pitch; p[2] = 0.1; p[4] = 0.6; p[5] = 0.3; p[7] = 1.0
-    audio = AudioClip(samples=np.zeros(1600), sample_rate=16000,
-                      source_id=f"fix/{speaker}")
+    audio = AudioClip.from_samples(16000, np.zeros(1600), source_id=f"fix/{speaker}")
     return Turn(speaker=speaker, text=text, audio=audio,
                 prosodic_style=StyleVector(values=tuple(p), kind="prosodic"))
 
