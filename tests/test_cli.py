@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shutil
@@ -304,6 +305,37 @@ class TestRunAndEvaluate:
             == EXIT_OK
         rows = (out / "generated.jsonl").read_text().splitlines()[1:]
         assert len(rows) == 40 and all(json.loads(row)["text"] for row in rows)
+
+    # (topology, style_mode, target_wer, seed) -> sha256 of generated.jsonl and
+    # of the 40 WAVs concatenated in file-name order
+    MARKOV_PINS = {
+        ("cascade", "last_same_speaker", 0.3, 3):
+            ("d6f9debad1f628f5268fb70df5368c6b959587ee720edd721243189174f377a3",
+             "de3ddf220808b9c809e6d3b2646a03aadce794a0bf215cfdb5691d01076051a5"),
+        ("style-talker", "context_average", 0.1, 0):
+            ("ce586cfeaf57110fd0eb817df769a1be43f576e08f76051a0d8e23915f2f8d49",
+             "29314026a82c693c8bd03fdcc105e694dc7f0d0391990a4bd7bd2453904338a9"),
+    }
+
+    @pytest.mark.parametrize("topology, style_mode, wer, seed", MARKOV_PINS.keys())
+    def test_markov_runs_match_pinned_hashes(self, tmp_path, capsys, topology, style_mode,
+                                             wer, seed):
+        """The Markov responder, the context style modes and recognizer noise
+        are pinned here; the golden report covers only oracle mode."""
+        config = json.loads(calibration_path().read_text(encoding="utf-8"))
+        config |= {"responder_mode": "markov", "style_mode": style_mode, "target_wer": wer}
+        components = tmp_path / "components.json"
+        components.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--corpus", CORPUS, "--topology", topology, "--components",
+                     str(components), "--crops", "40", "--seed", str(seed),
+                     "--out", str(out)]) == EXIT_OK
+        wavs = hashlib.sha256()
+        for wav in sorted((out / "audio").glob("*.wav")):
+            wavs.update(wav.read_bytes())
+        generated = hashlib.sha256((out / "generated.jsonl").read_bytes()).hexdigest()
+        assert (generated, wavs.hexdigest()) == \
+            self.MARKOV_PINS[(topology, style_mode, wer, seed)]
 
     def test_no_conversation_to_crop(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
