@@ -15,18 +15,18 @@ import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import acoustics, audioio, objectives
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
-from .components import ToyRecognizer, ToyResponder, ToySynthesizer, train_markov
+from .components import train_markov
 from .dialog import (STYLE_DIM, DialogCrop, StyleVector, Turn, context_from_turns, make_crop,
                      sample_crop_index)
 from .prompts import PromptVariant, build_prompt
-from .scheduler import STAGES, LatencyModel, RunConfig, Topology, run_dialog, simulate_turn
+from .scheduler import (STAGES, LatencyModel, RunConfig, Topology, check_number, run_dialog,
+                        simulate_turn)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -86,12 +86,11 @@ def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunCo
     config = _load_config(path) if path else {}
     _check_keys(config, CONFIG_KEYS, f"config {path}")
     tokens_per_s = config.get("tokens_per_output_second", 3)
-    if not (isinstance(tokens_per_s, (int, float)) and 0 <= tokens_per_s < float("inf")):
-        raise CliError(f"config {path}: tokens_per_output_second must be a finite number >= 0")
     latency = config.get("latency")
     if latency is not None and (not isinstance(latency, dict) or topology.value not in latency):
         raise CliError(f"config {path} has no latency section for topology {topology.value!r}")
     try:
+        check_number("tokens_per_output_second", tokens_per_s, math.inf)
         latencies = ({stage: LatencyModel() for stage in STAGES[topology]} if latency is None else
                      {stage: LatencyModel.from_dict(d)
                       for stage, d in latency[topology.value].items()})
@@ -207,17 +206,13 @@ def cmd_run(args) -> int:
     _, run_config, _ = resolve_config(args.components, args.topology, args.seed)
 
     def incoming_turns(conversations):
-        return [f"{crop.conversation_id}/{len(crop.context_turns) - 1}"
+        return [(crop.conversation_id, len(crop.context_turns) - 1)
                 for crop in pick_crops(conversations, args.crops, args.seed)]
     conversations, index, _ = _load_corpus(args.corpus, incoming_turns)
     markov = train_markov(conversations) if run_config.responder_mode == "markov" else None
-    components = SimpleNamespace(recognizer=ToyRecognizer(index.transcripts),
-                                 responder=ToyResponder(index.targets, markov=markov),
-                                 synthesizer=ToySynthesizer(),
-                                 reference_styles=index.reference_styles)
 
     crops = pick_crops(conversations, args.crops, args.seed)
-    results = run_dialog(run_config, crops, components)
+    results = run_dialog(run_config, crops, index.reference_styles, markov)
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     lines = []
@@ -286,7 +281,7 @@ def cmd_evaluate(args) -> int:
         rows = _load_generated(gen_dir)
     except (FileNotFoundError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    references = {f"{row['conversation_id']}/{row['k']}" for _, row in rows}
+    references = {(row["conversation_id"], row["k"]) for _, row in rows}
     _, index, _ = _load_corpus(args.reference, lambda _: references)
     generated, reference = [], []
     for where, row in rows:

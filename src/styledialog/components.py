@@ -1,5 +1,6 @@
-"""Deterministic toy components: corpus-lookup recognizer with controllable
-WER, oracle/markov responder, and a harmonic synthesizer whose output can be
+"""Deterministic toy components: a recognizer that reads a turn's own
+transcript at a controllable WER, an oracle/markov responder that reads a
+crop's target turn, and a harmonic synthesizer whose output can be
 re-encoded into the style it was asked to render.
 
 Component instances are immutable after construction; per-turn state flows
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acoustics
-from .dialog import AudioClip, Conversation, StyleVector
+from .dialog import AudioClip, Conversation, DialogCrop, StyleVector, Turn
 
 START_TOKEN = "<s>"
 END_TOKEN = "</s>"
@@ -100,79 +101,65 @@ def train_markov(corpus: list[Conversation]) -> MarkovTable:
 
 
 class ToyRecognizer:
-    """Looks the transcript up in the corpus and injects word substitutions
-    to hit the target WER exactly (substitution-only noise)."""
+    """Reads the turn's own transcript and injects word substitutions to
+    hit the target WER exactly (substitution-only noise), seeded by the
+    turn's audio source id."""
 
-    def __init__(self, corpus_index):
-        self._index = corpus_index
-
-    def recognize(self, clip: AudioClip, target_wer: float = 0.0,
-                  rng_seed: int = 0) -> str:
+    def recognize(self, turn: Turn, target_wer: float = 0.0, rng_seed: int = 0) -> str:
         if not 0.0 <= target_wer <= 1.0:
             raise ValueError(f"target_wer must be in [0, 1], got {target_wer}")
-        if clip.source_id is None or clip.source_id not in self._index:
-            raise KeyError(f"unknown audio source {clip.source_id!r}")
-        truth = self._index[clip.source_id]
-        words = truth.split()
+        words = turn.text.split()
         n_sub = math.ceil(target_wer * len(words))
         if n_sub:
-            rng = random.Random(f"{rng_seed}:{clip.source_id}")
+            rng = random.Random(f"{rng_seed}:{turn.audio.source_id}")
             for j, pos in enumerate(sorted(rng.sample(range(len(words)), n_sub))):
                 words[pos] = f"zzsub{j}zz"
         return " ".join(words)
 
 
 class ToyResponder:
-    """Generates the next turn's text and prosodic style.
+    """Generates a crop's next turn: its text and prosodic style.
 
-    Text modes: oracle (corpus ground truth) or markov (seeded bigram
-    sampling).  Style modes: oracle, context_average, last_same_speaker.
+    Text modes: oracle (the crop's target text) or markov (bigram sampling
+    seeded by the incoming turn's audio source id).  Style modes: oracle
+    (the target's style), context_average, last_same_speaker (the target
+    speaker's last style in the context).
     """
 
-    def __init__(self, target_index, markov: MarkovTable | None = None):
-        # target_index: source_id -> (target_text, target_style, target_speaker)
-        self._targets = target_index
+    def __init__(self, markov: MarkovTable | None = None):
         self._markov = markov
 
-    def _target(self, clip: AudioClip):
-        if clip.source_id is None or clip.source_id not in self._targets:
-            raise KeyError(f"no ground-truth target for source {clip.source_id!r}")
-        return self._targets[clip.source_id]
-
-    def respond(self, clip: AudioClip, context, mode: str = "oracle",
-                style_mode: str = "oracle", rng_seed: int = 0,
-                response_speaker: str | None = None) -> ResponderOutput:
+    def respond(self, crop: DialogCrop, context, mode: str = "oracle",
+                style_mode: str = "oracle", rng_seed: int = 0) -> ResponderOutput:
+        target = crop.target_turn
         if mode == "oracle":
-            text, target_style, target_speaker = self._target(clip)
+            text = target.text
         elif mode == "markov":
             if self._markov is None:
                 raise RuntimeError("markov mode requires a trained bigram table")
-            text = self._markov.sample(random.Random(f"{rng_seed}:{clip.source_id}"))
-            target_style = target_speaker = None
+            source_id = crop.incoming_turn.audio.source_id
+            text = self._markov.sample(random.Random(f"{rng_seed}:{source_id}"))
         else:
             raise ValueError(f"unknown responder mode {mode!r}")
 
-        speaker = response_speaker or target_speaker
         if style_mode == "oracle":
-            if target_style is None:
-                _, target_style, _ = self._target(clip)
-            style = target_style
+            style = target.prosodic_style
         elif style_mode in ("context_average", "last_same_speaker"):
-            style = self._context_style(context, style_mode, speaker)
+            style = self._context_style(context, style_mode, target.speaker)
         else:
             raise ValueError(f"unknown style mode {style_mode!r}")
         return ResponderOutput(text=text, prosodic_style=style)
 
     @staticmethod
     def _context_style(context, style_mode, speaker):
-        if style_mode == "last_same_speaker" and speaker is not None:
+        if style_mode == "last_same_speaker":
             for entry in reversed(context.entries):
                 if entry.speaker == speaker:
                     return entry.style
         if context.entries:
             mean = np.mean([e.style.as_array() for e in context.entries], axis=0)
             return StyleVector(values=tuple(mean), kind="prosodic")
-        if speaker is not None and speaker in context.reference_styles:
+        if speaker in context.reference_styles:
             return context.reference_styles[speaker][0]
         raise ValueError("empty context and no reference style to fall back on")
 

@@ -15,14 +15,17 @@ with no path is synth-backed when it has both styles and some text: its
 audio is a `SynthAudio` of that text and those styles, the one form of
 rendered synth audio, held as int16 PCM as a WAV-backed turn's `AudioClip`
 is.  Any other turn without a path has no audio.  WAV-backed turns are
-always read, and a record whose WAV cannot be read is a reject.  The loader renders,
-inside `load_corpus`, only the synth-backed turns its caller asks for
-through `audio_for` (all of them by default): `run` asks for its crops'
-incoming turns, `evaluate` for its reference turns and `build-prompt` for
-none.  A synth-backed turn left with `audio=None` was not requested; it
-still has its styles and text.  `generate_synthetic_corpus` renders
-nothing: each of its turns carries a `SynthAudio`, whose audio is rendered
-on the first read of its PCM.
+always read, and a record whose WAV cannot be read is a reject.  The
+loader renders, inside `load_corpus`, only the synth-backed turns its
+caller asks for through `audio_for` (all of them by default), named by
+(conversation id, turn index): `run` asks for its crops' incoming turns,
+`evaluate` for its reference turns and `build-prompt` for none.  A
+synth-backed turn left with `audio=None` was not requested; it still has
+its styles and text.  `generate_synthetic_corpus` renders nothing: each of
+its turns carries a `SynthAudio`, whose audio is rendered on the first
+read of its PCM.  A clip's `source_id`, "<conversation id>/<turn index>",
+is formatted only by `_source_id`; it names the audio and seeds the toy
+components' noise, and is never a lookup key.
 
 `save_corpus` leaves a turn's audio out of the file only when it is a
 `SynthAudio` of exactly the turn's own text and styles and `write_audio`
@@ -118,14 +121,15 @@ class SynthAudio:
 
 
 def _render(conv: Conversation, wanted) -> Conversation:
-    """`conv` with each synth-backed turn in `wanted` (None: all of them)
-    given its `SynthAudio`, rendered at once."""
+    """`conv` with each synth-backed turn whose (conv.id, index) is in
+    `wanted` (None: all of them) given its `SynthAudio`, rendered at once."""
     turns = list(conv.turns)
     for i, turn in enumerate(turns):
-        sid = _source_id(conv.id, i)
-        if (turn.audio is None and (wanted is None or sid in wanted) and turn.text.split()
+        if (turn.audio is None and (wanted is None or (conv.id, i) in wanted)
+                and turn.text.split()
                 and turn.prosodic_style is not None and turn.acoustic_style is not None):
-            audio = SynthAudio(turn.text, turn.prosodic_style, turn.acoustic_style, sid)
+            audio = SynthAudio(turn.text, turn.prosodic_style, turn.acoustic_style,
+                               _source_id(conv.id, i))
             audio.pcm  # render here, where the benchmark's corpus metrics time it
             turns[i] = replace(turn, audio=audio)
     return replace(conv, turns=tuple(turns))
@@ -137,11 +141,11 @@ def load_corpus(path, audio_for=None):
     record.  Raises when nothing valid is left.
 
     WAV-backed turns are read whatever is asked.  `audio_for(conversations)`
-    is called once after the parse and returns the source ids
-    ("<conversation id>/<turn index>") whose synth-backed audio the caller
-    will read; only those are rendered, and every other synth-backed turn
-    is returned with `audio=None`, meaning "not requested".  None renders
-    every synth-backed turn.
+    is called once after the parse and returns the (conversation id, turn
+    index) pairs whose synth-backed audio the caller will read; only those
+    are rendered, and every other synth-backed turn is returned with
+    `audio=None`, meaning "not requested".  None renders every synth-backed
+    turn.
     """
     path = Path(path)
     if not path.is_file():
@@ -301,42 +305,28 @@ def save_synthetic_corpus(path, conversations, acoustic_records) -> None:
 
 
 class CorpusIndex:
-    """Lookup tables keyed by audio source_id, shared by the toy components."""
+    """The loaded conversations by id, and the reference styles each
+    conversation's speakers speak from."""
 
     def __init__(self, conversations):
         self.conversations = {c.id: c for c in conversations}
-        self.transcripts = {}
-        self.targets = {}
-        self._acoustics = {}
-        for conv in conversations:
-            for i, turn in enumerate(conv.turns):
-                sid = _source_id(conv.id, i)
-                self.transcripts[sid] = turn.text
-                if turn.acoustic_style is not None:
-                    self._acoustics[(conv.id, turn.speaker)] = turn.acoustic_style
-                if i + 1 < len(conv.turns):
-                    nxt = conv.turns[i + 1]
-                    self.targets[sid] = (nxt.text, nxt.prosodic_style, nxt.speaker)
-
-    def acoustic_style(self, conv_id: str, speaker: str) -> StyleVector:
-        key = (conv_id, speaker)
-        if key not in self._acoustics:
-            raise KeyError(f"no acoustic style for {speaker!r} in {conv_id!r}")
-        return self._acoustics[key]
 
     def reference_styles(self, conv_id: str) -> dict:
         """speaker -> (prosodic reference, acoustic style).  The prosodic
-        reference is the speaker's mean style over the conversation."""
-        conv = self.conversations[conv_id]
-        by_speaker = {}
-        for turn in conv.turns:
+        reference is the speaker's mean style over the conversation; the
+        acoustic style is the one on the speaker's last turn that has one."""
+        prosodic, acoustic = {}, {}
+        for turn in self.conversations[conv_id].turns:
             if turn.prosodic_style is not None:
-                by_speaker.setdefault(turn.speaker, []).append(turn.prosodic_style.as_array())
+                prosodic.setdefault(turn.speaker, []).append(turn.prosodic_style.as_array())
+            if turn.acoustic_style is not None:
+                acoustic[turn.speaker] = turn.acoustic_style
         refs = {}
-        for speaker, styles in by_speaker.items():
+        for speaker, styles in prosodic.items():
+            if speaker not in acoustic:
+                raise KeyError(f"no acoustic style for {speaker!r} in {conv_id!r}")
             mean = np.mean(styles, axis=0)
-            refs[speaker] = (StyleVector(values=tuple(mean), kind="prosodic"),
-                             self.acoustic_style(conv_id, speaker))
+            refs[speaker] = (StyleVector(values=tuple(mean), kind="prosodic"), acoustic[speaker])
         return refs
 
 

@@ -25,10 +25,12 @@ costs included) live here, and the components carry no cost of their own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .components import RESPONDER_MODES, STYLE_MODES
+from .components import (RESPONDER_MODES, STYLE_MODES, MarkovTable, ToyRecognizer,
+                         ToyResponder, ToySynthesizer)
 from .dialog import Turn, append_turn, context_from_turns
 
 
@@ -59,6 +61,19 @@ BACKGROUND = {Topology.STYLE_TALKER: ("asr", "style_enc")}
 STAGES = {t: CRITICAL[t] + BACKGROUND.get(t, ()) for t in Topology}
 
 
+class ConfigurationError(ValueError):
+    pass
+
+
+def check_number(name: str, value, high: float) -> None:
+    """The one check of a number a run's config gives: an int or a float,
+    not a bool or a string, finite and in [0, high]."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value <= min(high, sys.float_info.max)):
+        bounds = "a finite number >= 0" if high == math.inf else f"a number in [0, {high:g}]"
+        raise ConfigurationError(f"{name} must be {bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LatencyModel:
     """Affine cost: fixed + a*input_audio_s + b*output_tokens + c*output_audio_s."""
@@ -70,9 +85,8 @@ class LatencyModel:
 
     def __post_init__(self):
         for name in ("fixed_s", "per_input_audio_s", "per_output_token_s", "per_output_audio_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+            check_number(name, getattr(self, name), math.inf)
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def evaluate(self, input_dur: float, out_tokens: int, out_dur: float) -> float:
         return (self.fixed_s + self.per_input_audio_s * input_dur
@@ -81,7 +95,7 @@ class LatencyModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatencyModel":
-        return cls(**{k: float(v) for k, v in d.items()})
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -108,10 +122,6 @@ class SimReport:
         object.__setattr__(self, "timeline", tuple(self.timeline))
 
 
-class ConfigurationError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything `run_dialog` reads, checked once when it is built."""
@@ -133,8 +143,7 @@ class RunConfig:
             raise ConfigurationError(f"unknown responder_mode {self.responder_mode!r}")
         if self.style_mode not in STYLE_MODES:
             raise ConfigurationError(f"unknown style_mode {self.style_mode!r}")
-        if not 0.0 <= self.target_wer <= 1.0:
-            raise ConfigurationError(f"target_wer must be in [0, 1], got {self.target_wer}")
+        check_number("target_wer", self.target_wer, 1.0)
 
 
 def simulate_turn(topology: Topology, input_dur: float, out_tokens: int,
@@ -181,30 +190,33 @@ class TurnResult:
     recognized_text: str
 
 
-def run_dialog(config: RunConfig, crops, components) -> list[TurnResult]:
+def run_dialog(config: RunConfig, crops, reference_styles,
+               markov: MarkovTable | None = None) -> list[TurnResult]:
     """Run the pipeline over a crop list, chaining background carryover.
 
-    `components` needs .recognizer, .responder, .synthesizer and
-    .reference_styles(conversation_id).  For style_talker the generation
-    context excludes the incoming turn's text/style (they are only
-    aggregated by the background lane); the cascade recognizes the incoming
-    turn on the critical path and appends it with the speaker's reference
-    prosodic style.
+    The toy components read each crop's own turns as their ground truth;
+    `reference_styles(conversation_id)` gives each speaker's (prosodic,
+    acoustic) reference, and `markov` is the bigram table the markov
+    responder samples from.  For style_talker the generation context
+    excludes the incoming turn's text/style (they are only aggregated by
+    the background lane); the cascade recognizes the incoming turn on the
+    critical path and appends it with the speaker's reference prosodic
+    style.
     """
+    recognizer, responder, synthesizer = ToyRecognizer(), ToyResponder(markov), ToySynthesizer()
     results = []
     carryover = 0.0
     for i, crop in enumerate(crops):
         try:
-            refs = components.reference_styles(crop.conversation_id)
+            refs = reference_styles(crop.conversation_id)
             context = context_from_turns(crop.context_turns[:-1], refs)
             incoming = crop.incoming_turn
-            clip = incoming.audio
-            if clip is None:
+            if incoming.audio is None:
                 raise ValueError("incoming turn has no audio")
             speaker_out = crop.target_turn.speaker
 
-            recognized = components.recognizer.recognize(clip, target_wer=config.target_wer,
-                                                         rng_seed=config.seed)
+            recognized = recognizer.recognize(incoming, target_wer=config.target_wer,
+                                              rng_seed=config.seed)
             if config.topology is Topology.CASCADE:
                 # ASR on the critical path: recognized text joins the context now
                 gen_context = append_turn(context, incoming.speaker, recognized,
@@ -212,15 +224,11 @@ def run_dialog(config: RunConfig, crops, components) -> list[TurnResult]:
             else:
                 gen_context = context
 
-            response = components.responder.respond(clip, gen_context,
-                                                    mode=config.responder_mode,
-                                                    style_mode=config.style_mode,
-                                                    rng_seed=config.seed,
-                                                    response_speaker=speaker_out)
-            acoustic = refs[speaker_out][1]
-            audio = components.synthesizer.synthesize(response.text,
-                                                      response.prosodic_style, acoustic)
-            report = simulate_turn(config.topology, clip.duration_seconds,
+            response = responder.respond(crop, gen_context, mode=config.responder_mode,
+                                         style_mode=config.style_mode, rng_seed=config.seed)
+            audio = synthesizer.synthesize(response.text, response.prosodic_style,
+                                           refs[speaker_out][1])
+            report = simulate_turn(config.topology, incoming.audio.duration_seconds,
                                    len(response.text.split()), audio.duration_seconds,
                                    config.latencies, prev_carryover=carryover, turn_index=i)
             carryover = report.carryover_s

@@ -9,6 +9,7 @@ only when the benchmark is next run.  Nothing under bench/ is modified.
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -45,6 +46,9 @@ def test_every_traced_name_resolves(monkeypatch):
         target = importlib.import_module(f"styledialog.{module}")
         if owner is not None:
             target = getattr(target, owner)
+            # a wrapped staticmethod would be called with the instance first
+            assert inspect.isfunction(inspect.getattr_static(target, attr, None)), \
+                f"{span}: {module}.{owner}.{attr} is not a plain function"
         assert callable(getattr(target, attr, None)), f"{span}: {module}.{owner}.{attr}"
 
 

@@ -416,6 +416,12 @@ RUN_FAULTS = {
     "negative cost": ({"latency": {"style_talker": ST_ZERO | {"asr": {"fixed_s": -1}}}}, []),
     "unknown style_mode": ({"style_mode": "loud"}, []),
     "target_wer out of range": ({"target_wer": 2}, []),
+    "target_wer a bool": ({"target_wer": True}, []),
+    "tokens_per_output_second a bool": ({"tokens_per_output_second": True}, []),
+    "cost a bool": ({"latency": {"style_talker": ST_ZERO | {"asr": {"fixed_s": True}}}}, []),
+    "cost a string": ({"latency": {"style_talker": ST_ZERO | {"asr": {"fixed_s": "1e3"}}}}, []),
+    "cost past the float range":
+        ({"latency": {"style_talker": ST_ZERO | {"asr": {"fixed_s": 10 ** 400}}}}, []),
     "top-level list": ([{"responder_mode": "markov"}], []),
     "NaN cost": ({"latency": {"style_talker": ST_ZERO | {"asr": {"fixed_s": float("nan")}}}}, []),
     "unknown topology": (None, ["--topology", "bogus"]),

@@ -12,115 +12,91 @@ from styledialog.components import (MARKOV_EMPTY_REDRAWS, MarkovTable, ToyRecogn
                                     ToyResponder, ToySynthesizer, train_markov, END_TOKEN,
                                     START_TOKEN)
 from styledialog.corpus import load_corpus
-from styledialog.dialog import ConversationContext, StyleVector, append_turn
+from styledialog.dialog import ConversationContext, StyleVector, append_turn, make_crop
 from styledialog.metrics import word_edit_distance
 from conftest import acoustic, make_conversation, prosodic, simple_style
 from oracles import perplexity_of_table, synthesize_brute
 
 
 class TestRecognizer:
-    def _setup(self, conv):
-        index = {t.audio.source_id: t.text for t in conv.turns}
-        return ToyRecognizer(index)
-
     def test_zero_wer_exact(self, conv):
-        rec = self._setup(conv)
+        rec = ToyRecognizer()
         for t in conv.turns:
-            assert rec.recognize(t.audio) == t.text
+            assert rec.recognize(t) == t.text
 
     def test_target_wer_hit_exactly(self, conv):
-        rec = self._setup(conv)
+        rec = ToyRecognizer()
         for target in (0.25, 0.5, 1.0):
             for t in conv.turns:
-                out = rec.recognize(t.audio, target_wer=target, rng_seed=3)
+                out = rec.recognize(t, target_wer=target, rng_seed=3)
                 n_words = len(t.text.split())
                 expect = math.ceil(target * n_words) / n_words
                 assert word_edit_distance(t.text.split(), out.split()) / n_words \
                     == pytest.approx(expect)
 
     def test_deterministic(self, conv):
-        rec = self._setup(conv)
-        clip = conv.turns[0].audio
-        a = rec.recognize(clip, target_wer=0.5, rng_seed=7)
-        b = rec.recognize(clip, target_wer=0.5, rng_seed=7)
+        rec = ToyRecognizer()
+        a = rec.recognize(conv.turns[0], target_wer=0.5, rng_seed=7)
+        b = rec.recognize(conv.turns[0], target_wer=0.5, rng_seed=7)
         assert a == b
 
-    def test_unknown_source(self, conv):
-        rec = self._setup(conv)
-        from conftest import sine_clip
-        with pytest.raises(KeyError):
-            rec.recognize(sine_clip(220.0, source_id="nope/0"))
-
     def test_invalid_wer(self, conv):
-        rec = self._setup(conv)
         with pytest.raises(ValueError):
-            rec.recognize(conv.turns[0].audio, target_wer=1.5)
+            ToyRecognizer().recognize(conv.turns[0], target_wer=1.5)
 
 
 class TestResponder:
-    def _setup(self, conv):
-        targets = {}
-        for i, t in enumerate(conv.turns[:-1]):
-            nxt = conv.turns[i + 1]
-            targets[t.audio.source_id] = (nxt.text, nxt.prosodic_style, nxt.speaker)
-        return ToyResponder(targets)
-
     def test_oracle_exact(self, conv):
-        resp = self._setup(conv)
+        resp = ToyResponder()
         ctx = ConversationContext()
-        for i, t in enumerate(conv.turns[:-1]):
-            out = resp.respond(t.audio, ctx)
-            assert out.text == conv.turns[i + 1].text
-            assert out.prosodic_style == conv.turns[i + 1].prosodic_style
+        for k in range(1, len(conv.turns)):
+            out = resp.respond(make_crop(conv, k), ctx)
+            assert out.text == conv.turns[k].text
+            assert out.prosodic_style == conv.turns[k].prosodic_style
 
     def test_context_average(self, conv):
-        resp = self._setup(conv)
         ctx = ConversationContext()
         ctx = append_turn(ctx, "a", "x", prosodic([0.0] * 8))
         ctx = append_turn(ctx, "b", "y", prosodic([1.0] * 8))
-        out = resp.respond(conv.turns[0].audio, ctx, style_mode="context_average")
+        out = ToyResponder().respond(make_crop(conv, 1), ctx, style_mode="context_average")
         assert out.prosodic_style.values == (0.5,) * 8
 
-    def test_last_same_speaker(self, conv):
-        resp = self._setup(conv)
-        ctx = ConversationContext()
-        s_alice = prosodic([0.2] * 8)
-        ctx = append_turn(ctx, "alice", "x", s_alice)
-        ctx = append_turn(ctx, "bob", "y", prosodic([0.9] * 8))
-        out = resp.respond(conv.turns[0].audio, ctx, style_mode="last_same_speaker",
-                           response_speaker="alice")
-        assert out.prosodic_style == s_alice
+    def test_last_same_speaker(self):
+        """The target speaker's last context style, whatever the text mode:
+        a speaker named "" is a name like any other."""
+        s_target = prosodic([0.2] * 8)
+        for speaker in ("alice", ""):
+            conv = make_conversation(speakers=("bob", speaker))
+            resp = ToyResponder(markov=train_markov([conv]))
+            ctx = append_turn(ConversationContext(), speaker, "x", s_target)
+            ctx = append_turn(ctx, "bob", "y", prosodic([0.9] * 8))
+            for mode in ("oracle", "markov"):
+                out = resp.respond(make_crop(conv, 1), ctx, mode=mode,
+                                   style_mode="last_same_speaker")
+                assert out.prosodic_style == s_target, (speaker, mode)
 
     def test_empty_context_falls_back_to_reference(self, conv):
-        resp = self._setup(conv)
-        refs = {"alice": (simple_style(0.33), acoustic([0.5] * 8))}
+        refs = {"bob": (simple_style(0.33), acoustic([0.5] * 8))}
         ctx = ConversationContext(reference_styles=refs)
-        out = resp.respond(conv.turns[0].audio, ctx, style_mode="context_average",
-                           response_speaker="alice")
-        assert out.prosodic_style == refs["alice"][0]
+        out = ToyResponder().respond(make_crop(conv, 1), ctx, style_mode="context_average")
+        assert out.prosodic_style == refs["bob"][0]
 
     def test_markov_requires_table(self, conv):
-        resp = self._setup(conv)
         with pytest.raises(RuntimeError):
-            resp.respond(conv.turns[0].audio, ConversationContext(), mode="markov")
+            ToyResponder().respond(make_crop(conv, 1), ConversationContext(), mode="markov")
 
     def test_markov_deterministic(self, conv):
-        table = train_markov([conv])
-        targets = {t.audio.source_id: (t.text, t.prosodic_style, t.speaker)
-                   for t in conv.turns}
-        resp = ToyResponder(targets, markov=table)
-        a = resp.respond(conv.turns[0].audio, ConversationContext(), mode="markov",
-                         rng_seed=5)
-        b = resp.respond(conv.turns[0].audio, ConversationContext(), mode="markov",
-                         rng_seed=5)
+        resp = ToyResponder(markov=train_markov([conv]))
+        a = resp.respond(make_crop(conv, 1), ConversationContext(), mode="markov", rng_seed=5)
+        b = resp.respond(make_crop(conv, 1), ConversationContext(), mode="markov", rng_seed=5)
         assert a.text == b.text
 
     def test_unknown_modes(self, conv):
-        resp = self._setup(conv)
+        resp = ToyResponder()
         with pytest.raises(ValueError):
-            resp.respond(conv.turns[0].audio, ConversationContext(), mode="gpt5")
+            resp.respond(make_crop(conv, 1), ConversationContext(), mode="gpt5")
         with pytest.raises(ValueError):
-            resp.respond(conv.turns[0].audio, ConversationContext(), style_mode="nope")
+            resp.respond(make_crop(conv, 1), ConversationContext(), style_mode="nope")
 
 
 class TestMarkov:

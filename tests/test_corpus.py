@@ -185,11 +185,12 @@ class TestSelectiveRender:
     @given(conversations=corpora(), write_audio=st.booleans(), data=st.data())
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_renders_only_what_is_asked(self, conversations, write_audio, data):
-        """Asking for a subset S of source ids changes one thing: the
+        """Asking for a subset S of (conversation id, turn index) pairs
+        changes one thing: the
         synth-backed turns outside S have no audio.  WAV-backed turns, the
         rejects and the audio of the turns in S are those of a full load."""
-        ids = [f"{c.id}/{i}" for c in conversations for i in range(len(c.turns))]
-        wanted = data.draw(st.frozensets(st.sampled_from(ids + ["ghost/0"])))
+        ids = [(c.id, i) for c in conversations for i in range(len(c.turns))]
+        wanted = data.draw(st.frozensets(st.sampled_from(ids + [("ghost", 0)])))
         asked = []
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
@@ -202,10 +203,10 @@ class TestSelectiveRender:
                                             or wanted)
         assert len(asked) == 1 and [c.id for c in asked[0]] == [c.id for c in full]
         assert part_rejects == full_rejects and len(full_rejects) == 1
-        without_wav = {f"{rec['id']}/{i}" for rec in records[:-1]
+        without_wav = {(rec["id"], i) for rec in records[:-1]
                        for i, t in enumerate(rec["turns"]) if t["audio"] is None}
         expected = [replace(conv, turns=tuple(
-            replace(turn, audio=None) if f"{conv.id}/{i}" in without_wav - wanted else turn
+            replace(turn, audio=None) if (conv.id, i) in without_wav - wanted else turn
             for i, turn in enumerate(conv.turns))) for conv in full]
         assert_same_corpus(part, expected)
 
@@ -438,17 +439,6 @@ class TestLoadedAudioMemory:
 
 
 class TestCorpusIndex:
-    def test_lookup_tables(self):
-        conversations, index, rejects = load_corpus_with_index(bundled_corpus_path())
-        assert rejects == []
-        conv = conversations[0]
-        assert index.transcripts[f"{conv.id}/0"] == conv.turns[0].text
-        text, style, speaker = index.targets[f"{conv.id}/0"]
-        assert text == conv.turns[1].text
-        assert speaker == conv.turns[1].speaker
-        # last turn has no follow-up target
-        assert f"{conv.id}/{len(conv.turns) - 1}" not in index.targets
-
     def test_reference_styles_mean(self):
         conversations, index, _ = load_corpus_with_index(bundled_corpus_path())
         conv = conversations[0]
@@ -464,17 +454,21 @@ class TestCorpusIndex:
 
     def test_acoustic_style_from_the_turns(self):
         a1, a2, b = (StyleVector(values=(v,) * 8, kind="acoustic") for v in (0.1, 0.2, 0.3))
+        p = StyleVector(values=(0.5,) * 8, kind="prosodic")
         conv = Conversation(id="c", turns=(
-            Turn(speaker="a", text="one", acoustic_style=a1),
-            Turn(speaker="b", text="two", acoustic_style=b),
-            Turn(speaker="a", text="three", acoustic_style=a2),
-            Turn(speaker="b", text="four")))
-        index = CorpusIndex([conv])
-        assert index.acoustic_style("c", "a") == a2  # the speaker's last turn wins
-        assert index.acoustic_style("c", "b") == b
+            Turn(speaker="a", text="one", prosodic_style=p, acoustic_style=a1),
+            Turn(speaker="b", text="two", prosodic_style=p, acoustic_style=b),
+            Turn(speaker="a", text="three", prosodic_style=p, acoustic_style=a2),
+            Turn(speaker="b", text="four", prosodic_style=p)))
+        refs = CorpusIndex([conv]).reference_styles("c")
+        assert refs["a"][1] == a2  # the speaker's last turn wins
+        assert refs["b"][1] == b
 
     def test_unknown_acoustic_style(self):
+        """A speaker with a prosodic style but no acoustic style has no reference."""
         conversations, _ = generate_synthetic_corpus(1, seed=3)
-        index = CorpusIndex(conversations)
-        with pytest.raises(KeyError):
-            index.acoustic_style(conversations[0].id, "ghost")
+        conv = conversations[0]
+        ghost = replace(conv.turns[0], speaker="ghost", acoustic_style=None)
+        index = CorpusIndex([replace(conv, turns=conv.turns + (ghost,))])
+        with pytest.raises(KeyError, match="no acoustic style for 'ghost'"):
+            index.reference_styles(conv.id)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog.cli import calibration_path
-from styledialog.components import ToyRecognizer, ToyResponder, ToySynthesizer
 from styledialog.dialog import make_crop
 from styledialog.scheduler import (ConfigurationError, LatencyModel, RunConfig, SimReport,
                                    Topology, run_dialog, simulate_turn)
-from conftest import make_conversation
+from conftest import acoustic, make_conversation
 from oracles import stall_free_delay_brute
 
 ZERO = {s: LatencyModel() for s in ("asr", "llm", "audio_llm", "tts", "style_enc", "e2e")}
@@ -41,6 +40,11 @@ class TestLatencyModel:
         with pytest.raises(ValueError, match="finite"):
             LatencyModel(per_output_audio_s=value)
 
+    @pytest.mark.parametrize("value", [True, "1e3", None])
+    def test_non_number_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            LatencyModel.from_dict({"fixed_s": value})
+
     def test_from_dict(self):
         m = LatencyModel.from_dict({"fixed_s": 0.2, "per_output_token_s": 0.04})
         assert m.fixed_s == 0.2 and m.per_output_token_s == 0.04
@@ -53,6 +57,7 @@ class TestRunConfig:
         (ZERO, {"style_mode": "loud"}),
         (ZERO, {"target_wer": -0.1}),
         (ZERO, {"target_wer": 1.5}),
+        (ZERO, {"target_wer": True}),
     ])
     def test_rejected(self, latencies, fields):
         with pytest.raises(ConfigurationError):
@@ -221,54 +226,42 @@ class TestCriticalPathIdentity:
 
 
 class TestRunDialog:
-    def _bundle(self, conv):
-        transcripts = {t.audio.source_id: t.text for t in conv.turns}
-        targets = {}
-        for i, t in enumerate(conv.turns[:-1]):
-            nxt = conv.turns[i + 1]
-            targets[t.audio.source_id] = (nxt.text, nxt.prosodic_style, nxt.speaker)
+    @staticmethod
+    def _reference_styles(conv):
+        """The reference styles of `conv` alone; another conversation is a KeyError."""
         refs = {}
-        from conftest import acoustic
         for t in conv.turns:
             refs.setdefault(t.speaker, (t.prosodic_style, acoustic([0.5] * 8)))
-
-        class Bundle:
-            recognizer = ToyRecognizer(transcripts)
-            responder = ToyResponder(targets)
-            synthesizer = ToySynthesizer()
-            @staticmethod
-            def reference_styles(conv_id):
-                return refs
-        return Bundle()
+        return {conv.id: refs}.__getitem__
 
     def test_oracle_zero_latency(self):
         conv = make_conversation(n_turns=4)
-        bundle = self._bundle(conv)
+        refs = self._reference_styles(conv)
         crops = [make_crop(conv, 1)]
-        results = run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), crops, bundle)
+        results = run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), crops, refs)
         assert results[0].generated.text == conv.turns[1].text
         assert results[0].report.delay_s == 0.0
 
     def test_cascade_uses_recognized_text(self):
         conv = make_conversation(n_turns=4)
-        bundle = self._bundle(conv)
+        refs = self._reference_styles(conv)
         crops = [make_crop(conv, 2)]
-        results = run_dialog(RunConfig(Topology.CASCADE, ZERO), crops, bundle)
+        results = run_dialog(RunConfig(Topology.CASCADE, ZERO), crops, refs)
         assert results[0].recognized_text == conv.turns[1].text
 
     def test_carryover_chains_turns(self):
         conv = make_conversation(n_turns=4)
-        bundle = self._bundle(conv)
+        refs = self._reference_styles(conv)
         lat = dict(ZERO)
         lat["asr"] = LatencyModel(fixed_s=30.0)  # longer than any playback
         crops = [make_crop(conv, 1), make_crop(conv, 2)]
-        results = run_dialog(RunConfig(Topology.STYLE_TALKER, lat), crops, bundle)
+        results = run_dialog(RunConfig(Topology.STYLE_TALKER, lat), crops, refs)
         assert results[0].report.carryover_s > 0
         assert results[1].report.delay_s >= results[0].report.carryover_s
 
     def test_error_annotated_with_turn(self):
         conv = make_conversation(n_turns=4)
-        bundle = self._bundle(conv)
+        refs = self._reference_styles(conv)
         broken = make_crop(make_conversation("other"), 1)
         with pytest.raises(RuntimeError, match="turn 0"):
-            run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), [broken], bundle)
+            run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), [broken], refs)
