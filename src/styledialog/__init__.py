@@ -2,8 +2,7 @@
 evaluation metrics."""
 
 from .dialog import (AudioClip, Conversation, ConversationContext, DialogCrop,
-                     StyleVector, Turn, append_turn, make_crop,
-                     sample_crop_index)
+                     StyleVector, Turn, make_crop, sample_crop_index)
 from .acoustics import (AcousticSummary, acoustic_embedding, encode_style,
                         energy_stats, hnr, pitch_track, summarize)
 from .components import (MarkovTable, ToyRecognizer, ToyResponder, ToySynthesizer,

@@ -37,12 +37,6 @@ STYLE_MODES = ("oracle", "context_average", "last_same_speaker")
 
 
 @dataclass(frozen=True)
-class ResponderOutput:
-    text: str
-    prosodic_style: StyleVector
-
-
-@dataclass(frozen=True)
 class MarkovTable:
     """Add-one-smoothed bigram counts over whitespace tokens."""
 
@@ -118,7 +112,8 @@ class ToyRecognizer:
 
 
 class ToyResponder:
-    """Generates a crop's next turn: its text and prosodic style.
+    """Generates a crop's next turn: a `Turn` by the target speaker with its
+    text and prosodic style and no audio, which the synthesizer renders.
 
     Text modes: oracle (the crop's target text) or markov (bigram sampling
     seeded by the incoming turn's audio source id).  Style modes: oracle
@@ -130,7 +125,7 @@ class ToyResponder:
         self._markov = markov
 
     def respond(self, crop: DialogCrop, context, mode: str = "oracle",
-                style_mode: str = "oracle", rng_seed: int = 0) -> ResponderOutput:
+                style_mode: str = "oracle", rng_seed: int = 0) -> Turn:
         target = crop.target_turn
         if mode == "oracle":
             text = target.text
@@ -148,16 +143,16 @@ class ToyResponder:
             style = self._context_style(context, style_mode, target.speaker)
         else:
             raise ValueError(f"unknown style mode {style_mode!r}")
-        return ResponderOutput(text=text, prosodic_style=style)
+        return Turn(speaker=target.speaker, text=text, prosodic_style=style)
 
     @staticmethod
     def _context_style(context, style_mode, speaker):
         if style_mode == "last_same_speaker":
             for entry in reversed(context.entries):
                 if entry.speaker == speaker:
-                    return entry.style
+                    return entry.prosodic_style
         if context.entries:
-            mean = np.mean([e.style.as_array() for e in context.entries], axis=0)
+            mean = np.mean([e.prosodic_style.as_array() for e in context.entries], axis=0)
             return StyleVector(values=tuple(mean), kind="prosodic")
         if speaker in context.reference_styles:
             return context.reference_styles[speaker][0]

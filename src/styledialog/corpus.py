@@ -60,12 +60,17 @@ SPEAKER_INDICATOR_RE = re.compile(r"\[S\d+\]")
 
 def write_atomic(path, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it over
-    `path`, so a reader never sees a partly written file."""
+    `path`, so a reader never sees a partly written file.  A failed write
+    or rename removes the temporary file and re-raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _source_id(conv_id: str, turn_idx: int) -> str:

@@ -1,8 +1,10 @@
 """Core dialog types: audio clips, style vectors, turns, conversations,
-and the rolling conversation context shared by every other module.
+and the conversation context shared by every other module.
 
-All types are immutable after construction (value semantics); the context
-operations return new objects and never mutate their inputs.
+`Turn` is the one utterance type: a corpus turn, an entry of the context
+the generator reads, and the responder's reply are all `Turn`s.  All types
+are immutable after construction (value semantics); a changed context is a
+new object, made with `dataclasses.replace`, and its input is untouched.
 
 Audio is 16-bit speech end to end, so an `AudioClip` holds read-only int16
 `pcm`, 2 bytes per sample, and makes its float `samples` on each read.
@@ -136,26 +138,19 @@ class Conversation:
 
 
 @dataclass(frozen=True)
-class ContextEntry:
-    speaker: str
-    text: str
-    style: StyleVector
-
-    def __post_init__(self):
-        if self.style.kind != "prosodic":
-            raise ValueError("context entries carry prosodic styles only")
-
-
-@dataclass(frozen=True)
 class ConversationContext:
-    """Ordered (speaker, text, prosodic style) history plus per-speaker
-    reference styles (prosodic, acoustic)."""
+    """What the generator reads: the earlier turns, in order, each with its
+    speaker, text and prosodic style, plus per-speaker reference styles
+    (prosodic, acoustic)."""
 
-    entries: tuple[ContextEntry, ...] = ()
+    entries: tuple[Turn, ...] = ()
     reference_styles: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        for turn in self.entries:
+            if turn.prosodic_style is None:
+                raise ValueError(f"turn by {turn.speaker!r} has no prosodic style")
         for speaker, (pro, aco) in self.reference_styles.items():
             if pro.kind != "prosodic" or aco.kind != "acoustic":
                 raise ValueError(f"reference styles for {speaker!r} must be (prosodic, acoustic)")
@@ -181,16 +176,6 @@ class DialogCrop:
         return self.context_turns[-1]
 
 
-def append_turn(context: ConversationContext, speaker: str, text: str,
-                style: StyleVector) -> ConversationContext:
-    """Return a new context with one more entry appended; the input is untouched."""
-    if style.kind != "prosodic":
-        raise ValueError(f"appended style must be prosodic, got kind {style.kind!r}")
-    entry = ContextEntry(speaker=speaker, text=text, style=style)
-    return ConversationContext(entries=context.entries + (entry,),
-                               reference_styles=dict(context.reference_styles))
-
-
 def make_crop(conv: Conversation, k: int) -> DialogCrop:
     """Crop at 1-based turn index k: context = turns 1..k, target = turn k+1."""
     n = len(conv.turns)
@@ -210,10 +195,6 @@ def sample_crop_index(conv: Conversation, rng_seed: int) -> int:
 
 
 def context_from_turns(turns, reference_styles) -> ConversationContext:
-    """Build a context from fully processed turns (each must carry a style)."""
-    ctx = ConversationContext(reference_styles=dict(reference_styles))
-    for turn in turns:
-        if turn.prosodic_style is None:
-            raise ValueError(f"turn by {turn.speaker!r} has no prosodic style")
-        ctx = append_turn(ctx, turn.speaker, turn.text, turn.prosodic_style)
-    return ctx
+    """The context of fully processed turns (each must carry a prosodic
+    style) and a copy of the reference styles."""
+    return ConversationContext(entries=turns, reference_styles=dict(reference_styles))

@@ -9,7 +9,7 @@ output style slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .dialog import ConversationContext, DialogCrop
@@ -162,5 +162,4 @@ def truncate_to_budget(context: ConversationContext, budget: int, *, crop: Dialo
             raise ValueError(
                 f"token budget {budget} is below the prompt scaffold "
                 f"({built.token_count} tokens with no context turns)")
-        current = ConversationContext(entries=current.entries[1:],
-                                      reference_styles=dict(current.reference_styles))
+        current = replace(current, entries=current.entries[1:])

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .components import (RESPONDER_MODES, STYLE_MODES, MarkovTable, ToyRecognizer,
                          ToyResponder, ToySynthesizer)
-from .dialog import Turn, append_turn, context_from_turns
+from .dialog import Turn, context_from_turns
 
 
 class Topology(str, Enum):
@@ -50,7 +50,9 @@ class Topology(str, Enum):
 
 
 # each topology's stages in run order: the critical lane ends when the reply's
-# audio is generated; the background lane starts at playback start
+# audio is generated; the background lane starts at playback start.  This is
+# the one table of what the generator hears: the incoming turn's recognized
+# text joins its context exactly when "asr" runs on the critical lane
 CRITICAL = {
     Topology.CASCADE: ("asr", "llm", "tts"),
     Topology.STYLE_TALKER: ("audio_llm", "tts"),
@@ -197,11 +199,11 @@ def run_dialog(config: RunConfig, crops, reference_styles,
     The toy components read each crop's own turns as their ground truth;
     `reference_styles(conversation_id)` gives each speaker's (prosodic,
     acoustic) reference, and `markov` is the bigram table the markov
-    responder samples from.  For style_talker the generation context
-    excludes the incoming turn's text/style (they are only aggregated by
-    the background lane); the cascade recognizes the incoming turn on the
-    critical path and appends it with the speaker's reference prosodic
-    style.
+    responder samples from.  The generator's context is the turns before
+    the incoming one; where `CRITICAL` runs "asr" before the generator,
+    the incoming turn also joins it as a `Turn` of its recognized text and
+    its speaker's reference prosodic style.  The generated turn is the
+    responder's `Turn` with the synthesized audio.
     """
     recognizer, responder, synthesizer = ToyRecognizer(), ToyResponder(markov), ToySynthesizer()
     results = []
@@ -209,32 +211,27 @@ def run_dialog(config: RunConfig, crops, reference_styles,
     for i, crop in enumerate(crops):
         try:
             refs = reference_styles(crop.conversation_id)
-            context = context_from_turns(crop.context_turns[:-1], refs)
             incoming = crop.incoming_turn
             if incoming.audio is None:
                 raise ValueError("incoming turn has no audio")
-            speaker_out = crop.target_turn.speaker
 
             recognized = recognizer.recognize(incoming, target_wer=config.target_wer,
                                               rng_seed=config.seed)
-            if config.topology is Topology.CASCADE:
-                # ASR on the critical path: recognized text joins the context now
-                gen_context = append_turn(context, incoming.speaker, recognized,
-                                          refs[incoming.speaker][0])
-            else:
-                gen_context = context
+            heard = crop.context_turns[:-1]
+            if "asr" in CRITICAL[config.topology]:
+                heard += (Turn(incoming.speaker, recognized,
+                               prosodic_style=refs[incoming.speaker][0]),)
 
-            response = responder.respond(crop, gen_context, mode=config.responder_mode,
+            response = responder.respond(crop, context_from_turns(heard, refs),
+                                         mode=config.responder_mode,
                                          style_mode=config.style_mode, rng_seed=config.seed)
             audio = synthesizer.synthesize(response.text, response.prosodic_style,
-                                           refs[speaker_out][1])
+                                           refs[response.speaker][1])
             report = simulate_turn(config.topology, incoming.audio.duration_seconds,
                                    len(response.text.split()), audio.duration_seconds,
                                    config.latencies, prev_carryover=carryover, turn_index=i)
             carryover = report.carryover_s
-            generated = Turn(speaker=speaker_out, text=response.text, audio=audio,
-                             prosodic_style=response.prosodic_style)
-            results.append(TurnResult(report=report, generated=generated,
+            results.append(TurnResult(report=report, generated=replace(response, audio=audio),
                                       recognized_text=recognized))
         except Exception as exc:
             raise RuntimeError(f"turn {i} (conversation {crop.conversation_id!r}) failed") from exc

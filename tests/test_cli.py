@@ -429,6 +429,57 @@ RUN_FAULTS = {
 }
 
 
+def _one_turn_corpus(tmp_path):
+    p = tmp_path / "one.jsonl"
+    p.write_text(json.dumps({"id": "c", "turns": [
+        {"speaker": "a", "text": "hi there", "audio": None,
+         "synth": {"prosodic_style": [0.4, 0.05, 0.1, 0.02, 0.6, 0.3, 0.05, 0.95],
+                   "acoustic_style": [0.5] * 8}}]}) + "\n")
+    return str(p)
+
+
+def _file(tmp_path):
+    (tmp_path / "file").write_text("x")
+    return str(tmp_path / "file")
+
+
+def _dir(tmp_path):
+    (tmp_path / "dir").mkdir()
+    return str(tmp_path / "dir")
+
+
+def _generated_is_a_dir(tmp_path):
+    (tmp_path / "gen" / "generated.jsonl").mkdir(parents=True)
+    return str(tmp_path / "gen")
+
+
+# argv of each command given a path it cannot write or read
+UNUSABLE_PATHS = {
+    "ingest out is a file": lambda tmp, run: ["ingest", "--corpus", _one_turn_corpus(tmp),
+                                              "--out", _file(tmp)],
+    "run out is a file": lambda tmp, run: ["run", "--corpus", CORPUS, "--crops", "1",
+                                           "--out", _file(tmp)],
+    "evaluate out is a dir": lambda tmp, run: ["evaluate", "--generated", str(run),
+                                               "--reference", CORPUS, "--out", _dir(tmp)],
+    "simulate out is a dir": lambda tmp, run: ["simulate", "--topology", "e2e",
+                                               "--out", _dir(tmp)],
+    "extract-styles out is a dir": lambda tmp, run: ["extract-styles", "--corpus",
+                                                     _one_turn_corpus(tmp), "--out", _dir(tmp)],
+    "generated.jsonl is a dir": lambda tmp, run: ["evaluate", "--generated",
+                                                  _generated_is_a_dir(tmp),
+                                                  "--reference", CORPUS],
+}
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize("argv", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS.keys())
+    def test_is_a_usage_error(self, run_dir, tmp_path, capsys, argv):
+        assert main(argv(tmp_path, run_dir)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
+
+
 class TestRunConfig:
     @pytest.mark.parametrize("cfg, extra", RUN_FAULTS.values(), ids=RUN_FAULTS.keys())
     def test_fault_is_a_usage_error(self, tmp_path, capsys, cfg, extra):

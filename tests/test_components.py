@@ -12,7 +12,7 @@ from styledialog.components import (MARKOV_EMPTY_REDRAWS, MarkovTable, ToyRecogn
                                     ToyResponder, ToySynthesizer, train_markov, END_TOKEN,
                                     START_TOKEN)
 from styledialog.corpus import load_corpus
-from styledialog.dialog import ConversationContext, StyleVector, append_turn, make_crop
+from styledialog.dialog import ConversationContext, StyleVector, Turn, make_crop
 from styledialog.metrics import word_edit_distance
 from conftest import acoustic, make_conversation, prosodic, simple_style
 from oracles import perplexity_of_table, synthesize_brute
@@ -55,9 +55,8 @@ class TestResponder:
             assert out.prosodic_style == conv.turns[k].prosodic_style
 
     def test_context_average(self, conv):
-        ctx = ConversationContext()
-        ctx = append_turn(ctx, "a", "x", prosodic([0.0] * 8))
-        ctx = append_turn(ctx, "b", "y", prosodic([1.0] * 8))
+        ctx = ConversationContext(entries=(Turn("a", "x", prosodic_style=prosodic([0.0] * 8)),
+                                           Turn("b", "y", prosodic_style=prosodic([1.0] * 8))))
         out = ToyResponder().respond(make_crop(conv, 1), ctx, style_mode="context_average")
         assert out.prosodic_style.values == (0.5,) * 8
 
@@ -68,8 +67,9 @@ class TestResponder:
         for speaker in ("alice", ""):
             conv = make_conversation(speakers=("bob", speaker))
             resp = ToyResponder(markov=train_markov([conv]))
-            ctx = append_turn(ConversationContext(), speaker, "x", s_target)
-            ctx = append_turn(ctx, "bob", "y", prosodic([0.9] * 8))
+            ctx = ConversationContext(entries=(
+                Turn(speaker, "x", prosodic_style=s_target),
+                Turn("bob", "y", prosodic_style=prosodic([0.9] * 8))))
             for mode in ("oracle", "markov"):
                 out = resp.respond(make_crop(conv, 1), ctx, mode=mode,
                                    style_mode="last_same_speaker")

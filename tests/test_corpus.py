@@ -16,7 +16,8 @@ from styledialog.components import ToySynthesizer
 from styledialog.corpus import (CorpusIndex, SynthAudio, filter_diarization,
                                 generate_synthetic_corpus, load_corpus,
                                 load_corpus_with_index, save_corpus,
-                                save_synthetic_corpus, strip_leading_indicator)
+                                save_synthetic_corpus, strip_leading_indicator,
+                                write_atomic)
 from styledialog.dialog import AudioClip, Conversation, StyleVector, Turn, from_pcm, to_pcm
 from styledialog.metrics import normalize
 
@@ -179,6 +180,12 @@ class TestSaveRoundTrip:
         reloaded, _ = load_corpus(out)
         for a, b in zip(conversations[0].turns, reloaded[0].turns):
             assert np.array_equal(a.audio.samples, b.audio.samples)
+
+    def test_failed_write_atomic_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "adir").mkdir()
+        with pytest.raises(OSError):
+            write_atomic(tmp_path / "adir", "text")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
 
 
 class TestSelectiveRender:

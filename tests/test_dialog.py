@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from styledialog.dialog import (AudioClip, Conversation, ConversationContext,
-                                StyleVector, Turn, append_turn, context_from_turns,
-                                make_crop, sample_crop_index)
+from styledialog.dialog import (AudioClip, Conversation, StyleVector, Turn,
+                                context_from_turns, make_crop, sample_crop_index)
 from conftest import make_conversation, prosodic, simple_style
 
 
@@ -105,26 +104,12 @@ class TestMakeCrop:
 
 
 class TestContext:
-    def test_append_value_semantics(self):
-        ctx = ConversationContext()
-        ctx2 = append_turn(ctx, "a", "hi", simple_style())
-        assert len(ctx.entries) == 0
-        assert len(ctx2.entries) == 1
-        assert ctx2.entries[0].speaker == "a"
-
-    def test_append_rejects_acoustic(self):
-        with pytest.raises(ValueError):
-            append_turn(ConversationContext(), "a", "hi",
-                        StyleVector(values=(0.0,) * 8, kind="acoustic"))
-
-    def test_replay_roundtrip(self):
+    def test_context_from_turns_holds_the_turns(self):
         conv = make_conversation(n_turns=6)
-        ctx = ConversationContext()
-        for t in conv.turns:
-            ctx = append_turn(ctx, t.speaker, t.text, t.prosodic_style)
-        got = [(e.speaker, e.text, e.style) for e in ctx.entries]
-        want = [(t.speaker, t.text, t.prosodic_style) for t in conv.turns]
-        assert got == want
+        ctx = context_from_turns(list(conv.turns), {})
+        assert isinstance(ctx.entries, tuple)
+        assert ctx.entries == conv.turns
+        assert all(e is t for e, t in zip(ctx.entries, conv.turns))
 
     def test_context_from_turns_requires_styles(self):
         with pytest.raises(ValueError):

@@ -124,12 +124,10 @@ class TestTokenCount:
 
 class TestTruncation:
     def _long_context(self, crop, refs, n_turns=10, words=30):
-        ctx = ConversationContext(reference_styles=dict(refs))
-        from styledialog.dialog import append_turn
         style = refs["alice"][0]
-        for i in range(n_turns):
-            ctx = append_turn(ctx, "alice", " ".join(f"w{i}x{j}" for j in range(words)), style)
-        return ctx
+        return context_from_turns(
+            [Turn("alice", " ".join(f"w{i}x{j}" for j in range(words)), prosodic_style=style)
+             for i in range(n_turns)], refs)
 
     def test_identity_when_fitting(self):
         crop, context = fixture_crop()

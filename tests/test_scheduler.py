@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog.cli import calibration_path
+from styledialog.components import ToyResponder
 from styledialog.dialog import make_crop
 from styledialog.scheduler import (ConfigurationError, LatencyModel, RunConfig, SimReport,
                                    Topology, run_dialog, simulate_turn)
@@ -248,6 +249,36 @@ class TestRunDialog:
         crops = [make_crop(conv, 2)]
         results = run_dialog(RunConfig(Topology.CASCADE, ZERO), crops, refs)
         assert results[0].recognized_text == conv.turns[1].text
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_generator_hears_what_its_lanes_allow(self, topology, monkeypatch):
+        """The earlier turns, the same objects; the cascade, whose ASR runs
+        before its generator, also hears the incoming turn as recognized,
+        with its speaker's reference prosodic style."""
+        conv = make_conversation(n_turns=4)
+        refs = self._reference_styles(conv)
+        crop = make_crop(conv, 3)
+        heard = []
+        respond = ToyResponder.respond
+
+        def spy(self, crop, context, **kwargs):
+            heard.append(context)
+            return respond(self, crop, context, **kwargs)
+        monkeypatch.setattr(ToyResponder, "respond", spy)
+        [result] = run_dialog(RunConfig(topology, ZERO, target_wer=0.5), [crop], refs)
+
+        [context] = heard
+        earlier = crop.context_turns[:-1]
+        assert all(e is t for e, t in zip(context.entries, earlier))
+        if topology is Topology.CASCADE:
+            assert len(context.entries) == len(earlier) + 1
+            last = context.entries[-1]
+            incoming = crop.incoming_turn.speaker
+            assert last.speaker == incoming
+            assert last.text == result.recognized_text != crop.incoming_turn.text
+            assert last.prosodic_style == refs(conv.id)[incoming][0]
+        else:
+            assert len(context.entries) == len(earlier)
 
     def test_carryover_chains_turns(self):
         conv = make_conversation(n_turns=4)
