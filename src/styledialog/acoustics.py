@@ -13,6 +13,7 @@ so every downstream test is deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -153,19 +154,13 @@ class ClipFeatures:
     voiced: np.ndarray
 
 
-# (clip, features) of the latest analyze call: encode_style and summarize on
-# one clip share it, so they make its float samples once.  Both clip types,
-# `AudioClip` and `corpus.SynthAudio`, are frozen over read-only pcm.
-_last_analysis = None
-
-
+# one slot, keyed by identity, since both clip types are eq=False and frozen
+# over read-only pcm: encode_style and summarize on one clip share its
+# analysis, so they make its float samples once
+@functools.lru_cache(maxsize=1)
 def analyze(clip: AudioClip) -> ClipFeatures:
     """Per-frame RMS, f0, NCCF peak and voicing from one framing of the clip.
     Frames at or below the silence floor skip the NCCF: f0 and peak 0."""
-    global _last_analysis
-    last = _last_analysis
-    if last is not None and last[0] is clip:
-        return last[1]
     sr = clip.sample_rate
     check_sample_rate(sr)
     n_frame = frame_len(sr)
@@ -181,9 +176,7 @@ def analyze(clip: AudioClip) -> ClipFeatures:
     voiced = peak > VOICING_THRESHOLD  # silent frames keep peak 0
     for array in (rms, f0, peak, voiced):
         array.flags.writeable = False
-    features = ClipFeatures(rms=rms, f0=f0, peak=peak, voiced=voiced)
-    _last_analysis = (clip, features)
-    return features
+    return ClipFeatures(rms=rms, f0=f0, peak=peak, voiced=voiced)
 
 
 def _voiced_pitch(features: ClipFeatures):

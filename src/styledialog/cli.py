@@ -25,8 +25,7 @@ from .components import train_markov
 from .dialog import (STYLE_DIM, DialogCrop, StyleVector, Turn, context_from_turns, make_crop,
                      sample_crop_index)
 from .prompts import PromptVariant, build_prompt
-from .scheduler import (STAGES, LatencyModel, RunConfig, Topology, check_number, run_dialog,
-                        simulate_turn)
+from .scheduler import STAGES, LatencyModel, RunConfig, Topology, run_dialog, simulate_turn
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -76,30 +75,28 @@ def finite_positive(text: str) -> float:
     return value
 
 
-def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunConfig, float]:
-    """Read a config file (None: all defaults) into a checked RunConfig and
-    the checked tokens per output second.
+def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunConfig]:
+    """Read a config file (None: all defaults) into a RunConfig, which
+    checks every setting the file gives.
 
     Returns the file's contents too, for provenance.  No `latency` key means
     zero cost for every stage; any fault is a CliError (exit 2).
     """
     config = _load_config(path) if path else {}
     _check_keys(config, CONFIG_KEYS, f"config {path}")
-    tokens_per_s = config.get("tokens_per_output_second", 3)
     latency = config.get("latency")
     if latency is not None and (not isinstance(latency, dict) or topology.value not in latency):
         raise CliError(f"config {path} has no latency section for topology {topology.value!r}")
     try:
-        check_number("tokens_per_output_second", tokens_per_s, math.inf)
         latencies = ({stage: LatencyModel() for stage in STAGES[topology]} if latency is None else
                      {stage: LatencyModel.from_dict(d)
                       for stage, d in latency[topology.value].items()})
         run_config = RunConfig(topology=topology, latencies=latencies, seed=seed,
-                               **{k: config[k] for k in ("responder_mode", "style_mode",
-                                                         "target_wer") if k in config})
+                               **{k: v for k, v in config.items()
+                                  if k not in ("_comment", "latency")})
     except (AttributeError, TypeError, ValueError) as exc:
         raise CliError(f"config {path}: {exc}") from exc
-    return config, run_config, tokens_per_s
+    return config, run_config
 
 
 def _load_corpus(path, audio_for=None):
@@ -159,7 +156,8 @@ def _figure(value: float, decimals: int, width: int = 8) -> str:
 
 def cmd_simulate(args) -> int:
     topology = args.topology
-    config, run_config, tokens_per_s = resolve_config(args.config, topology)
+    config, run_config = resolve_config(args.config, topology)
+    tokens_per_s = run_config.tokens_per_output_second
     out_tokens = tokens_per_s * args.output_dur
     if not math.isfinite(out_tokens):
         raise CliError(f"--output-dur {args.output_dur:g} at {tokens_per_s} tokens per "
@@ -203,18 +201,17 @@ def pick_crops(conversations, n_crops: int, seed: int) -> list[DialogCrop]:
 def cmd_run(args) -> int:
     if args.crops < 1:
         raise CliError("--crops must be >= 1")
-    _, run_config, _ = resolve_config(args.components, args.topology, args.seed)
+    _, run_config = resolve_config(args.components, args.topology, args.seed)
 
     def incoming_turns(conversations):
         return [(crop.conversation_id, len(crop.context_turns) - 1)
                 for crop in pick_crops(conversations, args.crops, args.seed)]
     conversations, index, _ = _load_corpus(args.corpus, incoming_turns)
-    markov = train_markov(conversations) if run_config.responder_mode == "markov" else None
-
     crops = pick_crops(conversations, args.crops, args.seed)
-    results = run_dialog(run_config, crops, index.reference_styles, markov)
     out = Path(args.out)
-    (out / "audio").mkdir(parents=True, exist_ok=True)
+    (out / "audio").mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the work
+    markov = train_markov(conversations) if run_config.responder_mode == "markov" else None
+    results = run_dialog(run_config, crops, index.reference_styles, markov)
     lines = []
     for i, (crop, result) in enumerate(zip(crops, results)):
         wav_rel = f"audio/gen_{i:04d}.wav"
@@ -276,6 +273,8 @@ def _load_generated(path: Path):
 
 
 def cmd_evaluate(args) -> int:
+    if args.out and Path(args.out).is_dir():  # fail before the scoring, not at the rename
+        raise CliError(f"--out {args.out} is a directory")
     gen_dir = Path(args.generated)
     try:
         rows = _load_generated(gen_dir)

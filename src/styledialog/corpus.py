@@ -14,16 +14,16 @@ WAV or synth: a turn's audio comes from its WAV when it has a path.  A turn
 with no path is synth-backed when it has both styles and some text: its
 audio is a `SynthAudio` of that text and those styles, the one form of
 rendered synth audio, held as int16 PCM as a WAV-backed turn's `AudioClip`
-is.  Any other turn without a path has no audio.  WAV-backed turns are
-always read, and a record whose WAV cannot be read is a reject.  The
-loader renders, inside `load_corpus`, only the synth-backed turns its
-caller asks for through `audio_for` (all of them by default), named by
-(conversation id, turn index): `run` asks for its crops' incoming turns,
-`evaluate` for its reference turns and `build-prompt` for none.  A
-synth-backed turn left with `audio=None` was not requested; it still has
-its styles and text.  `generate_synthetic_corpus` renders nothing: each of
-its turns carries a `SynthAudio`, whose audio is rendered on the first
-read of its PCM.  A clip's `source_id`, "<conversation id>/<turn index>",
+is.  Any other turn without a path has no audio, and only such a turn has
+`audio=None`.  WAV-backed turns are always read, and a record whose WAV
+cannot be read is a reject.  Each synth-backed turn gets its `SynthAudio`
+when its record is parsed; building one renders nothing.  `load_corpus`
+then renders only the synth-backed clips its caller asks for through
+`audio_for` (all of them by default), named by (conversation id, turn
+index): `run` asks for its crops' incoming turns, `evaluate` for its
+reference turns and `build-prompt` for none.  Any other clip renders on
+the first read of its PCM, as every clip of `generate_synthetic_corpus`
+does.  A clip's `source_id`, "<conversation id>/<turn index>",
 is formatted only by `_source_id`; it names the audio and seeds the toy
 components' noise, and is never a lookup key.
 
@@ -94,7 +94,12 @@ def _turn_from_record(rec: dict, sid: str, root: Path) -> Turn:
     speaker, text = _string(rec, "speaker"), _string(rec, "text")
     synth = rec.get("synth") or {}
     prosodic, acoustic = _style(synth, "prosodic"), _style(synth, "acoustic")
-    audio = audioio.read_wav(root / rec["audio"], source_id=sid) if rec.get("audio") else None
+    if rec.get("audio"):
+        audio = audioio.read_wav(root / rec["audio"], source_id=sid)
+    elif text.split() and prosodic is not None and acoustic is not None:
+        audio = SynthAudio(text, prosodic, acoustic, sid)
+    else:
+        audio = None
     return Turn(speaker=speaker, text=text, audio=audio,
                 prosodic_style=prosodic, acoustic_style=acoustic)
 
@@ -125,32 +130,17 @@ class SynthAudio:
         return dialog.from_pcm(self.pcm)
 
 
-def _render(conv: Conversation, wanted) -> Conversation:
-    """`conv` with each synth-backed turn whose (conv.id, index) is in
-    `wanted` (None: all of them) given its `SynthAudio`, rendered at once."""
-    turns = list(conv.turns)
-    for i, turn in enumerate(turns):
-        if (turn.audio is None and (wanted is None or (conv.id, i) in wanted)
-                and turn.text.split()
-                and turn.prosodic_style is not None and turn.acoustic_style is not None):
-            audio = SynthAudio(turn.text, turn.prosodic_style, turn.acoustic_style,
-                               _source_id(conv.id, i))
-            audio.pcm  # render here, where the benchmark's corpus metrics time it
-            turns[i] = replace(turn, audio=audio)
-    return replace(conv, turns=tuple(turns))
-
-
 def load_corpus(path, audio_for=None):
     """Parse a corpus file into (conversations, rejects): the valid
     conversations, and a (line number, reason) pair for each malformed
     record.  Raises when nothing valid is left.
 
-    WAV-backed turns are read whatever is asked.  `audio_for(conversations)`
-    is called once after the parse and returns the (conversation id, turn
-    index) pairs whose synth-backed audio the caller will read; only those
-    are rendered, and every other synth-backed turn is returned with
-    `audio=None`, meaning "not requested".  None renders every synth-backed
-    turn.
+    WAV-backed turns are read whatever is asked, and every synth-backed
+    turn carries its `SynthAudio`.  `audio_for(conversations)` is called
+    once after the parse, with the conversations this returns, and gives
+    the (conversation id, turn index) pairs whose synth-backed audio the
+    caller will read; only those clips are rendered here, and the others
+    render on the first read of their PCM.  None renders every one.
     """
     path = Path(path)
     if not path.is_file():
@@ -179,7 +169,11 @@ def load_corpus(path, audio_for=None):
     if not conversations:
         raise ValueError(f"no valid conversations in {path} ({len(rejects)} rejected)")
     wanted = None if audio_for is None else frozenset(audio_for(conversations))
-    return [_render(conv, wanted) for conv in conversations], rejects
+    for conv in conversations:
+        for i, turn in enumerate(conv.turns):
+            if isinstance(turn.audio, SynthAudio) and (wanted is None or (conv.id, i) in wanted):
+                turn.audio.pcm  # render here, where the benchmark's corpus metrics time it
+    return conversations, rejects
 
 
 def save_corpus(path, conversations, write_audio: bool = False) -> None:

@@ -126,7 +126,9 @@ class SimReport:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything `run_dialog` reads, checked once when it is built."""
+    """Every setting a config file gives, and the run's seed, checked once
+    when it is built.  `run_dialog` reads all but the tokens per output
+    second, which `simulate` reads."""
 
     topology: Topology
     latencies: dict  # stage -> LatencyModel
@@ -134,6 +136,7 @@ class RunConfig:
     style_mode: str = "oracle"
     target_wer: float = 0.0
     seed: int = 0
+    tokens_per_output_second: float = 3
 
     def __post_init__(self):
         object.__setattr__(self, "topology", Topology(self.topology))
@@ -146,6 +149,7 @@ class RunConfig:
         if self.style_mode not in STYLE_MODES:
             raise ConfigurationError(f"unknown style_mode {self.style_mode!r}")
         check_number("target_wer", self.target_wer, 1.0)
+        check_number("tokens_per_output_second", self.tokens_per_output_second, math.inf)
 
 
 def simulate_turn(topology: Topology, input_dur: float, out_tokens: int,

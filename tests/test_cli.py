@@ -472,12 +472,23 @@ UNUSABLE_PATHS = {
 
 
 class TestUnusablePaths:
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """The names of the per-crop work functions called: a command fails
+        on a path it cannot use before that work."""
+        from styledialog import cli, metrics
+        called = []
+        for module, name in ((cli, "run_dialog"), (metrics, "assemble_report")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name))
+        return called
+
     @pytest.mark.parametrize("argv", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS.keys())
-    def test_is_a_usage_error(self, run_dir, tmp_path, capsys, argv):
+    def test_is_a_usage_error(self, run_dir, tmp_path, capsys, work, argv):
         assert main(argv(tmp_path, run_dir)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
         assert "Traceback" not in err
+        assert work == []
 
 
 class TestRunConfig:

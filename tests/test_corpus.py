@@ -2,12 +2,14 @@ import json
 import tempfile
 import tracemalloc
 import wave
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from styledialog.acoustics import encode_style
 from styledialog.audioio import read_wav, write_wav
@@ -188,16 +190,31 @@ class TestSaveRoundTrip:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
 
 
+@contextmanager
+def counting_renders():
+    """The texts `ToySynthesizer.synthesize` renders inside the block."""
+    texts = []
+    synthesize = ToySynthesizer.synthesize
+    with patch.object(ToySynthesizer, "synthesize",
+                      lambda self, *args: texts.append(args[0]) or synthesize(self, *args)):
+        yield texts
+
+
 class TestSelectiveRender:
-    @given(conversations=corpora(), write_audio=st.booleans(), data=st.data())
+    @given(conversations=corpora(), write_audio=st.booleans(),
+           picks=st.frozensets(st.integers(0, 8)), ghost=st.booleans())
+    # covers, on every run, a synth-backed turn left out of S
+    @example(conversations=generate_synthetic_corpus(1, seed=7)[0], write_audio=False,
+             picks=frozenset({0}), ghost=True)
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_renders_only_what_is_asked(self, conversations, write_audio, data):
-        """Asking for a subset S of (conversation id, turn index) pairs
-        changes one thing: the
-        synth-backed turns outside S have no audio.  WAV-backed turns, the
-        rejects and the audio of the turns in S are those of a full load."""
+    def test_renders_only_what_is_asked(self, conversations, write_audio, picks, ghost):
+        """Asking for a set S of (conversation id, turn index) pairs
+        changes one thing: which synth-backed clips `load_corpus` renders.
+        It renders those in S, each once; the others carry an unrendered
+        `SynthAudio`.  `audio_for` gets the very turns the load returns, and
+        the rejects and every turn's audio read as in a full load."""
         ids = [(c.id, i) for c in conversations for i in range(len(c.turns))]
-        wanted = data.draw(st.frozensets(st.sampled_from(ids + [("ghost", 0)])))
+        wanted = {ids[p % len(ids)] for p in picks} | ({("ghost", 0)} if ghost else set())
         asked = []
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
@@ -206,16 +223,22 @@ class TestSelectiveRender:
                 fh.write(json.dumps({"id": "bad", "turns": [{"text": "no speaker"}]}) + "\n")
             records = [json.loads(line) for line in path.read_text().splitlines()]
             full, full_rejects = load_corpus(path)
-            part, part_rejects = load_corpus(path, audio_for=lambda convs: asked.append(convs)
-                                            or wanted)
-        assert len(asked) == 1 and [c.id for c in asked[0]] == [c.id for c in full]
+            with counting_renders() as rendered:
+                part, part_rejects = load_corpus(path, audio_for=lambda convs: asked.append(convs)
+                                                 or wanted)
+        synth_backed = {(rec["id"], i) for rec in records[:-1]
+                        for i, t in enumerate(rec["turns"])
+                        if t["audio"] is None and t["text"].split()
+                        and len(t.get("synth", {})) == 2}
+        assert len(asked) == 1
+        seen, returned = ([t for c in convs for t in c.turns] for convs in (asked[0], part))
+        assert len(seen) == len(returned) and all(a is b for a, b in zip(seen, returned))
         assert part_rejects == full_rejects and len(full_rejects) == 1
-        without_wav = {(rec["id"], i) for rec in records[:-1]
-                       for i, t in enumerate(rec["turns"]) if t["audio"] is None}
-        expected = [replace(conv, turns=tuple(
-            replace(turn, audio=None) if (conv.id, i) in without_wav - wanted else turn
-            for i, turn in enumerate(conv.turns))) for conv in full]
-        assert_same_corpus(part, expected)
+        held = {(c.id, i): t.audio for c in part for i, t in enumerate(c.turns)}
+        assert {key for key, audio in held.items() if isinstance(audio, SynthAudio)} == synth_backed
+        assert {key for key in synth_backed if "pcm" in vars(held[key])} == synth_backed & wanted
+        assert len(rendered) == len(synth_backed & wanted)
+        assert_same_corpus(part, full)
 
 
 def write_pcm_wav(path, ints):
@@ -377,12 +400,9 @@ class TestSyntheticCorpus:
 
 class TestLazySynthAudio:
     @pytest.fixture
-    def synth_calls(self, monkeypatch):
-        calls = []
-        synthesize = ToySynthesizer.synthesize
-        monkeypatch.setattr(ToySynthesizer, "synthesize",
-                            lambda self, *args: calls.append(args[0]) or synthesize(self, *args))
-        return calls
+    def synth_calls(self):
+        with counting_renders() as texts:
+            yield texts
 
     def test_renders_once_on_first_read(self, synth_calls):
         conversations, _ = generate_synthetic_corpus(20, seed=413)
