@@ -9,6 +9,13 @@ per block of frames, with parabolic peak refinement.  A frame is voiced
 when the refined peak exceeds 0.30 and the frame RMS clears the silence
 floor (1e-4, about -80 dBFS).  Both constants are deliberate fixed defaults
 so every downstream test is deterministic.
+
+Memory: the frames are a strided view of the clip's float samples, and
+every per-frame pass copies a block of them at a time: `BLOCK_FRAMES` for
+the RMS and the embedding's power spectrum, `NCCF_BLOCK_FRAMES` of the
+frames above the silence floor for the NCCF.  So a clip's analysis holds
+its own samples plus fixed-size blocks, never a copy of the 2.5x-overlapped
+frames, and each block gives the bits one whole-clip pass would.
 """
 
 from __future__ import annotations
@@ -40,7 +47,10 @@ F_MIN_HZ = 50.0
 F_MAX_HZ = 500.0
 
 EMBED_DIM = 16
-NCCF_BLOCK_FRAMES = 32  # frames per FFT batch; bounds the batch's memory
+# frames per block of the block-wise passes, which bounds their memory; an
+# NCCF frame takes a zero-padded FFT over twice its length, so its blocks are smaller
+BLOCK_FRAMES = 32
+NCCF_BLOCK_FRAMES = 16
 
 
 def frame_len(sample_rate: int) -> int:
@@ -87,59 +97,90 @@ def _frames(samples: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop_len]
 
 
-def _pick(r: np.ndarray, octave_cost: np.ndarray, err: np.ndarray):
+def frame_rms(samples: np.ndarray, sample_rate: int) -> np.ndarray:
+    """RMS of each analysis frame of `samples`, squared a block of frames
+    at a time, so the overlapping frames are never copied whole."""
+    frames = _frames(samples, frame_len(sample_rate), hop_len(sample_rate))
+    rms = np.empty(len(frames))
+    for start in range(0, len(frames), BLOCK_FRAMES):
+        rows = slice(start, start + BLOCK_FRAMES)
+        rms[rows] = np.sqrt(np.mean(frames[rows] ** 2, axis=1))
+    return rms
+
+
+def _pick(r: np.ndarray, octave_cost: np.ndarray, tol: np.ndarray):
     """Each row's peak column in r (lags of the band plus one each side): the
     best local maximum after an octave cost, which keeps subharmonics from
-    winning, else the band maximum; and the rows an error `err` could sway."""
-    band, left, right = r[:, 1:-1], r[:, :-2], r[:, 2:]
-    is_max = (band >= left) & (band >= right)
+    winning, else the band maximum; and the rows whose pick an error below
+    `tol` (a column, one bound per row) in a difference of two r could sway."""
+    step = np.diff(r, axis=1)  # r[tau + 1] - r[tau]
+    band = r[:, 1:-1]
+    is_max = (step[:, :-1] >= 0) & (step[:, 1:] <= 0)
     scores = np.where(is_max, band - octave_cost, -2.0)  # -2 is below any score: |r| <= 1
     i = np.where(is_max.any(axis=1), scores.argmax(axis=1), band.argmax(axis=1)) + 1
-    tol = 2.0 * err.max(axis=1, keepdims=True)  # the most a difference of two r can be off
-    near = (np.abs(band - left) < tol) | (np.abs(band - right) < tol)
     rivals = (scores > scores.max(axis=1, keepdims=True) - tol).sum(axis=1)
-    return i, near.any(axis=1) | (rivals > 1)
+    return i, (np.abs(step) < tol).any(axis=1) | (rivals > 1)
 
 
-def _nccf_peaks(frames: np.ndarray, lag_min: int, lag_max: int):
-    """(integer lag, refined lag, refined peak) of each frame's NCCF within
-    [lag_min, lag_max], all 0 when frames are too short for the band.  Zero
-    padding to nfft >= n + lag_max + 1 keeps every lag used free of wrap."""
-    n_frames, n = frames.shape
+def _nccf_block(padded: np.ndarray, n: int, lag_min: int, lag_max: int,
+                octave_cost: np.ndarray):
+    """(r, i): the NCCF of each row's first n samples at the lags
+    [lag_min - 1, lag_max + 1], and each row's pick in it (`_pick`).  The
+    rows are zero beyond n, up to an FFT size that leaves every lag used
+    free of wrap.  Every array made here is freed on return, so a block's
+    working set never outlives it."""
+    nfft = padded.shape[1]
+    cols = slice(lag_min - 1, lag_max + 2)
+    block = padded[:, :n]
+    csum = np.zeros((len(block), n + 1))
+    np.cumsum(block ** 2, axis=1, out=csum[:, 1:])
+    # sqrt of the energies of x[0 : n-tau] and of x[tau : n]
+    head = csum[:, n - lag_min + 1:n - lag_max - 2:-1]
+    denom = np.maximum(np.sqrt(head * (csum[:, n:] - csum[:, cols])), 1e-20)
+    live = denom > 1e-20
+    # numerator(tau) = sum_t x[t] x[t+tau], from the power spectrum
+    spectrum = np.fft.rfft(padded, axis=1)
+    power = spectrum.real ** 2
+    power += spectrum.imag ** 2
+    del spectrum  # before the inverse transform makes its output
+    r = np.fft.irfft(power, nfft, axis=1)[:, cols] / denom
+    r[~live] = 0.0
+    # the FFT's error in a numerator stays far below 1e-13 of the frame energy, so
+    # an r is off by at most that over the smallest live denominator;
+    # rows whose pick that could sway get the exact correlation instead
+    smallest = np.min(denom, axis=1, keepdims=True, where=live, initial=np.inf)
+    i, doubt = _pick(r, octave_cost, 2.0 * (1e-13 * csum[:, n:] / smallest))
+    for b in np.flatnonzero(doubt):
+        exact = np.correlate(block[b], block[b], mode="full")[n + lag_min - 2:n + lag_max + 1]
+        r[b] = np.where(live[b], exact / denom[b], 0.0)
+        i[b] = _pick(r[b:b + 1], octave_cost, np.zeros((1, 1)))[0][0]
+    return r, i
+
+
+def _nccf_peaks(frames: np.ndarray, rows: np.ndarray, lag_min: int, lag_max: int):
+    """(integer lag, refined lag, refined peak) of the NCCF within
+    [lag_min, lag_max] of each frame `frames[rows]`, all 0 when frames are
+    too short for the band.  The rows are gathered a block at a time into
+    one zero-padded buffer, reused by every block."""
+    n = frames.shape[1]
     lag_max = min(lag_max, n - 2)
-    base, lag, peak = np.zeros(n_frames, int), np.zeros(n_frames), np.zeros(n_frames)
+    base, lag, peak = np.zeros(len(rows), int), np.zeros(len(rows)), np.zeros(len(rows))
     if lag_max <= lag_min:
         return base, lag, peak
     octave_cost = 0.03 * np.log2(np.arange(lag_min, lag_max + 1) / lag_min)
-    nfft = 1 << (n + lag_max).bit_length()
-    cols = slice(lag_min - 1, lag_max + 2)  # the lags searched, plus one each side
-    for start in range(0, n_frames, NCCF_BLOCK_FRAMES):
-        rows = slice(start, start + NCCF_BLOCK_FRAMES)
-        block = frames[rows]
-        csum = np.zeros((len(block), n + 1))
-        np.cumsum(block ** 2, axis=1, out=csum[:, 1:])
-        # sqrt of the energies of x[0 : n-tau] and of x[tau : n]
-        head = csum[:, n - lag_min + 1:n - lag_max - 2:-1]
-        denom = np.maximum(np.sqrt(head * (csum[:, n:] - csum[:, cols])), 1e-20)
-        live = denom > 1e-20
-        # numerator(tau) = sum_t x[t] x[t+tau], from the power spectrum
-        spectrum = np.fft.rfft(block, nfft, axis=1)
-        num = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, nfft, axis=1)[:, cols]
-        r = np.where(live, num / denom, 0.0)
-        # the FFT's error in num stays far below 1e-13 of the frame energy;
-        # rows whose pick that could sway get the exact correlation instead
-        i, doubt = _pick(r, octave_cost, np.where(live, 1e-13 * csum[:, n:] / denom, 0.0))
-        for b in np.flatnonzero(doubt):
-            exact = np.correlate(block[b], block[b], mode="full")[n + lag_min - 2:n + lag_max + 1]
-            r[b] = np.where(live[b], exact / denom[b], 0.0)
-            i[b] = _pick(r[b:b + 1], octave_cost, np.zeros_like(r[:1]))[0][0]
+    padded = np.zeros((min(len(rows), NCCF_BLOCK_FRAMES), 1 << (n + lag_max).bit_length()))
+    for start in range(0, len(rows), NCCF_BLOCK_FRAMES):
+        out = slice(start, start + NCCF_BLOCK_FRAMES)
+        m = len(rows[out])
+        padded[:m, :n] = frames[rows[out]]
+        r, i = _nccf_block(padded[:m], n, lag_min, lag_max, octave_cost)
         r0, rm, rp = np.take_along_axis(r, i[:, None] + np.array([0, -1, 1]), axis=1).T
         curv = rm - 2.0 * r0 + rp
         shift = 0.5 * (rm - rp) / np.where(curv < 0, curv, -1.0)  # used where curv < 0
         refine = (curv < 0) & (np.abs(shift) < 1.0)
-        base[rows] = lag_min - 1 + i
-        lag[rows] = base[rows] + np.where(refine, shift, 0.0)
-        peak[rows] = np.minimum(np.where(refine, r0 - 0.25 * (rm - rp) * shift, r0), 1.0 - 1e-12)
+        base[out] = lag_min - 1 + i
+        lag[out] = base[out] + np.where(refine, shift, 0.0)
+        peak[out] = np.minimum(np.where(refine, r0 - 0.25 * (rm - rp) * shift, r0), 1.0 - 1e-12)
     return base, lag, peak
 
 
@@ -165,12 +206,12 @@ def analyze(clip: AudioClip) -> ClipFeatures:
     check_sample_rate(sr)
     n_frame = frame_len(sr)
     samples = clip.samples
-    frames = _frames(samples, n_frame, hop_len(sr))
-    rms = np.sqrt(np.mean(frames ** 2, axis=1))
-    n_track = len(frames) if len(samples) >= n_frame else 0
+    rms = frame_rms(samples, sr)
+    n_track = len(rms) if len(samples) >= n_frame else 0
     f0, peak = np.zeros(n_track), np.zeros(n_track)
     active = np.flatnonzero(rms[:n_track] > SILENCE_FLOOR_RMS)
-    _, lag, peak[active] = _nccf_peaks(frames[active], max(2, int(math.floor(sr / F_MAX_HZ))),
+    _, lag, peak[active] = _nccf_peaks(_frames(samples, n_frame, hop_len(sr)), active,
+                                       max(2, int(math.floor(sr / F_MAX_HZ))),
                                        int(math.ceil(sr / F_MIN_HZ)))
     f0[active] = np.divide(sr, lag, out=np.zeros_like(lag), where=lag > 0)
     voiced = peak > VOICING_THRESHOLD  # silent frames keep peak 0
@@ -282,7 +323,15 @@ def acoustic_embedding(clip: AudioClip) -> np.ndarray:
     n_frame = frame_len(clip.sample_rate)
     frames = _frames(clip.samples, n_frame, hop_len(clip.sample_rate))
     win = np.hanning(n_frame)
-    power = np.mean(np.abs(np.fft.rfft(frames * win, axis=1)) ** 2, axis=0)
+    # the mean power spectrum, a block of frames at a time: row 0 carries
+    # the running sum, so the rows are added in frame order, as one axis-0
+    # sum over every frame's spectrum would add them
+    acc = np.zeros((BLOCK_FRAMES + 1, n_frame // 2 + 1))
+    for start in range(0, len(frames), BLOCK_FRAMES):
+        block = frames[start:start + BLOCK_FRAMES]
+        acc[1:len(block) + 1] = np.abs(np.fft.rfft(block * win, axis=1)) ** 2
+        acc[0] = np.sum(acc[:len(block) + 1], axis=0)
+    power = acc[0] / len(frames)
     freqs = np.fft.rfftfreq(n_frame, d=1.0 / clip.sample_rate)
     edges = _mel_inv(np.linspace(_mel(50.0), _mel(clip.sample_rate / 2.0), EMBED_DIM + 1))
     bands = np.zeros(EMBED_DIM)

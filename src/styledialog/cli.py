@@ -154,7 +154,15 @@ def _figure(value: float, decimals: int, width: int = 8) -> str:
     return text if len(text) <= width else f"{value:>{width}.3g}"
 
 
+def _check_out_file(out) -> None:
+    """Refuse a file `--out` that is a directory before the work: the
+    rename in `write_atomic` would fail only after it."""
+    if out and Path(out).is_dir():
+        raise CliError(f"--out {out} is a directory")
+
+
 def cmd_simulate(args) -> int:
+    _check_out_file(args.out)
     topology = args.topology
     config, run_config = resolve_config(args.config, topology)
     tokens_per_s = run_config.tokens_per_output_second
@@ -273,8 +281,7 @@ def _load_generated(path: Path):
 
 
 def cmd_evaluate(args) -> int:
-    if args.out and Path(args.out).is_dir():  # fail before the scoring, not at the rename
-        raise CliError(f"--out {args.out} is a directory")
+    _check_out_file(args.out)
     gen_dir = Path(args.generated)
     try:
         rows = _load_generated(gen_dir)
@@ -370,6 +377,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_extract_styles(args) -> int:
+    _check_out_file(args.out)
     conversations, _, _ = _load_corpus(args.corpus)
     lines = []
     for conv in conversations:

@@ -31,6 +31,7 @@ SYNTH_SAMPLE_RATE = 16000
 MIN_TOKEN_RATE = 2.0         # tokens per second floor when decoding rate
 ENVELOPE_FLOOR = 0.35        # per-token envelope floor, keeps frames voiced
 HARMONIC_BASE = (1.0, 0.45, 0.30, 0.20, 0.13, 0.08)
+SYNTH_CHUNK = 1 << 13        # samples per chunk of the render; bounds its memory
 
 RESPONDER_MODES = ("oracle", "markov")
 STYLE_MODES = ("oracle", "context_average", "last_same_speaker")
@@ -188,6 +189,12 @@ class ToySynthesizer:
     `_signal`, the two differ only by the oracle's own rounding of k x, under
     1e-11 plus 1e-15 per radian of phase.
 
+    Memory: the render holds one clip-length float array, which is f0,
+    then the phase, then the signal.  The pitch contour's interpolation,
+    the harmonic sum, the noise and the envelope run over `SYNTH_CHUNK`
+    samples at a time, and the noise draws of the chunks are those of one
+    draw for the whole clip, so the samples are those of a whole-clip pass.
+
     Any finite styles render: the HNR, token rate and energy a prosodic
     style asks for are clamped to [HNR_DB_MIN, HNR_DB_MAX] dB,
     [MIN_TOKEN_RATE, RATE_CAP_PER_S] tokens/s and at most 1, so the clip is
@@ -219,46 +226,48 @@ class ToySynthesizer:
         rate = _token_rate(prosodic)
         n = self.n_samples(text, prosodic)
         rng = np.random.default_rng(_synthesis_seed(text, prosodic, acoustic))
+        chunks = [slice(start, min(start + SYNTH_CHUNK, n)) for start in range(0, n, SYNTH_CHUNK)]
 
-        t = np.arange(n) / sr
-        f0 = self._pitch_contour(
-            rng, t, sr,
+        ctrl_t, walk = self._pitch_contour(
+            rng, n, sr,
             mean_hz=min(max(p[0] * acoustics.PITCH_NORM_HZ, 70.0), 450.0),
             std_hz=min(max(p[1] * acoustics.PITCH_STD_NORM_HZ, 0.0), 40.0))
-        phase = np.cumsum(f0, out=f0)
+        signal = np.empty(n)  # f0, then the phase, then the signal
+        for chunk in chunks:
+            signal[chunk] = np.interp(np.arange(chunk.start, chunk.stop) / sr, ctrl_t, walk)
+        phase = np.cumsum(signal, out=signal)
         phase *= 2.0 * math.pi
         phase /= sr
 
         weights = [HARMONIC_BASE[0]]
         for k in range(1, len(HARMONIC_BASE)):
             weights.append(HARMONIC_BASE[k] * (0.25 + min(abs(acoustic.values[k - 1]), 1.0)))
-        signal = self._harmonic_sum(phase, weights)
-
         hnr_db = min(max(p[4] * acoustics.HNR_SPAN_DB + acoustics.HNR_DB_MIN,
                          acoustics.HNR_DB_MIN), acoustics.HNR_DB_MAX)
         harmonic_power = sum(w * w for w in weights) / 2.0
         sigma = math.sqrt(harmonic_power * 10.0 ** (-hnr_db / 10.0))
-        noise = rng.standard_normal(out=phase)
-        noise *= sigma
-        signal += noise
-
-        # one raised-cosine bump per token so the rate is recoverable from
-        # the energy envelope; u - floor(u) is (t * rate) % 1.0 exactly, as u >= 0
-        u = np.multiply(t, rate, out=t)
-        u -= np.floor(u)
-        u *= math.pi
-        envelope = np.sin(u, out=u)
-        envelope *= envelope
-        envelope *= 1.0 - ENVELOPE_FLOOR
-        envelope += ENVELOPE_FLOOR
-        signal *= envelope
+        for chunk in chunks:
+            part = self._harmonic_sum(phase[chunk], weights)
+            noise = rng.standard_normal(out=phase[chunk])  # draws as one call for the clip would
+            noise *= sigma
+            part += noise
+            # one raised-cosine bump per token so the rate is recoverable from
+            # the energy envelope; u - floor(u) is (t * rate) % 1.0 exactly, as u >= 0
+            u = np.arange(chunk.start, chunk.stop) / sr
+            u *= rate
+            u -= np.floor(u)
+            u *= math.pi
+            envelope = np.sin(u, out=u)
+            envelope *= envelope
+            envelope *= 1.0 - ENVELOPE_FLOOR
+            envelope += ENVELOPE_FLOOR
+            part *= envelope
+            signal[chunk] = part
 
         # scale so the mean frame RMS matches the requested energy component,
         # capped at 1, the most a clip in [-1, 1] can have
         target = min(max(p[2], 1e-3), 1.0)
-        power = np.multiply(signal, signal, out=envelope)
-        frames = acoustics._frames(power, acoustics.frame_len(sr), acoustics.hop_len(sr))
-        mean_rms = float(np.mean(np.sqrt(np.mean(frames, axis=1))))
+        mean_rms = float(np.mean(acoustics.frame_rms(signal, sr)))
         if mean_rms > 0:
             signal *= target / mean_rms
         # hard-limit stray noise peaks; clipping the tail barely moves the
@@ -288,13 +297,14 @@ class ToySynthesizer:
         return b_near
 
     @staticmethod
-    def _pitch_contour(rng, t, sr, mean_hz, std_hz):
-        """Mean-reverting random walk at a 100 Hz control rate, interpolated
-        at the sample times t.  One vector draw gives the same normals as one
-        scalar draw per control point, and the walk runs on Python floats,
-        which round like float64 array elements."""
+    def _pitch_contour(rng, n, sr, mean_hz, std_hz):
+        """(times, values) of the control points of a mean-reverting random
+        walk at a 100 Hz control rate, which `np.interp` reads at the times
+        of n samples.  One vector draw gives the same normals as one scalar
+        draw per control point, and the walk runs on Python floats, which
+        round like float64 array elements."""
         ctrl_hz = 100.0
-        n_ctrl = max(2, int(math.ceil(len(t) / sr * ctrl_hz)) + 1)
+        n_ctrl = max(2, int(math.ceil(n / sr * ctrl_hz)) + 1)
         # slow walk: within one analysis frame the pitch is effectively
         # constant, so the injected noise floor alone sets the measured HNR
         rho = math.exp(-1.0 / (ctrl_hz * 8.0))
@@ -305,6 +315,4 @@ class ToySynthesizer:
         for z_i in z[1:]:
             prev = mean_hz + rho * (prev - mean_hz) + innov * z_i
             walk.append(prev)
-        walk = np.clip(walk, 60.0, 480.0)
-        ctrl_t = np.arange(n_ctrl) / ctrl_hz
-        return np.interp(t, ctrl_t, walk)
+        return np.arange(n_ctrl) / ctrl_hz, np.clip(walk, 60.0, 480.0)

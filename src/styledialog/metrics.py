@@ -199,16 +199,31 @@ def trigram_embedder(token: str) -> np.ndarray:
     return vec / norm if norm > 0 else vec
 
 
+_WORD = re.compile(r"\S+")  # the words of str.split(), found one at a time
+
+
+def _word_ids(text: str):
+    """(the distinct words of `text` in first-seen order, each word's index
+    among them), without a list of every word."""
+    ids: dict[str, int] = {}
+    at = np.fromiter((ids.setdefault(m.group(), len(ids)) for m in _WORD.finditer(text)),
+                     dtype=np.intp)
+    return list(ids), at
+
+
 def greedy_embed_score(ref: str, hyp: str) -> float:
-    """Greedy max-cosine matching in both directions; F1 as a percentage."""
-    ref_words, hyp_words = ref.split(), hyp.split()
-    if not ref_words or not hyp_words:
+    """Greedy max-cosine matching in both directions; F1 as a percentage.
+    Every copy of a word has the same best match, so each distinct word is
+    embedded and scored once and the maxima are read back at the word
+    positions: memory grows with the two vocabularies and by one index and
+    one value per word, not with the product of the lengths."""
+    (ref_vocab, ref_at), (hyp_vocab, hyp_at) = _word_ids(ref), _word_ids(hyp)
+    if not ref_vocab or not hyp_vocab:
         return 0.0
-    ref_vecs = np.stack([trigram_embedder(w) for w in ref_words])
-    hyp_vecs = np.stack([trigram_embedder(w) for w in hyp_words])
-    sims = hyp_vecs @ ref_vecs.T
-    p = float(np.mean(sims.max(axis=1)))
-    r = float(np.mean(sims.max(axis=0)))
+    sims = (np.stack([trigram_embedder(w) for w in hyp_vocab])
+            @ np.stack([trigram_embedder(w) for w in ref_vocab]).T)
+    p = float(np.mean(sims.max(axis=1)[hyp_at]))
+    r = float(np.mean(sims.max(axis=0)[ref_at]))
     if p + r <= 0:
         return 0.0
     return 100.0 * 2 * p * r / (p + r)

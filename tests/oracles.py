@@ -285,6 +285,30 @@ def nccf_track_brute(samples, sample_rate, frame_len, hop_len, f_min=50.0, f_max
     return base, f0, peak, voiced
 
 
+def acoustic_embedding_whole(samples, sample_rate, dim=16):
+    """The 16 mel-band embedding from the mean power spectrum of every
+    Hann-windowed 25 ms frame (10 ms hop) at once; a clip shorter than one
+    frame is one zero-padded frame."""
+    n_frame = int(round(sample_rate * 0.025))
+    n_hop = int(round(sample_rate * 0.010))
+    samples = np.asarray(samples, dtype=np.float64)
+    if len(samples) < n_frame:
+        frames = np.zeros((1, n_frame))
+        frames[0, :len(samples)] = samples
+    else:
+        frames = np.stack([samples[k:k + n_frame]
+                           for k in range(0, len(samples) - n_frame + 1, n_hop)])
+    power = np.mean(np.abs(np.fft.rfft(frames * np.hanning(n_frame), axis=1)) ** 2, axis=0)
+    freqs = np.fft.rfftfreq(n_frame, d=1.0 / sample_rate)
+    mel_top = 2595.0 * np.log10(1.0 + sample_rate / 2.0 / 700.0)
+    mels = np.linspace(2595.0 * np.log10(1.0 + 50.0 / 700.0), mel_top, dim + 1)
+    edges = 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
+    bands = np.array([power[(freqs >= lo) & (freqs < hi)].sum()
+                      for lo, hi in zip(edges[:-1], edges[1:])])
+    bands = np.ones(dim) if bands.sum() <= 1e-30 else bands / bands.sum()
+    return bands / np.linalg.norm(bands)
+
+
 def _pitch_contour_brute(rng, n, sr, mean_hz, std_hz):
     """Mean-reverting random walk at a 100 Hz control rate, interpolated."""
     ctrl_hz = 100.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from styledialog import acoustics
 from styledialog.acoustics import (acoustic_embedding, analyze, encode_style, energy_stats,
                                    frame_len, hnr, hop_len, pitch_track, speaking_rate,
                                    summarize)
+from styledialog.components import ToySynthesizer
 from styledialog.dialog import AudioClip
-from conftest import SR, noise_clip, silence_clip, sine_clip
-from oracles import nccf_track_brute
+from conftest import SR, acoustic, noise_clip, prosodic, silence_clip, sine_clip
+from oracles import acoustic_embedding_whole, nccf_track_brute
 
 
 class TestFrameSpec:
@@ -215,7 +217,7 @@ class TestScalingInvariants:
 @st.composite
 def nccf_clips(draw):
     """Sines, harmonic mixes, noise, silence and sines switched on and off, with
-    lengths from under one frame to a few frames past a 32-frame block edge."""
+    lengths from under one frame to a few frames past 16- and 32-frame block edges."""
     sr = draw(st.sampled_from([8000, 16000]))
     n_frame, n_hop = frame_len(sr), hop_len(sr)
     n_frames = draw(st.sampled_from([0, 1, 2, 31, 32, 33, 63, 64, 65, 70]))
@@ -243,22 +245,112 @@ def nccf_clips(draw):
     return AudioClip.from_samples(sr, np.clip(x, -1.0, 1.0))
 
 
+def _assert_matches_oracle(clip):
+    """The clip's track equals the per-frame loop's: identical voicing and
+    integer lags, f0 and peak within 1e-9.  Returns the active frames."""
+    sr = clip.sample_rate
+    base, f0, peak, voiced = nccf_track_brute(clip.samples, sr, frame_len(sr), hop_len(sr))
+    features = analyze(clip)
+    assert np.array_equal(features.voiced, voiced)
+    np.testing.assert_allclose(features.f0, f0, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(features.peak, peak, rtol=0, atol=1e-9)
+    frames = acoustics._frames(clip.samples, frame_len(sr), hop_len(sr))
+    active = np.flatnonzero(features.rms[:len(base)] > acoustics.SILENCE_FLOOR_RMS)
+    fast_base, _, _ = acoustics._nccf_peaks(frames, active, max(2, sr // 500), math.ceil(sr / 50))
+    assert np.array_equal(fast_base, base[active])
+    assert not np.any(base[np.setdiff1d(np.arange(len(base)), active)])
+    return active
+
+
 class TestBatchedNccfMatchesOracle:
     @settings(max_examples=80, deadline=None)
     @given(clip=nccf_clips())
     def test_matches_per_frame_loop(self, clip):
-        sr = clip.sample_rate
-        base, f0, peak, voiced = nccf_track_brute(clip.samples, sr, frame_len(sr), hop_len(sr))
-        features = analyze(clip)
-        assert np.array_equal(features.voiced, voiced)
-        np.testing.assert_allclose(features.f0, f0, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(features.peak, peak, rtol=0, atol=1e-9)
-        frames = acoustics._frames(clip.samples, frame_len(sr), hop_len(sr))[:len(base)]
-        active = np.flatnonzero(features.rms[:len(base)] > acoustics.SILENCE_FLOOR_RMS)
-        fast_base, _, _ = acoustics._nccf_peaks(frames[active], max(2, sr // 500),
-                                                math.ceil(sr / 50))
-        assert np.array_equal(fast_base, base[active])
-        assert not np.any(base[np.setdiff1d(np.arange(len(base)), active)])
+        _assert_matches_oracle(clip)
+
+
+def _switched_sine(n_seconds, sr=SR, f0=180.0):
+    """A harmonic tone with digital-silence gaps of 7 to 93 frames, which
+    the silence floor drops, so each block of active frames spans gaps."""
+    rng = np.random.default_rng(4)
+    t = np.arange(int(n_seconds * sr)) / sr
+    x = 0.3 * np.sin(2 * np.pi * f0 * t) + 0.1 * np.sin(2 * np.pi * 3 * f0 * t)
+    x += 0.01 * rng.standard_normal(t.size)
+    gate, edge, on = np.zeros(t.size, bool), 0, True
+    while edge < t.size:
+        span = int(rng.integers(7, 94)) * hop_len(sr) + int(rng.integers(0, hop_len(sr)))
+        gate[edge:edge + span] = on
+        edge, on = edge + span, not on
+    return AudioClip.from_samples(sr, np.clip(x * gate, -1.0, 1.0))
+
+
+class TestNccfBlocks:
+    def test_gaps_across_many_blocks(self):
+        clip = _switched_sine(12.0)
+        active = _assert_matches_oracle(clip)
+        blocks = [active[s:s + acoustics.NCCF_BLOCK_FRAMES]
+                  for s in range(0, len(active), acoustics.NCCF_BLOCK_FRAMES)]
+        assert sum(bool(np.any(np.diff(rows) > 1)) for rows in blocks) >= 10
+
+    def test_exact_correlation_fallback(self, monkeypatch):
+        """A frame that the tone leaves part way has lags whose energy is
+        exactly 0, so equal neighbouring r put its pick in doubt and it is
+        correlated exactly."""
+        exact = []
+        correlate = np.correlate
+        monkeypatch.setattr(np, "correlate", lambda *args, **kwargs:
+                            exact.append(1) or correlate(*args, **kwargs))
+        clip = _switched_sine(1.0)
+        analyze(clip)
+        assert exact
+        monkeypatch.undo()
+        _assert_matches_oracle(clip)
+
+
+class TestBlockwisePasses:
+    """The block-wise passes give the bits of the whole-clip forms."""
+
+    @pytest.mark.parametrize("n_frames", [0, 1, 31, 32, 33, 65, 700])
+    def test_frame_rms_and_embedding(self, n_frames):
+        sr = SR
+        n = frame_len(sr) + (n_frames - 1) * hop_len(sr) + 17 if n_frames else 250
+        clip = noise_clip(n / sr) if n_frames % 2 else sine_clip(190.0, n / sr)
+        frames = acoustics._frames(clip.samples, frame_len(sr), hop_len(sr))
+        assert np.array_equal(acoustics.frame_rms(clip.samples, sr),
+                              np.sqrt(np.mean(frames ** 2, axis=1)))
+        assert np.array_equal(acoustic_embedding(clip),
+                              acoustic_embedding_whole(clip.samples, sr))
+
+
+class TestWorkingMemory:
+    """Each per-clip kernel holds the clip's floats and fixed-size blocks:
+    its traced peak past its input, as a multiple of a 60 s clip's float64
+    bytes, stays under a bound that the whole-clip forms (6.0x, 3.75x and
+    6.0x) exceed."""
+
+    TEXT = " ".join(["word"] * 180)  # 60 s at 3 tokens per second
+    STYLES = (prosodic([0.4, 0.2, 0.2, 0.05, 0.7, 0.15, 0.5, 0.9]), acoustic([0.5] * 8))
+
+    @pytest.fixture(scope="class")
+    def long_clip(self):
+        clip = ToySynthesizer().synthesize(self.TEXT, *self.STYLES)
+        assert len(clip.pcm) == 60 * SR
+        return clip
+
+    @pytest.mark.parametrize("kernel, bound", [
+        (lambda clip: ToySynthesizer().synthesize(TestWorkingMemory.TEXT,
+                                                  *TestWorkingMemory.STYLES), 3.0),
+        (analyze.__wrapped__, 2.5),
+        (acoustic_embedding, 1.5)], ids=["synthesize", "analyze", "acoustic_embedding"])
+    def test_extra_memory(self, long_clip, kernel, bound):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernel(long_clip)
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert extra / (8 * len(long_clip.pcm)) < bound
 
 
 class TestAnalyze:

@@ -474,11 +474,12 @@ UNUSABLE_PATHS = {
 class TestUnusablePaths:
     @pytest.fixture
     def work(self, monkeypatch):
-        """The names of the per-crop work functions called: a command fails
-        on a path it cannot use before that work."""
-        from styledialog import cli, metrics
+        """The names of the per-crop, per-clip or per-turn work functions
+        called: a command fails on a path it cannot use before that work."""
+        from styledialog import acoustics, cli, metrics
         called = []
-        for module, name in ((cli, "run_dialog"), (metrics, "assemble_report")):
+        for module, name in ((cli, "run_dialog"), (metrics, "assemble_report"),
+                             (acoustics, "encode_style"), (cli, "simulate_turn")):
             monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name))
         return called
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -162,6 +163,26 @@ class TestEmbedScore:
             ref, hyp = random_sentence(rng), random_sentence(rng)
             want = greedy_embed_brute(ref, hyp, trigram_embedder)
             assert greedy_embed_score(ref, hyp) == pytest.approx(want, abs=1e-7)
+
+    def test_words_are_those_of_split(self):
+        """Every whitespace character str.split() breaks on separates words."""
+        ref, hyp = "the\x1ccat\u3000sat \xa0on\tthe\nmat\r", "a\x0bcat sat\x85down"
+        want = greedy_embed_brute(ref, hyp, trigram_embedder)
+        assert greedy_embed_score(ref, hyp) == pytest.approx(want, abs=1e-7)
+
+    def test_memory_bounded_by_vocabulary(self):
+        """A 20 000-word pair over a 30-word vocabulary: a word-by-word
+        similarity matrix would take 3.2 GB."""
+        rng = np.random.default_rng(8)
+        vocab = [f"word{i}" for i in range(30)]
+        ref, hyp = (" ".join(rng.choice(vocab, size=20_000)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            greedy_embed_score(ref, hyp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestPearson:
