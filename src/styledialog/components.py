@@ -194,6 +194,7 @@ class ToySynthesizer:
     the harmonic sum, the noise and the envelope run over `SYNTH_CHUNK`
     samples at a time, and the noise draws of the chunks are those of one
     draw for the whole clip, so the samples are those of a whole-clip pass.
+    Quantizing them (`dialog.to_pcm`) adds only the int16 clip.
 
     Any finite styles render: the HNR, token rate and energy a prosodic
     style asks for are clamped to [HNR_DB_MIN, HNR_DB_MAX] dB,

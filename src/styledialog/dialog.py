@@ -20,12 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 STYLE_DIM = 8
+PCM_CHUNK = 1 << 13  # samples scaled at a time by `to_pcm`; bounds its memory
 
 
 def to_pcm(samples: np.ndarray) -> np.ndarray:
-    """The 16-bit PCM values a WAV stores for float samples in [-1, 1]."""
-    scaled = samples * 32767.0
-    return np.rint(scaled, out=scaled).astype(np.int16)
+    """The 16-bit PCM values a WAV stores for 1-D float samples in [-1, 1]."""
+    pcm = np.empty(len(samples), dtype=np.int16)
+    for start in range(0, len(samples), PCM_CHUNK):
+        scaled = samples[start:start + PCM_CHUNK] * 32767.0
+        pcm[start:start + PCM_CHUNK] = np.rint(scaled, out=scaled)
+    return pcm
 
 
 def from_pcm(pcm: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,33 @@ class TestArgHandling:
 
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+
+class TestStartup:
+    """A fresh interpreter: the package root loads no NumPy, and the CLI
+    starts NumPy with one BLAS thread unless the user chose a count."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def child(self, code, **env_set):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update(env_set, PYTHONPATH=self.SRC)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        return done.stdout.split()
+
+    def test_package_root_loads_no_numpy(self):
+        assert self.child("import sys, styledialog; print('numpy' in sys.modules)") == ["False"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_cli_runs_one_blas_thread(self):
+        code = ("import os, styledialog.cli; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+        assert self.child(code) == ["1", "1"]
+
+    def test_user_thread_count_is_kept(self):
+        code = "import os, styledialog.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self.child(code, OPENBLAS_NUM_THREADS="2") == ["2"]
 
 
 class TestSimulate:
