@@ -3,8 +3,8 @@
 A clip's int16 `pcm` is what its WAV holds: `write_wav` writes it as it is
 and `read_wav` returns an `AudioClip` over the file's bytes, so a clip's
 WAV round trip is bit-identical and makes no floats.  A WAV sampled too
-slowly to analyse, or a file that is not a 16-bit mono WAV, is refused
-when read with a ValueError.
+slowly to analyse, a WAV with no frames, or a file that is not a 16-bit
+mono WAV, is refused when read with a ValueError.
 """
 
 from __future__ import annotations
@@ -40,5 +40,7 @@ def read_wav(path, source_id: str | None = None) -> AudioClip:
             raw = fh.readframes(fh.getnframes())
     except (EOFError, wave.Error) as exc:  # EOFError: the file ends inside a header
         raise ValueError(f"{path}: not a readable WAV file: {str(exc) or 'it ends early'}") from exc
+    if not raw:
+        raise ValueError(f"{path}: holds no audio frames")
     # a view of bytes, so read-only
     return AudioClip(sample_rate=sr, pcm=np.frombuffer(raw, dtype=np.int16), source_id=source_id)

@@ -318,7 +318,8 @@ def cmd_evaluate(args) -> int:
     for name, value in report.acoustic.items():
         cell = "undef" if value is None else f"{value:.4f}"
         print(f"r[{name}]".ljust(16) + f" {cell:>8}")
-    print(f"{'speaker_sim':<12} {report.speaker_similarity:>8.4f}")
+    sim = report.speaker_similarity
+    print(f"{'speaker_sim':<12} {'undef' if sim is None else f'{sim:.4f}':>8}")
     if args.out:
         payload = {"semantic": report.semantic, "acoustic": report.acoustic,
                    "speaker_similarity": report.speaker_similarity}

@@ -16,11 +16,12 @@ audio is a `SynthAudio` of that text and those styles, the one form of
 rendered synth audio, held as int16 PCM as a WAV-backed turn's `AudioClip`
 is.  Any other turn without a path has no audio, and only such a turn has
 `audio=None`.  WAV-backed turns are always read, and a record whose WAV
-cannot be read is a reject.  Each synth-backed turn gets its `SynthAudio`
-when its record is parsed; building one renders nothing.  `load_corpus`
-then renders only the synth-backed clips its caller asks for through
-`audio_for` (all of them by default), named by (conversation id, turn
-index): `run` asks for its crops' incoming turns, `evaluate` for its
+cannot be read, or whose synth-backed turn would render more than
+`MAX_SYNTH_SECONDS`, is a reject.  Each synth-backed turn gets its
+`SynthAudio` when its record is parsed; building one renders nothing.
+`load_corpus` then renders only the synth-backed clips its caller asks
+for through `audio_for` (all of them by default), named by (conversation
+id, turn index): `run` asks for its crops' incoming turns, `evaluate` for its
 reference turns and `build-prompt` for none.  Any other clip renders on
 the first read of its PCM, as every clip of `generate_synthetic_corpus`
 does.  A clip's `source_id`, "<conversation id>/<turn index>",
@@ -56,6 +57,10 @@ from .components import SYNTH_SAMPLE_RATE, ToySynthesizer
 from .dialog import Conversation, StyleVector, Turn
 
 SPEAKER_INDICATOR_RE = re.compile(r"\[S\d+\]")
+# Longest synth-backed clip a record may ask for: 600 s at 16 kHz is 9.6 M
+# samples, 77 MB of float64, so under about 115 MB at the render's < 1.5x
+# peak.  The bundled corpus's longest turn is 3.1 s.
+MAX_SYNTH_SECONDS = 600
 
 
 def write_atomic(path, text: str) -> None:
@@ -98,6 +103,10 @@ def _turn_from_record(rec: dict, sid: str, root: Path) -> Turn:
         audio = audioio.read_wav(root / rec["audio"], source_id=sid)
     elif text.split() and prosodic is not None and acoustic is not None:
         audio = SynthAudio(text, prosodic, acoustic, sid)
+        if audio.duration_seconds > MAX_SYNTH_SECONDS:  # sized, not rendered
+            raise ValueError(f"synth-backed turn {sid} would render "
+                             f"{audio.duration_seconds:.0f} s of audio, over the "
+                             f"{MAX_SYNTH_SECONDS} s cap")
     else:
         audio = None
     return Turn(speaker=speaker, text=text, audio=audio,

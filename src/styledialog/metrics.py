@@ -40,7 +40,7 @@ def normalize(text: str) -> str:
 class MetricReport:
     semantic: dict       # metric name -> percentage
     acoustic: dict       # feature name -> Pearson r or None when undefined
-    speaker_similarity: float
+    speaker_similarity: float | None  # None when no pair has audio on both sides
     notes: tuple = ()
 
 
@@ -267,7 +267,8 @@ def assemble_report(generated, reference) -> MetricReport:
     Semantic metrics are averaged per pair on normalized text (WER uses
     pooled edit distance over pooled reference length).  Acoustic Pearson r
     pairs per-crop feature values; zero-variance cells come back as None.
-    Speaker similarity is the mean embedding cosine.
+    Speaker similarity is the mean embedding cosine, None when no pair
+    has audio on both sides.
     """
     if len(generated) != len(reference):
         raise ValueError(f"misaligned lists: {len(generated)} generated vs "
@@ -314,6 +315,6 @@ def assemble_report(generated, reference) -> MetricReport:
                 acoustic[feature] = pearson(gx, ry)
             except ValueError:
                 acoustic[feature] = None
-    similarity = float(np.mean(sims)) if sims else float("nan")
+    similarity = float(np.mean(sims)) if sims else None
     return MetricReport(semantic=semantic, acoustic=acoustic,
                         speaker_similarity=similarity)

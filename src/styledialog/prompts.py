@@ -4,11 +4,13 @@ tracking, token budgeting, and the ablation variants.
 The template is emitted byte-exactly (LF line endings, hard-wrapped lines
 ending in a single trailing space) and is pinned by golden-file tests.
 `<|extra_123|>` marks an input style slot, `<|extra_124|>` the single
-output style slot.
+output style slot.  A token inside a string the prompt substitutes raises
+ValueError, so every token in a built prompt is a slot, read back in order.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -16,6 +18,7 @@ from .dialog import ConversationContext, DialogCrop
 
 INPUT_STYLE_TOKEN = "<|extra_123|>"
 OUTPUT_STYLE_TOKEN = "<|extra_124|>"
+_INPUT_SLOT = re.compile(re.escape(INPUT_STYLE_TOKEN))
 
 
 class PromptVariant(str, Enum):
@@ -63,13 +66,9 @@ def count_tokens(text: str) -> int:
 def _header_speakers(crop: DialogCrop, context: ConversationContext) -> list[str]:
     """Incoming speaker first, then context speakers by first appearance,
     then the response speaker if not already present."""
-    order = [crop.incoming_turn.speaker]
-    for entry in context.entries:
-        if entry.speaker not in order:
-            order.append(entry.speaker)
-    if crop.target_turn.speaker not in order:
-        order.append(crop.target_turn.speaker)
-    return order
+    return list(dict.fromkeys([crop.incoming_turn.speaker,
+                               *[entry.speaker for entry in context.entries],
+                               crop.target_turn.speaker]))
 
 
 def build_prompt(crop: DialogCrop, context: ConversationContext,
@@ -84,65 +83,36 @@ def build_prompt(crop: DialogCrop, context: ConversationContext,
     """
     variant = PromptVariant(variant)
     spk_in = crop.incoming_turn.speaker
-    spk_out = crop.target_turn.speaker
     speakers = _header_speakers(crop, context)
     for speaker in speakers:
         if speaker not in context.reference_styles:
             raise KeyError(f"no reference style for speaker {speaker!r}")
+    # (speaker, text, ref_kind, ref_id) of each context line
+    lines = [(entry.speaker, entry.text, "context", i) for i, entry in enumerate(context.entries)]
+    if variant in (PromptVariant.NO_AUDIO_INPUT, PromptVariant.ASR_PLUS_STYLE):
+        lines.append((spk_in, crop.incoming_turn.text, "incoming", len(context.entries)))
 
     with_styles = variant is not PromptVariant.NO_STYLE_CONTEXT
-    parts: list[str] = []
-    slots: list[StyleSlot] = []
-    length = 0
-
-    def emit(text: str):
-        nonlocal length
-        parts.append(text)
-        length += len(text)
-
-    def emit_style_slot(ref_kind, ref_id):
-        slots.append(StyleSlot(offset=length, ref_kind=ref_kind, ref_id=ref_id))
-        emit(INPUT_STYLE_TOKEN)
-
-    if variant is not PromptVariant.NO_AUDIO_INPUT:
-        emit(f"Audio 1:<audio>{audio_path}</audio>\n\n")
-
-    emit(f"This is the voice of the {spk_in} last speaking. There is a conversation \namong ")
-    for i, speaker in enumerate(speakers):
-        if i:
-            emit(" ")
-        if with_styles:
-            emit(f"{speaker}: STYLE: ")
-            emit_style_slot("reference", speaker)
-        else:
-            emit(speaker)
-    emit(". \nHere is some context: \n\n")
-
-    def emit_context_line(speaker, text, ref_kind, ref_id):
-        emit(f"{speaker}: ")
-        if with_styles:
-            emit("STYLE: ")
-            emit_style_slot(ref_kind, ref_id)
-            emit(" ")
-        emit(f"TEXT: {text}\n")
-
-    for i, entry in enumerate(context.entries):
-        emit_context_line(entry.speaker, entry.text, "context", i)
-    if variant in (PromptVariant.NO_AUDIO_INPUT, PromptVariant.ASR_PLUS_STYLE):
-        emit_context_line(spk_in, crop.incoming_turn.text, "incoming", len(context.entries))
-
-    emit(f"\nTry to recognize what {spk_in} just said from the audio, \n"
-         f"and generate the style and text of the next speaker {spk_out}. \n"
-         f"Be creative and avoid repeated words and sentences. \nSTYLE: ")
-    output_offset = length
-    emit(f"{OUTPUT_STYLE_TOKEN} TEXT:")
-
-    text = "".join(parts)
-    assert text.count(INPUT_STYLE_TOKEN) == len(slots)
-    assert text.count(OUTPUT_STYLE_TOKEN) == 1
-    return BuiltPrompt(text=text, input_style_slots=tuple(slots),
-                       output_style_slot=output_offset,
-                       token_count=count_tokens(text))
+    slot = f" STYLE: {INPUT_STYLE_TOKEN}" if with_styles else ""
+    text = "".join([
+        "" if variant is PromptVariant.NO_AUDIO_INPUT
+        else f"Audio 1:<audio>{audio_path}</audio>\n\n",
+        f"This is the voice of the {spk_in} last speaking. There is a conversation \namong ",
+        " ".join([f"{s}:{slot}" for s in speakers] if with_styles else speakers),
+        ". \nHere is some context: \n\n",
+        *[f"{s}:{slot} TEXT: {t}\n" for s, t, _, _ in lines],
+        f"\nTry to recognize what {spk_in} just said from the audio, \n"
+        f"and generate the style and text of the next speaker {crop.target_turn.speaker}. \n"
+        f"Be creative and avoid repeated words and sentences. \nSTYLE: {OUTPUT_STYLE_TOKEN} TEXT:",
+    ])
+    refs = ([("reference", s) for s in speakers] + [ln[2:] for ln in lines]) if with_styles else []
+    matches = list(_INPUT_SLOT.finditer(text))
+    if len(matches) != len(refs) or text.count(OUTPUT_STYLE_TOKEN) != 1:
+        bad = next(v for v in (audio_path, *speakers, *(s for ln in lines for s in ln[:2]))
+                   if INPUT_STYLE_TOKEN in v or OUTPUT_STYLE_TOKEN in v)
+        raise ValueError(f"prompt input {bad!r} holds a reserved style token")
+    slots = tuple([StyleSlot(match.start(), *ref) for match, ref in zip(matches, refs)])
+    return BuiltPrompt(text, slots, text.index(OUTPUT_STYLE_TOKEN), count_tokens(text))
 
 
 def truncate_to_budget(context: ConversationContext, budget: int, *, crop: DialogCrop,

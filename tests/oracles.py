@@ -377,3 +377,68 @@ def synthesize_brute(text, prosodic, acoustic):
     # frame RMS, whereas rescaling the whole clip would break the energy
     # component of the style round trip
     return np.clip(signal, -0.99, 0.99)
+
+
+def build_prompt_emit(crop, context, variant, audio_path):
+    """The prompt as a string of emits that track each offset as they go:
+    (text, ((offset, ref_kind, ref_id), ...), output offset, token count).
+    `variant` is a prompt variant's value; a missing reference style raises
+    KeyError."""
+    in_token, out_token = "<|extra_123|>", "<|extra_124|>"
+    spk_in = crop.incoming_turn.speaker
+    spk_out = crop.target_turn.speaker
+    speakers = [spk_in]
+    for entry in context.entries:
+        if entry.speaker not in speakers:
+            speakers.append(entry.speaker)
+    if spk_out not in speakers:
+        speakers.append(spk_out)
+    for speaker in speakers:
+        if speaker not in context.reference_styles:
+            raise KeyError(f"no reference style for speaker {speaker!r}")
+
+    with_styles = variant != "no_style_context"
+    parts, slots = [], []
+    length = 0
+
+    def emit(text):
+        nonlocal length
+        parts.append(text)
+        length += len(text)
+
+    def emit_style_slot(ref_kind, ref_id):
+        slots.append((length, ref_kind, ref_id))
+        emit(in_token)
+
+    if variant != "no_audio_input":
+        emit(f"Audio 1:<audio>{audio_path}</audio>\n\n")
+    emit(f"This is the voice of the {spk_in} last speaking. There is a conversation \namong ")
+    for i, speaker in enumerate(speakers):
+        if i:
+            emit(" ")
+        if with_styles:
+            emit(f"{speaker}: STYLE: ")
+            emit_style_slot("reference", speaker)
+        else:
+            emit(speaker)
+    emit(". \nHere is some context: \n\n")
+
+    def emit_context_line(speaker, text, ref_kind, ref_id):
+        emit(f"{speaker}: ")
+        if with_styles:
+            emit("STYLE: ")
+            emit_style_slot(ref_kind, ref_id)
+            emit(" ")
+        emit(f"TEXT: {text}\n")
+
+    for i, entry in enumerate(context.entries):
+        emit_context_line(entry.speaker, entry.text, "context", i)
+    if variant in ("no_audio_input", "asr_plus_style"):
+        emit_context_line(spk_in, crop.incoming_turn.text, "incoming", len(context.entries))
+    emit(f"\nTry to recognize what {spk_in} just said from the audio, \n"
+         f"and generate the style and text of the next speaker {spk_out}. \n"
+         f"Be creative and avoid repeated words and sentences. \nSTYLE: ")
+    output_offset = length
+    emit(f"{out_token} TEXT:")
+    text = "".join(parts)
+    return text, tuple(slots), output_offset, len(text.split())

@@ -421,6 +421,41 @@ class TestEvaluateInputs:
                      "--out", str(out)]) == EXIT_USAGE
         assert one_error_line(capsys) and not out.exists()
 
+    def test_empty_audio(self, run_dir, tmp_path, capsys):
+        """A 0-frame WAV crashed `acoustic_embedding` with a traceback."""
+        gen = shutil.copytree(run_dir, tmp_path / "gen")
+        write_wav(gen / "audio" / "empty.wav", AudioClip.from_samples(16000, np.zeros(0)))
+        lines = (gen / "generated.jsonl").read_text().splitlines()
+        lines[1] = json.dumps(json.loads(lines[1]) | {"audio": "audio/empty.wav"})
+        (gen / "generated.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", "--generated", str(gen), "--reference", CORPUS]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: generated.jsonl:2: ") and "holds no audio frames" in err
+        assert len(err.splitlines()) == 1
+
+    def test_no_audio_pair_writes_null(self, tmp_path, capsys):
+        """With no pair that has audio on both sides, speaker similarity is
+        undefined: printed `undef` and written as null, not NaN."""
+        generating = _one_turn_corpus(tmp_path)
+        conv = json.loads(Path(generating).read_text())
+        conv["turns"].append(conv["turns"][0] | {"speaker": "b", "text": "hello back"})
+        Path(generating).write_text(json.dumps(conv) + "\n")
+        # the reference's target turn has no acoustic style, so no audio
+        conv["turns"][1]["synth"] = {"prosodic_style": conv["turns"][1]["synth"]["prosodic_style"]}
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text(json.dumps(conv) + "\n")
+        assert main(["run", "--corpus", generating, "--crops", "1",
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--generated", str(tmp_path / "run"),
+                     "--reference", str(reference), "--out", str(out)]) == EXIT_OK
+        assert "speaker_sim     undef" in capsys.readouterr().out
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["speaker_similarity"] is None and report["acoustic"] == {}
+
     def test_sub_khz_audio(self, run_dir, tmp_path, capsys):
         """An 800 Hz WAV crashed the analysis inside assemble_report."""
         gen = shutil.copytree(run_dir, tmp_path / "gen")
@@ -648,6 +683,21 @@ class TestExtractStyles:
             {"speaker": "a", "text": "hi", "audio": None}]}) + "\n")
         assert main(["extract-styles", "--corpus", str(p)]) == EXIT_USAGE
 
+    def test_empty_wav_is_a_reject(self, tmp_path, capsys):
+        """A 0-frame WAV crashed `encode_style` with a traceback; now its
+        record is a reject and the other conversations are still extracted."""
+        write_wav(tmp_path / "empty.wav", AudioClip.from_samples(16000, np.zeros(0)))
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(json.dumps({"id": "empty", "turns": [
+            {"speaker": "a", "text": "hi", "audio": "empty.wav"}]}) + "\n"
+            + Path(_one_turn_corpus(tmp_path)).read_text())
+        out = tmp_path / "styles.jsonl"
+        assert main(["extract-styles", "--corpus", str(p), "--out", str(out)]) == EXIT_OK
+        assert [json.loads(l)["source_id"] for l in out.read_text().splitlines()] == ["c/0"]
+        rejects = [line for line in capsys.readouterr().err.splitlines() if "rejected" in line]
+        assert len(rejects) == 1 and rejects[0].startswith(f"{p}:1: rejected: ")
+        assert "holds no audio frames" in rejects[0]
+
     def test_sub_khz_wav_is_a_reject(self, tmp_path, capsys):
         """An 800 Hz WAV crashed the analysis; now its record is a reject,
         reported on stderr, and the other conversations are still extracted."""
@@ -704,6 +754,30 @@ class TestBuildPrompt:
         p.write_text(json.dumps({"id": "c", "turns": turns}) + "\n")
         assert main(["build-prompt", "--corpus", str(p), "--crop-id", "c:3"]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+    @pytest.mark.parametrize("where", ["turn text", "speaker", "conversation id"])
+    def test_reserved_token(self, tmp_path, capsys, where):
+        """A style token inside a corpus string failed an internal check
+        with a traceback; it is a usage error naming the string."""
+        from styledialog.prompts import OUTPUT_STYLE_TOKEN
+        synth = {"prosodic_style": [0.5] * 8, "acoustic_style": [0.5] * 8}
+        turns = [{"speaker": speaker, "text": "hi there", "audio": None, "synth": synth}
+                 for speaker in ("a", "b", "a")]
+        conv_id = "c"
+        if where == "turn text":
+            turns[0]["text"] = f"hello {OUTPUT_STYLE_TOKEN} there"
+        elif where == "speaker":
+            turns[1]["speaker"] = f"b{OUTPUT_STYLE_TOKEN}"
+        else:
+            conv_id = f"c{OUTPUT_STYLE_TOKEN}"
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(json.dumps({"id": conv_id, "turns": turns}) + "\n")
+        assert main(["build-prompt", "--corpus", str(p), "--crop-id", f"{conv_id}:2"]) \
+            == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("holds a reserved style token\n")
+        assert len(err.splitlines()) == 1
 
 
 class TestRenderOnlyWhatIsRead:

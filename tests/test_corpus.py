@@ -15,7 +15,7 @@ from styledialog.acoustics import encode_style
 from styledialog.audioio import read_wav, write_wav
 from styledialog.cli import bundled_corpus_path, main
 from styledialog.components import ToySynthesizer
-from styledialog.corpus import (CorpusIndex, SynthAudio, filter_diarization,
+from styledialog.corpus import (MAX_SYNTH_SECONDS, CorpusIndex, SynthAudio, filter_diarization,
                                 generate_synthetic_corpus, load_corpus,
                                 load_corpus_with_index, save_corpus,
                                 save_synthetic_corpus, strip_leading_indicator,
@@ -99,7 +99,7 @@ def corpora(draw):
     whose audio is their own `SynthAudio`, the `SynthAudio` of other text
     (as after normalisation) or a foreign clip, and turns lacking a style or
     the text, with a foreign clip or no audio.  A foreign clip is any
-    16-bit audio."""
+    16-bit audio of at least one sample, since a WAV with none is refused."""
     conversations = []
     for c in range(draw(st.integers(1, 3))):
         turns = []
@@ -112,7 +112,7 @@ def corpora(draw):
             else:
                 source = draw(st.sampled_from(["foreign", None]))
             if source == "foreign":
-                samples = draw(st.lists(st.floats(-1.0, 1.0), max_size=64))
+                samples = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64))
                 audio = AudioClip.from_samples(draw(st.sampled_from([8000, 16000, 44100])),
                                                from_pcm(to_pcm(np.asarray(samples, dtype=float))),
                                                source_id=f"c{c}/{i}")
@@ -305,6 +305,13 @@ class TestReadWav:
         assert [line for line, _ in rejects] == [2]
         assert "not a readable WAV file" in rejects[0][1]
 
+    def test_no_frames_is_a_reject(self, tmp_path):
+        """A 0-frame WAV loaded, then crashed the analysis of any command
+        that read it; now it is refused where it is read."""
+        write_wav(tmp_path / "empty.wav", AudioClip.from_samples(16000, np.zeros(0)))
+        with pytest.raises(ValueError, match="holds no audio frames"):
+            read_wav(tmp_path / "empty.wav")
+
     def test_write_read_bit_identical_to_quantize(self, tmp_path):
         x = np.linspace(-1.0, 1.0, 1001)
         write_wav(tmp_path / "x.wav", AudioClip.from_samples(16000, x))
@@ -435,6 +442,26 @@ class TestLazySynthAudio:
                 assert (a.audio.source_id, a.audio.sample_rate, a.audio.duration_seconds) == \
                        (b.audio.source_id, b.audio.sample_rate, b.audio.duration_seconds)
                 assert np.array_equal(a.audio.samples, b.audio.samples)
+
+
+class TestSynthLengthCap:
+    SYNTH = {"prosodic_style": [0.4, 0.05, 0.1, 0.02, 0.6, 0.3, 0.05, 0.95],
+             "acoustic_style": [0.5] * 8}
+
+    def test_over_long_turn_is_a_reject_and_never_renders(self, tmp_path):
+        """A 20 000-word synth-backed turn would render 56 minutes of audio
+        (53 M samples, 430 MB as float64).  It is sized from its text and
+        refused before any render, while the load renders the rest."""
+        (tmp_path / "c.jsonl").write_text("\n".join(json.dumps({"id": cid, "turns": [
+            {"speaker": "a", "text": text, "audio": None, "synth": self.SYNTH}]})
+            for cid, text in (("long", " ".join(["word"] * 20000)), ("short", "hi there")))
+            + "\n")
+        with counting_renders() as texts:
+            conversations, rejects = load_corpus(tmp_path / "c.jsonl")
+        assert texts == ["hi there"]
+        assert [c.id for c in conversations] == ["short"]
+        assert [line for line, _ in rejects] == [1]
+        assert f"over the {MAX_SYNTH_SECONDS} s cap" in rejects[0][1]
 
 
 class TestLoadedAudioMemory:

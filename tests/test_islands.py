@@ -1,6 +1,7 @@
-"""Every top-level name in the package is reached from the package or the
-benchmark: a function, class or module constant that only tests call is an
-island, code that no command runs."""
+"""Static checks of the source.  Every top-level name in the package is
+reached from the package or the benchmark: a function, class or module
+constant that only tests call is an island, code that no command runs.
+And `src/` holds no assert statement."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,12 @@ def find_islands():
 def test_no_islands():
     islands = find_islands()
     assert not islands, "reached only from tests:\n" + "\n".join(islands)
+
+
+def test_no_asserts():
+    """`python -O` strips asserts, and an AssertionError would escape
+    `cli.main` as a traceback: `src/` raises its exceptions instead."""
+    asserts = [f"{path.relative_to(ROOT)}:{node.lineno}"
+               for path in sorted((ROOT / "src").rglob("*.py"))
+               for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
+    assert not asserts, "assert statements:\n" + "\n".join(asserts)

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -260,7 +259,7 @@ class TestAssembleReport:
         assert report.semantic["bleu"] == pytest.approx(100.0)
         assert report.semantic["wer"] == 0.0
         assert report.acoustic == {}
-        assert math.isnan(report.speaker_similarity)
+        assert report.speaker_similarity is None
 
     def test_normalises_both_sides(self):
         report = assemble_report([_pair("Um, The cat sat!")], [_pair("the cat sat")])

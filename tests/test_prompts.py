@@ -1,13 +1,17 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from styledialog.dialog import (AudioClip, Conversation, ConversationContext,
                                 StyleVector, Turn, context_from_turns, make_crop)
 from styledialog.prompts import (INPUT_STYLE_TOKEN, OUTPUT_STYLE_TOKEN,
                                  PromptVariant, build_prompt, count_tokens,
                                  truncate_to_budget)
+
+from oracles import build_prompt_emit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -167,3 +171,67 @@ class TestTruncation:
         with pytest.raises(ValueError):
             truncate_to_budget(context, 5, crop=crop, variant=PromptVariant.FULL,
                                audio_path="a.wav")
+
+
+# no "|", so a drawn string never holds a style token
+TEXT = st.text(alphabet="ab <>:\t\né", max_size=12)
+SPEAKERS = st.one_of(st.sampled_from(["", " x ", "b c", "\t", "alice"]), TEXT)
+
+
+class TestMatchesEmitReference:
+    """`build_prompt` reads its slots back from the finished text; the
+    reference tracks every offset as it emits the text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(turns=st.lists(st.tuples(SPEAKERS, TEXT), min_size=2, max_size=6),
+           data=st.data(), variant=st.sampled_from(list(PromptVariant)), audio_path=TEXT)
+    def test_equals_reference(self, turns, data, variant, audio_path):
+        style = StyleVector(values=(0.5,) * 8, kind="prosodic")
+        conv = Conversation(id="h", turns=[Turn(speaker, text, prosodic_style=style)
+                                           for speaker, text in turns])
+        crop = make_crop(conv, data.draw(st.integers(1, len(turns) - 1), label="k"))
+        known = data.draw(st.sets(st.sampled_from([s for s, _ in turns])), label="refs")
+        refs = {s: (style, StyleVector(values=(0.1,) * 8, kind="acoustic")) for s in known}
+        context = context_from_turns(crop.context_turns[:-1], refs)
+        try:
+            text, slots, output, tokens = build_prompt_emit(crop, context, variant.value,
+                                                            audio_path)
+        except KeyError:
+            with pytest.raises(KeyError):
+                build_prompt(crop, context, variant, audio_path)
+            return
+        built = build_prompt(crop, context, variant, audio_path)
+        assert built.text == text
+        assert [(s.offset, s.ref_kind, s.ref_id) for s in built.input_style_slots] == list(slots)
+        assert built.output_style_slot == output
+        assert built.token_count == tokens
+
+
+class TestReservedTokens:
+    """A style token inside a string the prompt substitutes would pass for
+    a slot, so it is refused."""
+
+    @pytest.mark.parametrize("token", [INPUT_STYLE_TOKEN, OUTPUT_STYLE_TOKEN])
+    @pytest.mark.parametrize("where", ["context text", "incoming text", "speaker",
+                                       "audio path"])
+    def test_raises(self, token, where):
+        crop, context = fixture_crop()
+        variant, audio_path = PromptVariant.ASR_PLUS_STYLE, "a.wav"
+        if where == "context text":
+            first = context.entries[0]
+            context = replace(context, entries=(replace(first, text=f"hi {token}"),
+                                                *context.entries[1:]))
+        elif where == "incoming text":
+            incoming = replace(crop.incoming_turn, text=f"{token} there")
+            crop = replace(crop, context_turns=(*crop.context_turns[:-1], incoming))
+        elif where == "speaker":
+            def rename(turn):
+                return replace(turn, speaker=f"{turn.speaker}{token}")
+            crop = replace(crop, context_turns=[rename(t) for t in crop.context_turns],
+                           target_turn=rename(crop.target_turn))
+            context = replace(context, entries=crop.context_turns[:-1], reference_styles={
+                f"{s}{token}": v for s, v in context.reference_styles.items()})
+        else:
+            audio_path = f"c{token}_3.wav"
+        with pytest.raises(ValueError, match="reserved style token"):
+            build_prompt(crop, context, variant, audio_path)
