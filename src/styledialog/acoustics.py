@@ -2,7 +2,8 @@
 style encoder / speaker embedding.
 
 `analyze` frames a clip once and computes per-frame RMS, f0, NCCF peak and
-voicing; the per-clip features below are projections of that one pass.
+voicing; `summarize` projects that one pass onto every per-clip feature, and
+the style is that summary rescaled.
 Pitch and harmonicity come from the normalized cross-correlation (NCCF) of
 each frame within the lag band of the search range, one FFT autocorrelation
 per block of frames, with parabolic peak refinement.  A frame is voiced
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +73,8 @@ def check_sample_rate(sample_rate: int) -> None:
 
 @dataclass(frozen=True)
 class AcousticSummary:
-    """The per-clip feature row used for acoustic correlation reports."""
+    """Every per-clip feature: the row of acoustic correlation reports, and
+    the prosodic style before its rescaling."""
 
     pitch_mean: float
     pitch_std: float
@@ -81,9 +83,7 @@ class AcousticSummary:
     hnr_db: float
     duration_s: float
     voiced_fraction: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+    speaking_rate: float
 
 
 def _frames(samples: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
@@ -168,6 +168,8 @@ def _nccf_peaks(frames: np.ndarray, rows: np.ndarray, lag_min: int, lag_max: int
     if lag_max <= lag_min:
         return base, lag, peak
     octave_cost = 0.03 * np.log2(np.arange(lag_min, lag_max + 1) / lag_min)
+    # kept a power of two: 729 points took 0.530 s against 0.552 s (medians, 125-clip analysis,
+    # 2 CPUs) but were lower in only 7 of 12 alternating fresh-interpreter pairs: no gain shown
     padded = np.zeros((min(len(rows), NCCF_BLOCK_FRAMES), 1 << (n + lag_max).bit_length()))
     for start in range(0, len(rows), NCCF_BLOCK_FRAMES):
         out = slice(start, start + NCCF_BLOCK_FRAMES)
@@ -195,10 +197,6 @@ class ClipFeatures:
     voiced: np.ndarray
 
 
-# one slot, keyed by identity, since both clip types are eq=False and frozen
-# over read-only pcm: encode_style and summarize on one clip share its
-# analysis, so they make its float samples once
-@functools.lru_cache(maxsize=1)
 def analyze(clip: AudioClip) -> ClipFeatures:
     """Per-frame RMS, f0, NCCF peak and voicing from one framing of the clip.
     Frames at or below the silence floor skip the NCCF: f0 and peak 0."""
@@ -220,31 +218,14 @@ def analyze(clip: AudioClip) -> ClipFeatures:
     return ClipFeatures(rms=rms, f0=f0, peak=peak, voiced=voiced)
 
 
-def _voiced_pitch(features: ClipFeatures):
-    """(mean, population std) of voiced f0, voiced fraction; 0s if unvoiced."""
-    if not np.any(features.voiced):
-        return 0.0, 0.0, 0.0
-    f0 = features.f0[features.voiced]
-    return float(np.mean(f0)), float(np.std(f0)), float(np.mean(features.voiced))
-
-
 def pitch_track(clip: AudioClip):
     """Per-frame (f0_hz, voiced) arrays. Shorter than one frame -> empty track."""
     features = analyze(clip)
     return features.f0, features.voiced
 
 
-def energy_stats(clip: AudioClip):
-    """(mean, population std) of the per-frame RMS."""
-    rms = analyze(clip).rms
-    if rms.size == 0:
-        return 0.0, 0.0
-    return float(np.mean(rms)), float(np.std(rms))
-
-
-def hnr(clip: AudioClip) -> float:
+def hnr(features: ClipFeatures) -> float:
     """Mean over voiced frames of 10*log10(r/(1-r)), clamped to [-20, 40]."""
-    features = analyze(clip)
     if not np.any(features.voiced):
         return HNR_DB_MIN
     r = np.clip(features.peak[features.voiced], 1e-12, 1.0 - 1e-12)
@@ -275,37 +256,6 @@ def _count_energy_peaks(rms: np.ndarray) -> int:
     if count == 0:
         count = 1  # some audible energy but no interior maximum (monotone envelope)
     return count
-
-
-def speaking_rate(clip: AudioClip) -> float:
-    """Energy-peak events per second, capped at RATE_CAP_PER_S."""
-    if clip.duration_seconds <= 0:
-        return 0.0
-    rate = _count_energy_peaks(analyze(clip).rms) / clip.duration_seconds
-    return min(rate, RATE_CAP_PER_S)
-
-
-def encode_style(clip: AudioClip) -> StyleVector:
-    """Encode a clip into the 8-dim prosodic style vector.
-
-    Layout: [pitch_mean/500, pitch_std/100, energy_mean, energy_std,
-    (hnr+20)/60, rate/20, log(1+dur)/log(61), voiced_fraction].
-    Silence is legal input and yields zero pitch components with
-    voiced_fraction 0; an empty clip is an error.
-    """
-    if clip.duration_seconds == 0:
-        raise ValueError("cannot encode an empty clip")
-    pitch_mean, pitch_std, voiced_fraction = _voiced_pitch(analyze(clip))
-    # capped so the component stays within its documented bound even when
-    # stray noise frames lock onto scattered pitches
-    pitch_std = min(pitch_std, 1.3 * PITCH_STD_NORM_HZ)
-    e_mean, e_std = energy_stats(clip)
-    dur = min(clip.duration_seconds, DURATION_CAP_S)
-    values = (pitch_mean / PITCH_NORM_HZ, pitch_std / PITCH_STD_NORM_HZ, e_mean, e_std,
-              (hnr(clip) - HNR_DB_MIN) / HNR_SPAN_DB,
-              speaking_rate(clip) / RATE_CAP_PER_S,
-              math.log1p(dur) / math.log1p(DURATION_CAP_S), voiced_fraction)
-    return StyleVector(values=values, kind="prosodic")
 
 
 def _mel(f):
@@ -346,11 +296,43 @@ def acoustic_embedding(clip: AudioClip) -> np.ndarray:
     return bands / np.linalg.norm(bands)
 
 
+# one slot, keyed by identity, since both clip types are eq=False and frozen
+# over read-only pcm: encode_style and summarize on one clip share its
+# summary, so they analyse it, and make its float samples, once
+@functools.lru_cache(maxsize=1)
 def summarize(clip: AudioClip) -> AcousticSummary:
-    """Aggregate every per-clip feature into one summary row."""
+    """Every per-clip feature, from one `analyze`: mean and population std of
+    voiced f0 (0s if unvoiced) and of frame RMS, `hnr`, duration, voiced fraction
+    and energy-peak events per second, capped at RATE_CAP_PER_S.  Empty: all 0."""
+    duration = clip.duration_seconds
+    if duration == 0:
+        return AcousticSummary(*[0.0] * 8)
+    features = analyze(clip)
+    rms, voiced, f0 = features.rms, features.voiced, features.f0[features.voiced]
+    pitch_mean = pitch_std = voiced_fraction = 0.0
+    if f0.size:
+        pitch_mean, pitch_std, voiced_fraction = (float(np.mean(f0)), float(np.std(f0)),
+                                                  float(np.mean(voiced)))
+    return AcousticSummary(pitch_mean, pitch_std, float(np.mean(rms)), float(np.std(rms)),
+                           hnr(features), duration, voiced_fraction,
+                           min(_count_energy_peaks(rms) / duration, RATE_CAP_PER_S))
+
+
+def encode_style(clip: AudioClip) -> StyleVector:
+    """Encode a clip into the 8-dim prosodic style vector: its summary, rescaled.
+
+    Layout: [pitch_mean/500, pitch_std/100, energy_mean, energy_std,
+    (hnr+20)/60, rate/20, log(1+dur)/log(61), voiced_fraction].  Silence
+    yields zero pitch components and voiced_fraction 0; an empty clip is an error.
+    """
     if clip.duration_seconds == 0:
-        return AcousticSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    pitch_mean, pitch_std, voiced_fraction = _voiced_pitch(analyze(clip))
-    e_mean, e_std = energy_stats(clip)
-    return AcousticSummary(pitch_mean, pitch_std, e_mean, e_std, hnr(clip),
-                           clip.duration_seconds, voiced_fraction)
+        raise ValueError("cannot encode an empty clip")
+    s = summarize(clip)
+    dur = min(s.duration_s, DURATION_CAP_S)
+    # pitch_std is capped so its component stays within its documented bound
+    # even when stray noise frames lock onto scattered pitches
+    values = (s.pitch_mean / PITCH_NORM_HZ, min(s.pitch_std, 1.3 * PITCH_STD_NORM_HZ)
+              / PITCH_STD_NORM_HZ, s.energy_mean, s.energy_std,
+              (s.hnr_db - HNR_DB_MIN) / HNR_SPAN_DB, s.speaking_rate / RATE_CAP_PER_S,
+              math.log1p(dur) / math.log1p(DURATION_CAP_S), s.voiced_fraction)
+    return StyleVector(values=values, kind="prosodic")

@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -228,7 +228,11 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the work
     markov = train_markov(conversations) if run_config.responder_mode == "markov" else None
-    results = run_dialog(run_config, crops, index.reference_styles, markov)
+    try:
+        results = run_dialog(run_config, crops, index.reference_styles, markov)
+    except RuntimeError as exc:  # a failed crop: one line naming its turn and the cause
+        print(f"error: {exc}: {type(exc.__cause__).__name__}: {exc.__cause__}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     lines = []
     for i, (crop, result) in enumerate(zip(crops, results)):
         wav_rel = f"audio/gen_{i:04d}.wav"
@@ -394,11 +398,9 @@ def cmd_extract_styles(args) -> int:
         for turn in conv.turns:
             if turn.audio is None:
                 continue
-            style = acoustics.encode_style(turn.audio)
-            summary = acoustics.summarize(turn.audio)
             lines.append(json.dumps({"source_id": turn.audio.source_id,
-                                     "style": list(style.values),
-                                     "summary": summary.as_dict()}))
+                                     "style": list(acoustics.encode_style(turn.audio).values),
+                                     "summary": asdict(acoustics.summarize(turn.audio))}))
     if not lines:
         raise CliError("no audio to extract styles from")
     text = "\n".join(lines) + "\n"

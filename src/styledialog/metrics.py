@@ -44,16 +44,30 @@ class MetricReport:
     notes: tuple = ()
 
 
+def _position_masks(words) -> dict:
+    """word -> int whose bit j is set where words[j] is that word."""
+    masks = {}
+    for j, w in enumerate(words):
+        masks[w] = masks.get(w, 0) | 1 << j
+    return masks
+
+
 def word_edit_distance(ref_words, hyp_words) -> int:
-    n, m = len(ref_words), len(hyp_words)
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        cur = [i] + [0] * m
-        for j in range(1, m + 1):
-            sub = prev[j - 1] + (ref_words[i - 1] != hyp_words[j - 1])
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, sub)
-        prev = cur
-    return prev[m]
+    """Word Levenshtein distance by Myers' (1999) bit-vector algorithm in Hyyro's
+    (2001) form: one step per ref word over the DP column's vertical deltas."""
+    m = len(hyp_words)
+    if m == 0:
+        return len(ref_words)
+    peq, full, top = _position_masks(hyp_words), (1 << m) - 1, 1 << (m - 1)
+    vp, vn, dist = full, 0, m
+    for w in ref_words:
+        eq = peq.get(w, 0)
+        xv, xh = eq | vn, (((eq & vp) + vp) ^ vp) | eq
+        hp, hn = (vn | ~(xh | vp)) & full, vp & xh
+        dist += bool(hp & top) - bool(hn & top)
+        hp, hn = ((hp << 1) | 1) & full, (hn << 1) & full  # row 0 rises by 1 per word
+        vp, vn = (hn | ~(xv | hp)) & full, hp & xv
+    return dist
 
 
 def _ngrams(words, n):
@@ -98,13 +112,13 @@ def bleu(refs: list[str], hyp: str) -> float:
 
 
 def _lcs_len(a, b) -> int:
-    prev = [0] * (len(b) + 1)
+    """LCS length by the bit-vector recurrence of Allison and Dix (1986) in
+    Hyyro's (2004) form: the zero bits of v, all at b's positions, count it."""
+    peq, v = _position_masks(b), -1  # every bit set, past b's positions too
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    return prev[-1]
+        u = v & peq.get(x, 0)
+        v = (v + u) | (v - u)
+    return (~v).bit_count()
 
 
 def rouge_l_f1(ref: str, hyp: str) -> float:
@@ -303,14 +317,14 @@ def assemble_report(generated, reference) -> MetricReport:
     for gen, ref in zip(generated, reference):
         if gen.audio is None or ref.audio is None:
             continue
-        gen_summaries.append(acoustics.summarize(gen.audio).as_dict())
-        ref_summaries.append(acoustics.summarize(ref.audio).as_dict())
+        gen_summaries.append(acoustics.summarize(gen.audio))
+        ref_summaries.append(acoustics.summarize(ref.audio))
         sims.append(cosine(acoustics.acoustic_embedding(gen.audio),
                            acoustics.acoustic_embedding(ref.audio)))
     if gen_summaries:
         for feature in ACOUSTIC_FEATURES:
-            gx = [s[feature] for s in gen_summaries]
-            ry = [s[feature] for s in ref_summaries]
+            gx = [getattr(s, feature) for s in gen_summaries]
+            ry = [getattr(s, feature) for s in ref_summaries]
             try:
                 acoustic[feature] = pearson(gx, ry)
             except ValueError:

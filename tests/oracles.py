@@ -285,6 +285,78 @@ def nccf_track_brute(samples, sample_rate, frame_len, hop_len, f_min=50.0, f_max
     return base, f0, peak, voiced
 
 
+def _voiced_pitch_helper(features):
+    if not np.any(features.voiced):
+        return 0.0, 0.0, 0.0
+    f0 = features.f0[features.voiced]
+    return float(np.mean(f0)), float(np.std(f0)), float(np.mean(features.voiced))
+
+
+def _energy_stats_helper(features):
+    rms = features.rms
+    if rms.size == 0:
+        return 0.0, 0.0
+    return float(np.mean(rms)), float(np.std(rms))
+
+
+def _hnr_helper(features):
+    if not np.any(features.voiced):
+        return -20.0
+    r = np.clip(features.peak[features.voiced], 1e-12, 1.0 - 1e-12)
+    per_frame = np.clip(10.0 * np.log10(r / (1.0 - r)), -20.0, 40.0)
+    return float(np.clip(np.mean(per_frame), -20.0, 40.0))
+
+
+def _speaking_rate_helper(features, duration_s):
+    """Energy-peak events per second, capped at 20: a new peak counts only
+    after the RMS envelope dips below 45% of its loudest frame."""
+    if duration_s <= 0:
+        return 0.0
+    rms = features.rms
+    if rms.size < 3:
+        count = 1 if rms.size and rms.max() > 1e-4 else 0
+    elif rms.max() <= 1e-4:
+        count = 0
+    else:
+        top, count, armed = rms.max(), 0, True
+        for i in range(1, len(rms) - 1):
+            if not armed and rms[i] < 0.45 * top:
+                armed = True
+            if armed and rms[i] >= rms[i - 1] and rms[i] > rms[i + 1] and rms[i] > 0.5 * top:
+                count += 1
+                armed = False
+        count = max(count, 1)
+    return min(count / duration_s, 20.0)
+
+
+def summarize_helpers(features, duration_s):
+    """The acoustic summary as a dict, assembled field by field from one
+    feature helper each over a clip's per-frame analysis `features`."""
+    if duration_s == 0:
+        return dict.fromkeys(("pitch_mean", "pitch_std", "energy_mean", "energy_std", "hnr_db",
+                              "duration_s", "voiced_fraction", "speaking_rate"), 0.0)
+    pitch_mean, pitch_std, voiced_fraction = _voiced_pitch_helper(features)
+    e_mean, e_std = _energy_stats_helper(features)
+    return {"pitch_mean": pitch_mean, "pitch_std": pitch_std, "energy_mean": e_mean,
+            "energy_std": e_std, "hnr_db": _hnr_helper(features), "duration_s": duration_s,
+            "voiced_fraction": voiced_fraction,
+            "speaking_rate": _speaking_rate_helper(features, duration_s)}
+
+
+def encode_style_helpers(features, duration_s):
+    """The 8 prosodic style values, each from its feature helper:
+    [pitch_mean/500, min(pitch_std, 130)/100, energy_mean, energy_std,
+    (hnr+20)/60, rate/20, log(1+min(dur, 60))/log(61), voiced_fraction]."""
+    pitch_mean, pitch_std, voiced_fraction = _voiced_pitch_helper(features)
+    pitch_std = min(pitch_std, 1.3 * 100.0)
+    e_mean, e_std = _energy_stats_helper(features)
+    dur = min(duration_s, 60.0)
+    return (pitch_mean / 500.0, pitch_std / 100.0, e_mean, e_std,
+            (_hnr_helper(features) + 20.0) / 60.0,
+            _speaking_rate_helper(features, duration_s) / 20.0,
+            math.log1p(dur) / math.log1p(60.0), voiced_fraction)
+
+
 def acoustic_embedding_whole(samples, sample_rate, dim=16):
     """The 16 mel-band embedding from the mean power spectrum of every
     Hann-windowed 25 ms frame (10 ms hop) at once; a clip shorter than one

@@ -138,7 +138,7 @@ def test_4_dsp_accuracy():
         f0, voiced = acoustics.pitch_track(clip)
         measured = float(np.mean(f0[voiced]))
         worst_pitch = max(worst_pitch, abs(measured - freq) / freq)
-        rms_mean, _ = acoustics.energy_stats(clip)
+        rms_mean = acoustics.summarize(clip).energy_mean
         worst_rms = max(worst_rms, abs(rms_mean - amp / math.sqrt(2))
                         / (amp / math.sqrt(2)))
     sine = sine_clip(220.0, 1.0)
@@ -146,7 +146,8 @@ def test_4_dsp_accuracy():
     from styledialog.dialog import AudioClip
     mixed = AudioClip.from_samples(SR, np.clip(mixed_samples, -1, 1))
     noise = noise_clip(1.0, seed=4)
-    order_ok = (acoustics.hnr(sine) > acoustics.hnr(mixed) > acoustics.hnr(noise))
+    order_ok = (acoustics.summarize(sine).hnr_db > acoustics.summarize(mixed).hnr_db
+                > acoustics.summarize(noise).hnr_db)
     elapsed = time.perf_counter() - t0
     _report(4, "signal feature accuracy",
             worst_pitch <= 0.02 and worst_rms <= 0.01 and order_ok

@@ -1,18 +1,19 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog import acoustics
-from styledialog.acoustics import (acoustic_embedding, analyze, encode_style, energy_stats,
-                                   frame_len, hnr, hop_len, pitch_track, speaking_rate,
-                                   summarize)
+from styledialog.acoustics import (acoustic_embedding, analyze, encode_style, frame_len, hnr,
+                                   hop_len, pitch_track, summarize)
 from styledialog.components import ToySynthesizer
 from styledialog.dialog import AudioClip
 from conftest import SR, acoustic, noise_clip, prosodic, silence_clip, sine_clip
-from oracles import acoustic_embedding_whole, nccf_track_brute
+from oracles import (acoustic_embedding_whole, encode_style_helpers, nccf_track_brute,
+                     summarize_helpers)
 
 
 class TestFrameSpec:
@@ -53,6 +54,12 @@ class TestPitchTrack:
             pitch_track(AudioClip.from_samples(800, np.zeros(800)))
 
 
+def energy_stats(clip):
+    """(mean, population std) of the clip's per-frame RMS, from its summary."""
+    s = summarize(clip)
+    return s.energy_mean, s.energy_std
+
+
 class TestEnergyStats:
     def test_sine_rms(self):
         amp = 0.5
@@ -79,10 +86,10 @@ class TestEnergyStats:
 
 class TestHnr:
     def test_pure_sine_clamps_high(self):
-        assert hnr(sine_clip(220.0)) == 40.0
+        assert hnr(analyze(sine_clip(220.0))) == 40.0
 
     def test_white_noise_low(self):
-        assert hnr(noise_clip(seed=1)) <= 0.0
+        assert hnr(analyze(noise_clip(seed=1))) <= 0.0
 
     def test_equal_power_mix_moderate(self):
         sr = SR
@@ -92,7 +99,7 @@ class TestHnr:
         noise = rng.standard_normal(sr)
         noise *= np.sqrt(np.mean(sig ** 2) / np.mean(noise ** 2))
         clip = AudioClip.from_samples(sr, np.clip(sig + noise, -1, 1))
-        assert 0.0 <= hnr(clip) <= 10.0
+        assert 0.0 <= hnr(analyze(clip)) <= 10.0
 
     def test_monotone_in_noise(self):
         sr = SR
@@ -103,11 +110,11 @@ class TestHnr:
         values = []
         for sigma in (0.0, 0.25, 0.5, 1.0):
             x = np.clip(sig + sigma * 0.1 * noise, -1, 1)
-            values.append(hnr(AudioClip.from_samples(sr, x)))
+            values.append(hnr(analyze(AudioClip.from_samples(sr, x))))
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_all_silence_floor(self):
-        assert hnr(silence_clip()) == -20.0
+        assert hnr(analyze(silence_clip())) == -20.0
 
 
 class TestSpeakingRate:
@@ -117,11 +124,11 @@ class TestSpeakingRate:
         t = np.arange(2 * sr) / sr
         env = np.sin(np.pi * ((t * 2.0) % 1.0)) ** 2
         x = 0.5 * env * np.sin(2 * np.pi * 220 * t)
-        rate = speaking_rate(AudioClip.from_samples(sr, x))
+        rate = summarize(AudioClip.from_samples(sr, x)).speaking_rate
         assert rate == pytest.approx(2.0, abs=0.5)
 
     def test_silence_zero(self):
-        assert speaking_rate(silence_clip()) == 0.0
+        assert summarize(silence_clip()).speaking_rate == 0.0
 
 
 class TestEncodeStyle:
@@ -182,11 +189,12 @@ class TestSummarize:
         clip = sine_clip(220.0)
         s = summarize(clip)
         f0, voiced = pitch_track(clip)
-        e_mean, e_std = energy_stats(clip)
+        rms = analyze(clip).rms
+        e_mean, e_std = float(np.mean(rms)), float(np.std(rms))
         assert s.pitch_mean == pytest.approx(float(np.mean(f0[voiced])))
         assert s.energy_mean == e_mean
         assert s.energy_std == e_std
-        assert s.hnr_db == hnr(clip)
+        assert s.hnr_db == hnr(analyze(clip))
         assert s.voiced_fraction == float(np.mean(voiced))
 
     def test_empty_all_zero(self):
@@ -269,6 +277,18 @@ class TestBatchedNccfMatchesOracle:
         _assert_matches_oracle(clip)
 
 
+class TestSummaryMatchesHelpers:
+    """The summary and the style equal, bit for bit, their assembly from one
+    helper per feature (`tests/oracles.py`), over the NCCF property's clips."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(clip=nccf_clips())
+    def test_style_and_summary(self, clip):
+        features = analyze(clip)
+        assert asdict(summarize(clip)) == summarize_helpers(features, clip.duration_seconds)
+        assert encode_style(clip).values == encode_style_helpers(features, clip.duration_seconds)
+
+
 def _switched_sine(n_seconds, sr=SR, f0=180.0):
     """A harmonic tone with digital-silence gaps of 7 to 93 frames, which
     the silence floor drops, so each block of active frames spans gaps."""
@@ -341,7 +361,7 @@ class TestWorkingMemory:
     @pytest.mark.parametrize("kernel, bound", [
         (lambda clip: ToySynthesizer().synthesize(TestWorkingMemory.TEXT,
                                                   *TestWorkingMemory.STYLES), 1.5),
-        (analyze.__wrapped__, 2.5),
+        (analyze, 2.5),
         (acoustic_embedding, 1.5)], ids=["synthesize", "analyze", "acoustic_embedding"])
     def test_extra_memory(self, long_clip, kernel, bound):
         tracemalloc.start()
@@ -362,6 +382,7 @@ class TestAnalyze:
                 array[0] = 1
 
     def test_one_analysis_per_clip(self, monkeypatch):
+        """encode_style and summarize share the clip's cached summary."""
         calls = []
         core = acoustics._nccf_peaks
         monkeypatch.setattr(acoustics, "_nccf_peaks",
@@ -369,7 +390,6 @@ class TestAnalyze:
         a, b = sine_clip(220.0), sine_clip(220.0)
         encode_style(a)
         summarize(a)
-        pitch_track(a)
         assert len(calls) == 1
         summarize(b)  # equal samples, another clip: analysed afresh
         assert len(calls) == 2

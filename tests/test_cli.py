@@ -585,9 +585,48 @@ class TestRunConfig:
                           '"topology": "cascade"}}')
 
 
+def _empty_incoming_corpus():
+    """The bundled corpus with the text of synth001's turn 1 emptied, so it
+    loads without audio."""
+    rows = [json.loads(line) for line in Path(CORPUS).read_text().splitlines()]
+    for row in rows:
+        if row["id"] == "synth001":
+            row["turns"][1]["text"] = ""
+    return rows
+
+
+def _two_turn_corpus(b_synth, b_text="hello you"):
+    full = {"prosodic_style": [0.5] * 8, "acoustic_style": [0.5] * 8}
+    return [{"id": "c", "turns": [
+        {"speaker": "a", "text": "hi there", "audio": None, "synth": full},
+        {"speaker": "b", "text": b_text, "audio": None, "synth": b_synth or full}]}]
+
+
+class TestRunCropFailure:
+    """A crop that fails ends `run` with exit 1 and one error line naming
+    its turn and cause, not a traceback."""
+
+    @pytest.mark.parametrize("rows, crops, message", [
+        (_empty_incoming_corpus, "40",
+         "turn 1 (conversation 'synth001') failed: ValueError: incoming turn has no audio"),
+        (lambda: _two_turn_corpus({"prosodic_style": [0.5] * 8}), "1",
+         "turn 0 (conversation 'c') failed: KeyError: \"no acoustic style for 'b' in 'c'\""),
+        (lambda: _two_turn_corpus(None, b_text=""), "1",
+         "turn 0 (conversation 'c') failed: ValueError: cannot synthesize empty text")],
+        ids=["incoming without audio", "no acoustic style", "empty target text"])
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, rows, crops, message):
+        p = tmp_path / "corpus.jsonl"
+        p.write_text("".join(json.dumps(row) + "\n" for row in rows()))
+        assert main(["run", "--corpus", str(p), "--crops", crops, "--seed", "0",
+                     "--out", str(tmp_path / "out")]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [f"error: {message}"]
+        assert "Traceback" not in err
+
+
 class TestOneAnalysisPerClip:
-    """The NCCF core runs once per analysed clip, though encode_style,
-    summarize and hnr each ask for the clip's pitch track."""
+    """The NCCF core and `hnr` run once per analysed clip, though
+    extract-styles asks each clip for both its style and its summary."""
 
     @pytest.fixture
     def nccf_calls(self, monkeypatch):
@@ -602,6 +641,15 @@ class TestOneAnalysisPerClip:
         out = tmp_path / "styles.jsonl"
         assert main(["extract-styles", "--corpus", CORPUS, "--out", str(out)]) == EXIT_OK
         assert len(nccf_calls) == len(out.read_text().splitlines()) == 124
+
+    def test_extract_styles_hnr_once(self, tmp_path, capsys, monkeypatch):
+        from styledialog import acoustics
+        calls = []
+        hnr = acoustics.hnr
+        monkeypatch.setattr(acoustics, "hnr", lambda features: calls.append(1) or hnr(features))
+        out = tmp_path / "styles.jsonl"
+        assert main(["extract-styles", "--corpus", CORPUS, "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 124
 
     @pytest.mark.parametrize("write_audio", [False, True], ids=["synth", "wav"])
     def test_extract_styles_makes_floats_once(self, tmp_path, capsys, monkeypatch,

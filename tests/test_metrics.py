@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog.metrics import (ACOUSTIC_FEATURES, MetricReport,
-                                 UndefinedStatisticError, assemble_report,
+                                 UndefinedStatisticError, _lcs_len, assemble_report,
                                  bleu, cosine, greedy_embed_score,
                                  meteor_exact, normalize, pearson, rouge_l_f1,
                                  trigram_embedder, word_edit_distance)
 from conftest import sine_clip
 from oracles import (bleu_brute, cosine_brute, edit_distance_brute,
-                     greedy_embed_brute, meteor_brute, pearson_brute,
+                     greedy_embed_brute, lcs_brute, meteor_brute, pearson_brute,
                      rouge_l_brute)
 
 VOCAB = ["a", "b", "cat", "dog", "the", "run", "sat", "mat"]
@@ -121,6 +122,36 @@ class TestRougeL:
             ref, hyp = random_sentence(rng), random_sentence(rng)
             assert rouge_l_f1(ref, hyp) == pytest.approx(rouge_l_brute(ref, hyp),
                                                          abs=1e-7)
+
+
+WORD_LISTS = st.one_of(
+    st.lists(st.sampled_from(VOCAB), max_size=70),  # past one 64-bit word of positions
+    st.lists(st.sampled_from(["yeah", "the"]), max_size=40),
+    st.builds(lambda word, k: [word] * k, st.sampled_from(VOCAB), st.integers(0, 40)))
+
+
+class TestBitParallelDistances:
+    """WER's edit distance and ROUGE-L's LCS take one big-int step per ref
+    word over masks of the hyp words' positions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ref=WORD_LISTS, hyp=WORD_LISTS)
+    def test_match_oracles(self, ref, hyp):
+        assert word_edit_distance(ref, hyp) == edit_distance_brute(ref, hyp)
+        assert _lcs_len(ref, hyp) == lcs_brute(ref, hyp)
+
+    @pytest.mark.parametrize("distance", [word_edit_distance, _lcs_len])
+    def test_2000_word_pair(self, distance):
+        """A quadratic DP took over a second on this pair."""
+        rng = np.random.default_rng(9)
+        vocab = [f"word{i}" for i in range(30)]
+        ref, hyp = (rng.choice(vocab, size=2000).tolist() for _ in range(2))
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            distance(ref, hyp)
+            times.append(time.perf_counter() - t0)
+        assert min(times) < 0.25
 
 
 class TestMeteor:
