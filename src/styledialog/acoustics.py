@@ -90,9 +90,9 @@ def _frames(samples: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
     """(n_frames, frame_len) view; a clip shorter than one frame yields one
     zero-padded frame so short clips still have defined energy."""
     n = len(samples)
-    if n < frame_len:  # an empty clip has no frame at all
-        padded = np.zeros((min(n, 1), frame_len))
-        padded[:, :n] = samples
+    if n < frame_len:
+        padded = np.zeros((1, frame_len))
+        padded[0, :n] = samples
         return padded
     return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop_len]
 
@@ -159,14 +159,12 @@ def _nccf_block(padded: np.ndarray, n: int, lag_min: int, lag_max: int,
 
 def _nccf_peaks(frames: np.ndarray, rows: np.ndarray, lag_min: int, lag_max: int):
     """(integer lag, refined lag, refined peak) of the NCCF within
-    [lag_min, lag_max] of each frame `frames[rows]`, all 0 when frames are
-    too short for the band.  The rows are gathered a block at a time into
-    one zero-padded buffer, reused by every block."""
+    [lag_min, lag_max] of each frame `frames[rows]`, for a band that fits the
+    frame, 2 <= lag_min < lag_max <= frame length - 2, as at every rate
+    `check_sample_rate` admits.  The rows are gathered a block at a time
+    into one zero-padded buffer, reused by every block."""
     n = frames.shape[1]
-    lag_max = min(lag_max, n - 2)
     base, lag, peak = np.zeros(len(rows), int), np.zeros(len(rows)), np.zeros(len(rows))
-    if lag_max <= lag_min:
-        return base, lag, peak
     octave_cost = 0.03 * np.log2(np.arange(lag_min, lag_max + 1) / lag_min)
     # kept a power of two: 729 points took 0.530 s against 0.552 s (medians, 125-clip analysis,
     # 2 CPUs) but were lower in only 7 of 12 alternating fresh-interpreter pairs: no gain shown
@@ -211,7 +209,7 @@ def analyze(clip: AudioClip) -> ClipFeatures:
     _, lag, peak[active] = _nccf_peaks(_frames(samples, n_frame, hop_len(sr)), active,
                                        max(2, int(math.floor(sr / F_MAX_HZ))),
                                        int(math.ceil(sr / F_MIN_HZ)))
-    f0[active] = np.divide(sr, lag, out=np.zeros_like(lag), where=lag > 0)
+    f0[active] = sr / lag
     voiced = peak > VOICING_THRESHOLD  # silent frames keep peak 0
     for array in (rms, f0, peak, voiced):
         array.flags.writeable = False
@@ -241,7 +239,7 @@ def _count_energy_peaks(rms: np.ndarray) -> int:
     double counting one syllable bump.
     """
     if rms.size < 3:
-        return 1 if rms.size and rms.max() > SILENCE_FLOOR_RMS else 0
+        return 1 if rms.max() > SILENCE_FLOOR_RMS else 0
     top = rms.max()
     if top <= SILENCE_FLOOR_RMS:
         return 0
@@ -268,8 +266,6 @@ def _mel_inv(m):
 
 def acoustic_embedding(clip: AudioClip) -> np.ndarray:
     """L2-normalized band-energy ratios over 16 mel-spaced bands (50 Hz..Nyquist)."""
-    if clip.duration_seconds == 0:
-        raise ValueError("cannot embed an empty clip")
     n_frame = frame_len(clip.sample_rate)
     frames = _frames(clip.samples, n_frame, hop_len(clip.sample_rate))
     win = np.hanning(n_frame)
@@ -287,7 +283,7 @@ def acoustic_embedding(clip: AudioClip) -> np.ndarray:
     bands = np.zeros(EMBED_DIM)
     for b in range(EMBED_DIM):
         mask = (freqs >= edges[b]) & (freqs < edges[b + 1])
-        bands[b] = power[mask].sum() if np.any(mask) else 0.0
+        bands[b] = power[mask].sum()
     total = bands.sum()
     if total <= 1e-30:
         bands = np.ones(EMBED_DIM)  # silence: flat profile, still unit norm
@@ -303,10 +299,8 @@ def acoustic_embedding(clip: AudioClip) -> np.ndarray:
 def summarize(clip: AudioClip) -> AcousticSummary:
     """Every per-clip feature, from one `analyze`: mean and population std of
     voiced f0 (0s if unvoiced) and of frame RMS, `hnr`, duration, voiced fraction
-    and energy-peak events per second, capped at RATE_CAP_PER_S.  Empty: all 0."""
+    and energy-peak events per second, capped at RATE_CAP_PER_S."""
     duration = clip.duration_seconds
-    if duration == 0:
-        return AcousticSummary(*[0.0] * 8)
     features = analyze(clip)
     rms, voiced, f0 = features.rms, features.voiced, features.f0[features.voiced]
     pitch_mean = pitch_std = voiced_fraction = 0.0
@@ -323,10 +317,8 @@ def encode_style(clip: AudioClip) -> StyleVector:
 
     Layout: [pitch_mean/500, pitch_std/100, energy_mean, energy_std,
     (hnr+20)/60, rate/20, log(1+dur)/log(61), voiced_fraction].  Silence
-    yields zero pitch components and voiced_fraction 0; an empty clip is an error.
+    yields zero pitch components and voiced_fraction 0.
     """
-    if clip.duration_seconds == 0:
-        raise ValueError("cannot encode an empty clip")
     s = summarize(clip)
     dur = min(s.duration_s, DURATION_CAP_S)
     # pitch_std is capped so its component stays within its documented bound

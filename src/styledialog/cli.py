@@ -43,7 +43,7 @@ EXIT_USAGE = 2
 # keys a `run --components` / `simulate --config` file may hold
 CONFIG_KEYS = frozenset({"_comment", "latency", "tokens_per_output_second",
                          "responder_mode", "style_mode", "target_wer"})
-# keys every row of generated.jsonl after the `_config` header holds
+# keys every row of generated.jsonl after the `_config` header holds, an error row excepted
 GENERATED_KEYS = ("crop", "conversation_id", "k", "speaker", "text", "audio")
 
 
@@ -98,7 +98,7 @@ def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunCo
         raise CliError(f"config {path} has no latency section for topology {topology.value!r}")
     try:
         latencies = ({stage: LatencyModel() for stage in STAGES[topology]} if latency is None else
-                     {stage: LatencyModel.from_dict(d)
+                     {stage: LatencyModel(**d)
                       for stage, d in latency[topology.value].items()})
         run_config = RunConfig(topology=topology, latencies=latencies, seed=seed,
                                **{k: v for k, v in config.items()
@@ -228,19 +228,18 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the work
     markov = train_markov(conversations) if run_config.responder_mode == "markov" else None
-    try:
-        results = run_dialog(run_config, crops, index.reference_styles, markov)
-    except RuntimeError as exc:  # a failed crop: one line naming its turn and the cause
-        print(f"error: {exc}: {type(exc.__cause__).__name__}: {exc.__cause__}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    results = run_dialog(run_config, crops, index.reference_styles, markov)
     lines = []
     for i, (crop, result) in enumerate(zip(crops, results)):
+        row = {"crop": i, "conversation_id": crop.conversation_id, "k": len(crop.context_turns)}
+        if isinstance(result, str):  # a failed crop: an error row and one line on stderr
+            print(f"error: turn {i} (conversation {crop.conversation_id!r}) failed: {result}",
+                  file=sys.stderr)
+            lines.append(json.dumps(row | {"error": result}))
+            continue
         wav_rel = f"audio/gen_{i:04d}.wav"
         audioio.write_wav(out / wav_rel, result.generated.audio)
-        lines.append(json.dumps({
-            "crop": i,
-            "conversation_id": crop.conversation_id,
-            "k": len(crop.context_turns),
+        lines.append(json.dumps(row | {
             "speaker": result.generated.speaker,
             "text": result.generated.text,
             "style": list(result.generated.prosodic_style.values),
@@ -257,13 +256,15 @@ def cmd_run(args) -> int:
                                      "topology": run_config.topology.value}})
     corpus_mod.write_atomic(out / "generated.jsonl", header + "\n" + "\n".join(lines) + "\n")
     print(f"run: {len(results)} turns -> {out / 'generated.jsonl'}")
-    return EXIT_OK
+    return EXIT_CHECK_FAILED if any(isinstance(r, str) for r in results) else EXIT_OK
 
 
 def _load_generated(path: Path):
     """(where, row) for each row of generated.jsonl after the `_config`
-    header; a malformed row is a CliError naming its line."""
+    header but its error rows, which are counted on stderr; a malformed row
+    is a CliError naming its line."""
     rows = []
+    skipped = 0
     with open(path / "generated.jsonl", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             where = f"generated.jsonl:{line_no}"
@@ -274,6 +275,9 @@ def _load_generated(path: Path):
             if not isinstance(rec, dict):
                 raise CliError(f"{where}: a row must be a JSON object")
             if "_config" in rec:
+                continue
+            if isinstance(rec.get("error"), str):
+                skipped += 1
                 continue
             missing = [key for key in GENERATED_KEYS if key not in rec]
             if missing:
@@ -288,6 +292,8 @@ def _load_generated(path: Path):
             if not (isinstance(rec["audio"], str) and (path / rec["audio"]).is_file()):
                 raise CliError(f"{where}: audio {rec['audio']!r} is not a file in {path}")
             rows.append((where, rec))
+    if skipped:
+        print(f"evaluate: skipped {skipped} error rows", file=sys.stderr)
     if not rows:
         raise CliError(f"{path / 'generated.jsonl'} holds no rows to score")
     return rows
@@ -365,7 +371,7 @@ def cmd_gradcheck(args) -> int:
         # proj holds w and b themselves, so style_loss() sees each in-place perturbation
         proj = objectives.ProjectionOut(weights=w, bias=b)
         pred = objectives.project_out(h, proj)
-        gw, gb = objectives.grad_style_loss(pred, target, h, proj)
+        gw, gb = objectives.grad_style_loss(target, h, proj)
 
         def style_loss():
             return objectives.style_loss(objectives.project_out(h, proj), target)

@@ -44,8 +44,8 @@ def from_pcm(pcm: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare
 class AudioClip:
-    """Mono audio held as read-only 1-D int16 `pcm`.  Each read of
-    `samples` makes its floats, in [-1, 1], anew."""
+    """Mono audio held as read-only 1-D int16 `pcm` of at least one sample.
+    Each read of `samples` makes its floats, in [-1, 1], anew."""
 
     sample_rate: int
     pcm: np.ndarray
@@ -56,17 +56,19 @@ class AudioClip:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if getattr(self.pcm, "dtype", None) != np.int16 or self.pcm.ndim != 1:
             raise ValueError("pcm must be a 1-D int16 array")
+        if not self.pcm.size:
+            raise ValueError("a clip holds at least one sample")
         self.pcm.flags.writeable = False
 
     @classmethod
     def from_samples(cls, sample_rate: int, samples, source_id: str | None = None) -> AudioClip:
-        """The clip of 1-D finite float samples in [-1, 1]."""
+        """The clip of a non-empty 1-D array of finite float samples in [-1, 1]."""
         samples = np.asarray(samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise ValueError("samples must be a 1-D array")
-        if samples.size and not np.all(np.isfinite(samples)):
+        if samples.ndim != 1 or not samples.size:
+            raise ValueError("samples must be a non-empty 1-D array")
+        if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if samples.size and (samples.min() < -1.0 or samples.max() > 1.0):
+        if samples.min() < -1.0 or samples.max() > 1.0:
             raise ValueError("samples must lie in [-1, 1]")
         return cls(sample_rate, to_pcm(samples), source_id)
 

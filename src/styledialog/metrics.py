@@ -102,8 +102,6 @@ def bleu(refs: list[str], hyp: str) -> float:
         else:
             p = clipped / total
         log_precisions.append(math.log(p))
-    if not log_precisions:
-        return 0.0
     geo = math.exp(sum(log_precisions) / len(log_precisions))
     c = len(hyp_words)
     r = min((abs(len(rw) - c), len(rw)) for rw in ref_word_lists)[1]

@@ -58,6 +58,7 @@ def style_loss(pred: StyleVector, target: StyleVector) -> float:
 
 
 def _scored_rows(logit_rows: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The scored rows 2..T, each less its max, and their 0-based target ids."""
     logits = np.asarray(logit_rows, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2:
@@ -69,27 +70,22 @@ def _scored_rows(logit_rows: np.ndarray, targets) -> tuple[np.ndarray, np.ndarra
         raise ValueError("targets must have one id per position")
     if np.any(targets < 1) or np.any(targets > vocab):
         raise IndexError("target token id outside [1, V]")
-    return logits, targets
+    scored = logits[1:]
+    return scored - scored.max(axis=1, keepdims=True), targets[1:] - 1
 
 
 def text_loss(logit_rows: np.ndarray, targets) -> float:
     """Mean cross-entropy over positions 2..T (1-based), max-stabilized."""
-    logits, targets = _scored_rows(logit_rows, targets)
-    scored = logits[1:]
-    ids = targets[1:] - 1
-    shifted = scored - scored.max(axis=1, keepdims=True)
+    shifted, ids = _scored_rows(logit_rows, targets)
     log_z = np.log(np.sum(np.exp(shifted), axis=1))
     picked = shifted[np.arange(len(ids)), ids]
     return float(np.mean(log_z - picked))
 
 
-def grad_style_loss(pred: StyleVector, target: StyleVector, h: np.ndarray,
-                    proj: ProjectionOut):
-    """d(style_loss)/dW and /db for pred = W h + b; sign(0) := 0."""
+def grad_style_loss(target: StyleVector, h: np.ndarray, proj: ProjectionOut):
+    """d(style_loss)/dW and /db of pred = project_out(h, proj); sign(0) := 0."""
+    pred = project_out(h, proj)
     _check_style_pair(pred, target)
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (proj.hidden_dim,):
-        raise ValueError("hidden vector shape mismatch")
     sign = np.sign(pred.as_array() - target.as_array())
     grad_b = sign / STYLE_DIM
     grad_w = np.outer(grad_b, h)
@@ -98,13 +94,10 @@ def grad_style_loss(pred: StyleVector, target: StyleVector, h: np.ndarray,
 
 def grad_text_loss(logit_rows: np.ndarray, targets) -> np.ndarray:
     """d(text_loss)/dlogits: (softmax - onehot)/(T-1) per scored row."""
-    logits, targets = _scored_rows(logit_rows, targets)
-    grad = np.zeros_like(logits)
-    scored = logits[1:]
-    ids = targets[1:] - 1
-    shifted = scored - scored.max(axis=1, keepdims=True)
+    shifted, ids = _scored_rows(logit_rows, targets)
     exp = np.exp(shifted)
     softmax = exp / exp.sum(axis=1, keepdims=True)
     softmax[np.arange(len(ids)), ids] -= 1.0
-    grad[1:] = softmax / (logits.shape[0] - 1)
+    grad = np.zeros((len(ids) + 1, shifted.shape[1]))
+    grad[1:] = softmax / len(ids)
     return grad

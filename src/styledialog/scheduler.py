@@ -95,10 +95,6 @@ class LatencyModel:
                 + self.per_output_token_s * out_tokens
                 + self.per_output_audio_s * out_dur)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LatencyModel":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class StageEvent:
@@ -119,9 +115,6 @@ class SimReport:
     delay_s: float
     timeline: tuple[StageEvent, ...]
     carryover_s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "timeline", tuple(self.timeline))
 
 
 @dataclass(frozen=True)
@@ -197,8 +190,10 @@ class TurnResult:
 
 
 def run_dialog(config: RunConfig, crops, reference_styles,
-               markov: MarkovTable | None = None) -> list[TurnResult]:
-    """Run the pipeline over a crop list, chaining background carryover.
+               markov: MarkovTable | None = None) -> list[TurnResult | str]:
+    """Run the pipeline over a crop list, chaining background carryover:
+    one result per crop.  A crop that raises leaves the carryover as it was,
+    and its result is only the error, "<Type>: <message>".
 
     The toy components read each crop's own turns as their ground truth;
     `reference_styles(conversation_id)` gives each speaker's (prosodic,
@@ -234,9 +229,9 @@ def run_dialog(config: RunConfig, crops, reference_styles,
             report = simulate_turn(config.topology, incoming.audio.duration_seconds,
                                    len(response.text.split()), audio.duration_seconds,
                                    config.latencies, prev_carryover=carryover, turn_index=i)
-            carryover = report.carryover_s
             results.append(TurnResult(report=report, generated=replace(response, audio=audio),
                                       recognized_text=recognized))
+            carryover = report.carryover_s
         except Exception as exc:
-            raise RuntimeError(f"turn {i} (conversation {crop.conversation_id!r}) failed") from exc
+            results.append(f"{type(exc).__name__}: {exc}")
     return results

@@ -1,3 +1,5 @@
+import wave
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,14 @@ def noise_clip(duration_s=1.0, amplitude=0.3, sr=SR, seed=0):
     rng = np.random.default_rng(seed)
     x = np.clip(amplitude * rng.standard_normal(int(sr * duration_s)), -1, 1)
     return AudioClip.from_samples(sr, x)
+
+
+def write_empty_wav(path, sr=SR):
+    """A 16-bit mono WAV holding no frames, which no `AudioClip` can hold."""
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(sr)
 
 
 def prosodic(values):

@@ -40,7 +40,7 @@ def _report(number, name, ok, detail=""):
 
 def _latency_map(topology):
     config = json.loads(calibration_path().read_text())
-    return ({stage: LatencyModel.from_dict(d)
+    return ({stage: LatencyModel(**d)
              for stage, d in config["latency"][topology.value].items()},
             config["tokens_per_output_second"])
 
@@ -187,7 +187,7 @@ def test_5_gradient_checks():
 
         proj = objectives.ProjectionOut(weights=w.copy(), bias=b.copy())
         pred = objectives.project_out(h, proj)
-        gw, gb = objectives.grad_style_loss(pred, target, h, proj)
+        gw, gb = objectives.grad_style_loss(target, h, proj)
         away = np.abs(pred.as_array() - target.as_array()) > 1e-6
         num_w = _central_diff(loss, w, 1e-5)
         num_b = _central_diff(loss, b, 1e-5)

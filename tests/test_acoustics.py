@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from styledialog import acoustics
 from styledialog.acoustics import (acoustic_embedding, analyze, encode_style, frame_len, hnr,
@@ -141,10 +141,6 @@ class TestEncodeStyle:
         assert style.values[0] == 0.0
         assert style.values[7] == 0.0
 
-    def test_empty_clip_rejected(self):
-        with pytest.raises(ValueError):
-            encode_style(AudioClip.from_samples(16000, np.zeros(0)))
-
     def test_deterministic(self):
         clip = noise_clip(seed=9)
         assert encode_style(clip).values == encode_style(clip).values
@@ -175,10 +171,6 @@ class TestAcousticEmbedding:
         e2 = acoustic_embedding(sine_clip(440.0))
         assert float(e1 @ e2) < 0.99
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            acoustic_embedding(AudioClip.from_samples(16000, np.zeros(0)))
-
 
 class TestSummarize:
     def test_duration(self):
@@ -196,10 +188,6 @@ class TestSummarize:
         assert s.energy_std == e_std
         assert s.hnr_db == hnr(analyze(clip))
         assert s.voiced_fraction == float(np.mean(voiced))
-
-    def test_empty_all_zero(self):
-        s = summarize(AudioClip.from_samples(16000, np.zeros(0)))
-        assert s.duration_s == 0.0 and s.pitch_mean == 0.0
 
 
 class TestScalingInvariants:
@@ -287,6 +275,33 @@ class TestSummaryMatchesHelpers:
         features = analyze(clip)
         assert asdict(summarize(clip)) == summarize_helpers(features, clip.duration_seconds)
         assert encode_style(clip).values == encode_style_helpers(features, clip.duration_seconds)
+
+
+class TestLagBand:
+    """The NCCF's lag band fits one frame at every rate `check_sample_rate`
+    admits, so `_nccf_peaks` never meets a frame too short for it; and no
+    refined lag is 0, so `analyze` divides the rate by each one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sr=st.integers(1000, 400_000))
+    @example(sr=1000)
+    @example(sr=400_000)
+    def test_band_fits_the_frame(self, sr):
+        acoustics.check_sample_rate(sr)
+        lag_min, lag_max = max(2, sr // 500), math.ceil(sr / 50)
+        assert 2 <= lag_min < lag_max <= frame_len(sr) - 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(clip=nccf_clips())
+    def test_refined_lags_above_one(self, clip):
+        sr = clip.sample_rate
+        features = analyze(clip)
+        frames = acoustics._frames(clip.samples, frame_len(sr), hop_len(sr))
+        active = np.flatnonzero(features.rms[:len(features.f0)] > acoustics.SILENCE_FLOOR_RMS)
+        lag_min = max(2, sr // 500)
+        _, lag, _ = acoustics._nccf_peaks(frames, active, lag_min, math.ceil(sr / 50))
+        assert np.all(lag > lag_min - 1) and lag_min - 1 >= 1
+        assert np.all(np.isfinite(features.f0))
 
 
 def _switched_sine(n_seconds, sr=SR, f0=180.0):

@@ -15,6 +15,7 @@ from styledialog.audioio import write_wav
 from styledialog.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                              bundled_corpus_path, calibration_path, main)
 from styledialog.dialog import AudioClip
+from conftest import write_empty_wav
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = str(bundled_corpus_path())
@@ -424,7 +425,7 @@ class TestEvaluateInputs:
     def test_empty_audio(self, run_dir, tmp_path, capsys):
         """A 0-frame WAV crashed `acoustic_embedding` with a traceback."""
         gen = shutil.copytree(run_dir, tmp_path / "gen")
-        write_wav(gen / "audio" / "empty.wav", AudioClip.from_samples(16000, np.zeros(0)))
+        write_empty_wav(gen / "audio" / "empty.wav")
         lines = (gen / "generated.jsonl").read_text().splitlines()
         lines[1] = json.dumps(json.loads(lines[1]) | {"audio": "audio/empty.wav"})
         (gen / "generated.jsonl").write_text("\n".join(lines) + "\n")
@@ -602,26 +603,62 @@ def _two_turn_corpus(b_synth, b_text="hello you"):
         {"speaker": "b", "text": b_text, "audio": None, "synth": b_synth or full}]}]
 
 
-class TestRunCropFailure:
-    """A crop that fails ends `run` with exit 1 and one error line naming
-    its turn and cause, not a traceback."""
+def _run_failing(tmp_path, rows, crops):
+    """`run` on a corpus of `rows` with `crops` crops, seed 0; its exit code."""
+    p = tmp_path / "corpus.jsonl"
+    p.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return main(["run", "--corpus", str(p), "--crops", crops, "--seed", "0",
+                 "--out", str(tmp_path / "out")])
 
-    @pytest.mark.parametrize("rows, crops, message", [
+
+class TestRunCropFailure:
+    """A crop that fails is an error row in generated.jsonl, with no WAV, and
+    one error line naming its turn and cause, not a traceback.  The other
+    crops are written as usual, and `run` exits 1."""
+
+    @pytest.mark.parametrize("rows, crops, errors", [
         (_empty_incoming_corpus, "40",
-         "turn 1 (conversation 'synth001') failed: ValueError: incoming turn has no audio"),
+         {i: ("synth001", "ValueError: incoming turn has no audio") for i in (1, 21)}),
         (lambda: _two_turn_corpus({"prosodic_style": [0.5] * 8}), "1",
-         "turn 0 (conversation 'c') failed: KeyError: \"no acoustic style for 'b' in 'c'\""),
+         {0: ("c", "KeyError: \"no acoustic style for 'b' in 'c'\"")}),
         (lambda: _two_turn_corpus(None, b_text=""), "1",
-         "turn 0 (conversation 'c') failed: ValueError: cannot synthesize empty text")],
+         {0: ("c", "ValueError: cannot synthesize empty text")})],
         ids=["incoming without audio", "no acoustic style", "empty target text"])
-    def test_exit_1_with_one_error_line(self, tmp_path, capsys, rows, crops, message):
-        p = tmp_path / "corpus.jsonl"
-        p.write_text("".join(json.dumps(row) + "\n" for row in rows()))
-        assert main(["run", "--corpus", str(p), "--crops", crops, "--seed", "0",
-                     "--out", str(tmp_path / "out")]) == EXIT_CHECK_FAILED
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, rows, crops, errors):
+        assert _run_failing(tmp_path, rows(), crops) == EXIT_CHECK_FAILED
         err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if "error:" in line] == [f"error: {message}"]
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"error: turn {i} (conversation {cid!r}) failed: {error}"
+            for i, (cid, error) in errors.items()]
         assert "Traceback" not in err
+        out = tmp_path / "out"
+        rows = [json.loads(line) for line in (out / "generated.jsonl").read_text().splitlines()]
+        assert [row["crop"] for row in rows[1:]] == list(range(int(crops)))
+        for row in rows[1:]:
+            if row["crop"] in errors:
+                assert row.keys() == {"crop", "conversation_id", "k", "error"}
+                assert (row["conversation_id"], row["error"]) == errors[row["crop"]]
+            else:
+                assert "error" not in row and (out / row["audio"]).is_file()
+        assert len(list((out / "audio").iterdir())) == int(crops) - len(errors)
+
+    def test_evaluate_skips_error_rows(self, tmp_path, capsys):
+        assert _run_failing(tmp_path, _empty_incoming_corpus(), "40") == EXIT_CHECK_FAILED
+        capsys.readouterr()
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--generated", str(tmp_path / "out"), "--reference",
+                     str(tmp_path / "corpus.jsonl"), "--out", str(out)]) == EXIT_OK
+        assert "evaluate: skipped 2 error rows" in capsys.readouterr().err.splitlines()
+        assert json.loads(out.read_text())["semantic"]["bleu"] == 100.0
+
+    def test_only_error_rows_is_a_usage_error(self, tmp_path, capsys):
+        assert _run_failing(tmp_path, _two_turn_corpus(None, b_text=""), "1") == EXIT_CHECK_FAILED
+        capsys.readouterr()
+        assert main(["evaluate", "--generated", str(tmp_path / "out"), "--reference",
+                     str(tmp_path / "corpus.jsonl")]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "evaluate: skipped 1 error rows"
+        assert err[1].startswith("error: ") and err[1].endswith("holds no rows to score")
 
 
 class TestOneAnalysisPerClip:
@@ -734,7 +771,7 @@ class TestExtractStyles:
     def test_empty_wav_is_a_reject(self, tmp_path, capsys):
         """A 0-frame WAV crashed `encode_style` with a traceback; now its
         record is a reject and the other conversations are still extracted."""
-        write_wav(tmp_path / "empty.wav", AudioClip.from_samples(16000, np.zeros(0)))
+        write_empty_wav(tmp_path / "empty.wav")
         p = tmp_path / "corpus.jsonl"
         p.write_text(json.dumps({"id": "empty", "turns": [
             {"speaker": "a", "text": "hi", "audio": "empty.wav"}]}) + "\n"

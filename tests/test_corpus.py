@@ -22,6 +22,7 @@ from styledialog.corpus import (MAX_SYNTH_SECONDS, CorpusIndex, SynthAudio, filt
                                 write_atomic)
 from styledialog.dialog import AudioClip, Conversation, StyleVector, Turn, from_pcm, to_pcm
 from styledialog.metrics import normalize
+from conftest import write_empty_wav
 
 
 def small_corpus_lines():
@@ -308,7 +309,7 @@ class TestReadWav:
     def test_no_frames_is_a_reject(self, tmp_path):
         """A 0-frame WAV loaded, then crashed the analysis of any command
         that read it; now it is refused where it is read."""
-        write_wav(tmp_path / "empty.wav", AudioClip.from_samples(16000, np.zeros(0)))
+        write_empty_wav(tmp_path / "empty.wav")
         with pytest.raises(ValueError, match="holds no audio frames"):
             read_wav(tmp_path / "empty.wav")
 

@@ -23,6 +23,13 @@ class TestAudioClip:
         with pytest.raises(ValueError):
             AudioClip.from_samples(16000, np.zeros((2, 100)))
 
+    def test_rejects_empty(self):
+        """A clip holds at least one sample, so no analysis meets an empty one."""
+        with pytest.raises(ValueError, match="at least one sample"):
+            AudioClip(16000, np.zeros(0, np.int16))
+        with pytest.raises(ValueError, match="non-empty"):
+            AudioClip.from_samples(16000, [])
+
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             AudioClip.from_samples(0, np.zeros(10))

@@ -44,10 +44,10 @@ class TestLatencyModel:
     @pytest.mark.parametrize("value", [True, "1e3", None])
     def test_non_number_rejected(self, value):
         with pytest.raises(ConfigurationError):
-            LatencyModel.from_dict({"fixed_s": value})
+            LatencyModel(**{"fixed_s": value})
 
     def test_from_dict(self):
-        m = LatencyModel.from_dict({"fixed_s": 0.2, "per_output_token_s": 0.04})
+        m = LatencyModel(**{"fixed_s": 0.2, "per_output_token_s": 0.04})
         assert m.fixed_s == 0.2 and m.per_output_token_s == 0.04
 
 
@@ -145,7 +145,7 @@ class TestStallFreeDelay:
                 Topology.STYLE_TALKER: (0.38730000000000003, 1.5300000000000002),
                 Topology.E2E_SPEECH: (1.3820000000000001, 13.82)}
         for topology, (rtf, delay) in pins.items():
-            lat = {stage: LatencyModel.from_dict(d)
+            lat = {stage: LatencyModel(**d)
                    for stage, d in config["latency"][topology.value].items()}
             rep = simulate_turn(topology, 10.0, 30, 10.0, lat)
             assert (rep.rtf, rep.delay_s, rep.carryover_s) == (rtf, delay, 0.0)
@@ -291,8 +291,28 @@ class TestRunDialog:
         assert results[1].report.delay_s >= results[0].report.carryover_s
 
     def test_error_annotated_with_turn(self):
+        """A crop that raises has its error, "<Type>: <message>", for its
+        result, and the crops around it still run."""
         conv = make_conversation(n_turns=4)
         refs = self._reference_styles(conv)
         broken = make_crop(make_conversation("other"), 1)
-        with pytest.raises(RuntimeError, match="turn 0"):
-            run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), [broken], refs)
+        crops = [make_crop(conv, 1), broken, make_crop(conv, 2)]
+        results = run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), crops, refs)
+        assert results[1] == "KeyError: 'other'"
+        assert [results[i].generated.text for i in (0, 2)] == [conv.turns[1].text,
+                                                               conv.turns[2].text]
+
+    def test_failed_crop_leaves_carryover(self):
+        """The crop after a failed one starts from the carryover before it."""
+        conv = make_conversation(n_turns=4)
+        refs = self._reference_styles(conv)
+        lat = dict(ZERO)
+        lat["asr"] = LatencyModel(fixed_s=30.0)  # longer than any playback
+        config = RunConfig(Topology.STYLE_TALKER, lat)
+        first, last = make_crop(conv, 1), make_crop(conv, 2)
+        broken = make_crop(make_conversation("other"), 1)
+        with_failure = run_dialog(config, [first, broken, last], refs)
+        without = run_dialog(config, [first, last], refs)
+        assert with_failure[0].report.carryover_s > 0
+        assert ((with_failure[2].report.delay_s, with_failure[2].report.carryover_s)
+                == (without[1].report.delay_s, without[1].report.carryover_s))
