@@ -141,6 +141,11 @@ class TestEncodeStyle:
         assert style.values[0] == 0.0
         assert style.values[7] == 0.0
 
+    def test_empty_clip_rejected(self):
+        """The clip constructor rejects zero samples, so no empty clip reaches the encoder."""
+        with pytest.raises(ValueError):
+            encode_style(AudioClip.from_samples(16000, np.zeros(0)))
+
     def test_deterministic(self):
         clip = noise_clip(seed=9)
         assert encode_style(clip).values == encode_style(clip).values
@@ -170,6 +175,10 @@ class TestAcousticEmbedding:
         e1 = acoustic_embedding(sine_clip(220.0))
         e2 = acoustic_embedding(sine_clip(440.0))
         assert float(e1 @ e2) < 0.99
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            acoustic_embedding(AudioClip.from_samples(16000, np.zeros(0)))
 
 
 class TestSummarize:
