@@ -230,12 +230,15 @@ def cmd_run(args) -> int:
     markov = train_markov(conversations) if run_config.responder_mode == "markov" else None
     results = run_dialog(run_config, crops, index.reference_styles, markov)
     lines = []
+    failed = 0
+    # each crop's WAV and row are written as its result arrives, and its clip dropped
     for i, (crop, result) in enumerate(zip(crops, results)):
         row = {"crop": i, "conversation_id": crop.conversation_id, "k": len(crop.context_turns)}
         if isinstance(result, str):  # a failed crop: an error row and one line on stderr
             print(f"error: turn {i} (conversation {crop.conversation_id!r}) failed: {result}",
                   file=sys.stderr)
             lines.append(json.dumps(row | {"error": result}))
+            failed += 1
             continue
         wav_rel = f"audio/gen_{i:04d}.wav"
         audioio.write_wav(out / wav_rel, result.generated.audio)
@@ -255,8 +258,8 @@ def cmd_run(args) -> int:
                                      "seed": run_config.seed,
                                      "topology": run_config.topology.value}})
     corpus_mod.write_atomic(out / "generated.jsonl", header + "\n" + "\n".join(lines) + "\n")
-    print(f"run: {len(results)} turns -> {out / 'generated.jsonl'}")
-    return EXIT_CHECK_FAILED if any(isinstance(r, str) for r in results) else EXIT_OK
+    print(f"run: {len(lines)} turns -> {out / 'generated.jsonl'}")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _load_generated(path: Path):
@@ -287,8 +290,8 @@ def _load_generated(path: Path):
             if not_str:
                 raise CliError(f"{where}: {', '.join(not_str)} must be a string")
             k = rec["k"]
-            if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-                raise CliError(f"{where}: k must be an integer >= 0, got {k!r}")
+            if isinstance(k, bool) or not isinstance(k, int) or k < 1:  # a crop's k is >= 1
+                raise CliError(f"{where}: k must be an integer >= 1, got {k!r}")
             if not (isinstance(rec["audio"], str) and (path / rec["audio"]).is_file()):
                 raise CliError(f"{where}: audio {rec['audio']!r} is not a file in {path}")
             rows.append((where, rec))
@@ -308,20 +311,24 @@ def cmd_evaluate(args) -> int:
         raise CliError(str(exc)) from exc
     references = {(row["conversation_id"], row["k"]) for _, row in rows}
     _, index, _ = _load_corpus(args.reference, lambda _: references)
-    generated, reference = [], []
+    targets = []
     for where, row in rows:
         conv = index.conversations.get(row["conversation_id"])
         if conv is None or row["k"] >= len(conv.turns):
             raise CliError(f"{where}: crop {row['crop']} references unknown "
                            f"conversation/turn {row['conversation_id']}:{row['k']}")
-        target = conv.turns[row["k"]]
-        try:
-            clip = audioio.read_wav(gen_dir / row["audio"])
-        except (OSError, ValueError) as exc:
-            raise CliError(f"{where}: cannot read {row['audio']}: {exc}") from exc
-        generated.append(Turn(speaker=row["speaker"], text=row["text"], audio=clip))
-        reference.append(target)
-    report = metrics_mod.assemble_report(generated, reference)
+        targets.append(conv.turns[row["k"]])
+
+    def pairs():
+        """Each row's generated turn and its target, its WAV read only when
+        the pair is scored."""
+        for (where, row), target in zip(rows, targets):
+            try:
+                clip = audioio.read_wav(gen_dir / row["audio"])
+            except (OSError, ValueError) as exc:
+                raise CliError(f"{where}: cannot read {row['audio']}: {exc}") from exc
+            yield Turn(speaker=row["speaker"], text=row["text"], audio=clip), target
+    report = metrics_mod.assemble_report(pairs())
     print(f"{'metric':<12} {'value':>8}")
     for name, value in report.semantic.items():
         print(f"{name:<12} {value:>8.2f}")

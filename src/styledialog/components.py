@@ -11,7 +11,6 @@ no cost model: `scheduler` alone turns their work into time.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections import Counter
@@ -21,6 +20,16 @@ import numpy as np
 
 from . import acoustics
 from .dialog import AudioClip, Conversation, DialogCrop, StyleVector, Turn
+
+# hashlib loads OpenSSL's libcrypto (about 3.6 MB of RSS) for one SHA-256:
+# try CPython's built-in module first, as its own random.py does for sha512
+try:
+    from _sha256 import sha256  # Python 3.10, 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 START_TOKEN = "<s>"
 END_TOKEN = "</s>"
@@ -162,7 +171,7 @@ class ToyResponder:
 
 def _synthesis_seed(text: str, prosodic: StyleVector, acoustic: StyleVector) -> int:
     payload = repr((text, prosodic.values, acoustic.values)).encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+    return int.from_bytes(sha256(payload).digest()[:8], "big")
 
 
 def _token_rate(prosodic: StyleVector) -> float:

@@ -175,6 +175,7 @@ def _min_chunks(hyp_words, ref_words) -> tuple[int, int]:
             hyp_counts[w] += 1
 
     dfs(0, dict(quota), set(), None, 0, matches)
+    del dfs  # dfs refers to itself: free its state now, not at the next cycle collection
     return matches, best[0]
 
 
@@ -273,8 +274,12 @@ ACOUSTIC_FEATURES = ("pitch_mean", "pitch_std", "energy_mean", "energy_std",
                      "hnr_db", "duration_s")
 
 
-def assemble_report(generated, reference) -> MetricReport:
-    """Score aligned (generated, ground-truth) turn pairs.
+def assemble_report(pairs) -> MetricReport:
+    """Score (generated, ground-truth) turn pairs from an iterable, one pair
+    at a time: each pair's text metrics, `summarize` and `acoustic_embedding`
+    are computed when it is reached, and only their numbers are kept, so a
+    generator of pairs that reads each clip when asked is scored holding one
+    pair's audio at a time.
 
     Semantic metrics are averaged per pair on normalized text (WER uses
     pooled edit distance over pooled reference length).  Acoustic Pearson r
@@ -282,16 +287,14 @@ def assemble_report(generated, reference) -> MetricReport:
     Speaker similarity is the mean embedding cosine, None when no pair
     has audio on both sides.
     """
-    if len(generated) != len(reference):
-        raise ValueError(f"misaligned lists: {len(generated)} generated vs "
-                         f"{len(reference)} reference turns")
-    if not generated:
-        raise ValueError("nothing to score")
-
     bleu_scores, rouge_scores, meteor_scores, embed_scores = [], [], [], []
     edits = 0
     ref_len = 0
-    for gen, ref in zip(generated, reference):
+    # each side's value of each acoustic feature, one per pair with audio on both sides
+    gen_features = {f: [] for f in ACOUSTIC_FEATURES}
+    ref_features = {f: [] for f in ACOUSTIC_FEATURES}
+    sims = []
+    for gen, ref in pairs:
         g = normalize(gen.text)
         r = normalize(ref.text)
         bleu_scores.append(bleu([r], g) if r.split() else 0.0)
@@ -300,6 +303,16 @@ def assemble_report(generated, reference) -> MetricReport:
         embed_scores.append(greedy_embed_score(r, g))
         edits += word_edit_distance(r.split(), g.split())
         ref_len += len(r.split())
+        if gen.audio is None or ref.audio is None:
+            continue
+        for features, clip in ((gen_features, gen.audio), (ref_features, ref.audio)):
+            summary = acoustics.summarize(clip)
+            for feature, values in features.items():
+                values.append(getattr(summary, feature))
+        sims.append(cosine(acoustics.acoustic_embedding(gen.audio),
+                           acoustics.acoustic_embedding(ref.audio)))
+    if not bleu_scores:
+        raise ValueError("nothing to score")
     semantic = {
         "bleu": float(np.mean(bleu_scores)),
         "rouge_l": float(np.mean(rouge_scores)),
@@ -309,22 +322,10 @@ def assemble_report(generated, reference) -> MetricReport:
     }
 
     acoustic = {}
-    sims = []
-    gen_summaries = []
-    ref_summaries = []
-    for gen, ref in zip(generated, reference):
-        if gen.audio is None or ref.audio is None:
-            continue
-        gen_summaries.append(acoustics.summarize(gen.audio))
-        ref_summaries.append(acoustics.summarize(ref.audio))
-        sims.append(cosine(acoustics.acoustic_embedding(gen.audio),
-                           acoustics.acoustic_embedding(ref.audio)))
-    if gen_summaries:
+    if sims:
         for feature in ACOUSTIC_FEATURES:
-            gx = [getattr(s, feature) for s in gen_summaries]
-            ry = [getattr(s, feature) for s in ref_summaries]
             try:
-                acoustic[feature] = pearson(gx, ry)
+                acoustic[feature] = pearson(gen_features[feature], ref_features[feature])
             except ValueError:
                 acoustic[feature] = None
     similarity = float(np.mean(sims)) if sims else None

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -190,10 +191,12 @@ class TurnResult:
 
 
 def run_dialog(config: RunConfig, crops, reference_styles,
-               markov: MarkovTable | None = None) -> list[TurnResult | str]:
-    """Run the pipeline over a crop list, chaining background carryover:
-    one result per crop.  A crop that raises leaves the carryover as it was,
-    and its result is only the error, "<Type>: <message>".
+               markov: MarkovTable | None = None) -> Iterator[TurnResult | str]:
+    """Run the pipeline over crops, chaining background carryover: yields
+    one result per crop, as soon as that crop is done, so a caller that
+    writes each result out and drops it holds one crop's audio at a time.
+    A crop that raises leaves the carryover as it was, and its result is
+    only the error, "<Type>: <message>".
 
     The toy components read each crop's own turns as their ground truth;
     `reference_styles(conversation_id)` gives each speaker's (prosodic,
@@ -205,7 +208,6 @@ def run_dialog(config: RunConfig, crops, reference_styles,
     responder's `Turn` with the synthesized audio.
     """
     recognizer, responder, synthesizer = ToyRecognizer(), ToyResponder(markov), ToySynthesizer()
-    results = []
     carryover = 0.0
     for i, crop in enumerate(crops):
         try:
@@ -229,9 +231,10 @@ def run_dialog(config: RunConfig, crops, reference_styles,
             report = simulate_turn(config.topology, incoming.audio.duration_seconds,
                                    len(response.text.split()), audio.duration_seconds,
                                    config.latencies, prev_carryover=carryover, turn_index=i)
-            results.append(TurnResult(report=report, generated=replace(response, audio=audio),
-                                      recognized_text=recognized))
-            carryover = report.carryover_s
+            result = TurnResult(report=report, generated=replace(response, audio=audio),
+                                recognized_text=recognized)
         except Exception as exc:
-            results.append(f"{type(exc).__name__}: {exc}")
-    return results
+            yield f"{type(exc).__name__}: {exc}"
+            continue
+        carryover = report.carryover_s
+        yield result

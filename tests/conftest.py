@@ -2,8 +2,15 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from styledialog.dialog import AudioClip, Conversation, StyleVector, Turn
+
+# every property test draws the same examples on every run, and no example
+# database carries a failure from one run into the next; a test's own
+# @settings keep its example count
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 SR = 16000
 

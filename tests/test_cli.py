@@ -5,17 +5,18 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from styledialog import dialog, objectives
-from styledialog.audioio import write_wav
+from styledialog.audioio import read_wav, write_wav
 from styledialog.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                              bundled_corpus_path, calibration_path, main)
 from styledialog.dialog import AudioClip
-from conftest import write_empty_wav
+from conftest import sine_clip, write_empty_wav
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = str(bundled_corpus_path())
@@ -68,6 +69,11 @@ class TestStartup:
     def test_user_thread_count_is_kept(self):
         code = "import os, styledialog.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert self.child(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+    def test_cli_loads_no_openssl(self):
+        """The synthesis seed's SHA-256 does not load hashlib's OpenSSL module."""
+        assert self.child("import sys, styledialog.cli; print('_hashlib' in sys.modules)") \
+            == ["False"]
 
 
 class TestSimulate:
@@ -393,6 +399,7 @@ ROW_FAULTS = {
     "k not an int": lambda row: json.dumps(row | {"k": str(row["k"])}),
     "k a bool": lambda row: json.dumps(row | {"k": True}),
     "k negative": lambda row: json.dumps(row | {"k": -1}),
+    "k zero": lambda row: json.dumps(row | {"k": 0}),
     "audio missing": lambda row: json.dumps(row | {"audio": "audio/missing.wav"}),
     "audio not a WAV": lambda row: json.dumps(row | {"audio": "generated.jsonl"}),
     "unknown conversation": lambda row: json.dumps(row | {"conversation_id": "ghost"}),
@@ -891,3 +898,104 @@ class TestRenderOnlyWhatIsRead:
     def test_build_prompt(self, capsys, synth_calls):
         assert main(["build-prompt", "--crop-id", "synth000:2"]) == EXIT_OK
         assert synth_calls == []
+
+
+class TestStreaming:
+    """`run` writes each crop out before it synthesizes the next, and
+    `evaluate` reads each generated WAV only when its pair is scored, so the
+    audio either holds does not grow with the number of crops."""
+
+    def test_run_writes_each_crop_before_the_next(self, tmp_path, capsys, monkeypatch):
+        from styledialog.components import ToySynthesizer
+        out = tmp_path / "out"
+        on_disk = []  # the WAVs `run` has written when each clip is synthesized
+        synthesize = ToySynthesizer.synthesize
+
+        def spy(self, *args):
+            on_disk.append(len(list(out.glob("audio/*.wav"))))
+            return synthesize(self, *args)
+        monkeypatch.setattr(ToySynthesizer, "synthesize", spy)
+        assert main(["run", "--corpus", CORPUS, "--crops", "5", "--out", str(out)]) == EXIT_OK
+        # the load renders the 5 incoming turns, then crop i is synthesized
+        # once crops 0 to i - 1 are written
+        assert on_disk == [0] * 5 + [0, 1, 2, 3, 4]
+
+    def test_evaluate_reads_each_wav_after_the_last_is_summarized(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        from styledialog import acoustics, audioio
+        run_dir = tmp_path / "run"
+        assert main(["run", "--corpus", CORPUS, "--crops", "4", "--out", str(run_dir)]) \
+            == EXIT_OK
+        events = []
+        read_wav, summarize = audioio.read_wav, acoustics.summarize
+
+        def read_spy(*args, **kwargs):
+            clip = read_wav(*args, **kwargs)
+            events.append(("read", clip))
+            return clip
+
+        def summarize_spy(clip):
+            events.append(("summarize", clip))
+            return summarize(clip)
+        monkeypatch.setattr(audioio, "read_wav", read_spy)
+        monkeypatch.setattr(acoustics, "summarize", summarize_spy)
+        assert main(["evaluate", "--generated", str(run_dir), "--reference", CORPUS]) \
+            == EXIT_OK
+        reads = [i for i, (kind, _) in enumerate(events) if kind == "read"]
+        assert len(reads) == 4
+        for before, after in zip(reads, reads[1:]):
+            clip = events[before][1]
+            assert any(kind == "summarize" and c is clip for kind, c in events[before:after])
+
+    @staticmethod
+    def _peak_bytes(argv) -> int:
+        """The traced peak of the memory `main(argv)` allocates."""
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_evaluate_peak_does_not_grow_with_rows(self, run_dir, tmp_path, capsys):
+        """40 rows peak less than one clip's PCM above 10 rows, every row
+        naming one reference turn and a copy of one 5 s WAV.  Each row and
+        its scores are held, a few kB, so the clip is long enough for its
+        PCM to stand well above 30 rows."""
+        header, line = (run_dir / "generated.jsonl").read_text().splitlines()[:2]
+        row = json.loads(line)
+        clip = sine_clip(220.0, 5.0)
+        write_wav(tmp_path / "clip.wav", clip)
+
+        def argv(n):
+            gen = tmp_path / f"gen{n}"
+            (gen / "audio").mkdir(parents=True)
+            lines = [header]
+            for i in range(n):
+                wav = f"audio/gen_{i:04d}.wav"
+                shutil.copy(tmp_path / "clip.wav", gen / wav)
+                lines.append(json.dumps(row | {"crop": i, "audio": wav}))
+            (gen / "generated.jsonl").write_text("\n".join(lines) + "\n")
+            return ["evaluate", "--generated", str(gen), "--reference", CORPUS]
+
+        small, large = argv(10), argv(40)
+        self._peak_bytes(small)  # lazy imports and first-call caches
+        growth = self._peak_bytes(large) - self._peak_bytes(small)
+        assert growth < clip.pcm.nbytes
+
+    def test_run_peak_does_not_grow_with_crops(self, tmp_path, capsys):
+        """40 crops peak less than one generated clip's PCM above 10 crops
+        on one two-turn conversation, where every crop has the same incoming
+        turn.  The reply is 40 words, so its clip stands well above the
+        rows `run` holds until it writes generated.jsonl."""
+        corpus = tmp_path / "corpus.jsonl"
+        rows = _two_turn_corpus(None, b_text=" ".join(["hello you"] * 20))
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+        def argv(n):
+            return ["run", "--corpus", str(corpus), "--crops", str(n),
+                    "--out", str(tmp_path / f"out{n}")]
+
+        self._peak_bytes(argv(10))  # lazy imports and first-call caches
+        growth = self._peak_bytes(argv(40)) - self._peak_bytes(argv(10))
+        assert growth < read_wav(tmp_path / "out10" / "audio" / "gen_0000.wav").pcm.nbytes

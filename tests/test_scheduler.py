@@ -239,7 +239,7 @@ class TestRunDialog:
         conv = make_conversation(n_turns=4)
         refs = self._reference_styles(conv)
         crops = [make_crop(conv, 1)]
-        results = run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), crops, refs)
+        results = list(run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), crops, refs))
         assert results[0].generated.text == conv.turns[1].text
         assert results[0].report.delay_s == 0.0
 
@@ -247,7 +247,7 @@ class TestRunDialog:
         conv = make_conversation(n_turns=4)
         refs = self._reference_styles(conv)
         crops = [make_crop(conv, 2)]
-        results = run_dialog(RunConfig(Topology.CASCADE, ZERO), crops, refs)
+        results = list(run_dialog(RunConfig(Topology.CASCADE, ZERO), crops, refs))
         assert results[0].recognized_text == conv.turns[1].text
 
     @pytest.mark.parametrize("topology", list(Topology))
@@ -286,7 +286,7 @@ class TestRunDialog:
         lat = dict(ZERO)
         lat["asr"] = LatencyModel(fixed_s=30.0)  # longer than any playback
         crops = [make_crop(conv, 1), make_crop(conv, 2)]
-        results = run_dialog(RunConfig(Topology.STYLE_TALKER, lat), crops, refs)
+        results = list(run_dialog(RunConfig(Topology.STYLE_TALKER, lat), crops, refs))
         assert results[0].report.carryover_s > 0
         assert results[1].report.delay_s >= results[0].report.carryover_s
 
@@ -297,7 +297,7 @@ class TestRunDialog:
         refs = self._reference_styles(conv)
         broken = make_crop(make_conversation("other"), 1)
         crops = [make_crop(conv, 1), broken, make_crop(conv, 2)]
-        results = run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), crops, refs)
+        results = list(run_dialog(RunConfig(Topology.STYLE_TALKER, ZERO), crops, refs))
         assert results[1] == "KeyError: 'other'"
         assert [results[i].generated.text for i in (0, 2)] == [conv.turns[1].text,
                                                                conv.turns[2].text]
@@ -311,8 +311,8 @@ class TestRunDialog:
         config = RunConfig(Topology.STYLE_TALKER, lat)
         first, last = make_crop(conv, 1), make_crop(conv, 2)
         broken = make_crop(make_conversation("other"), 1)
-        with_failure = run_dialog(config, [first, broken, last], refs)
-        without = run_dialog(config, [first, last], refs)
+        with_failure = list(run_dialog(config, [first, broken, last], refs))
+        without = list(run_dialog(config, [first, last], refs))
         assert with_failure[0].report.carryover_s > 0
         assert ((with_failure[2].report.delay_s, with_failure[2].report.carryover_s)
                 == (without[1].report.delay_s, without[1].report.carryover_s))
