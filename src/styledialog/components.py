@@ -21,16 +21,6 @@ import numpy as np
 from . import acoustics
 from .dialog import AudioClip, Conversation, DialogCrop, StyleVector, Turn
 
-# hashlib loads OpenSSL's libcrypto (about 3.6 MB of RSS) for one SHA-256:
-# try CPython's built-in module first, as its own random.py does for sha512
-try:
-    from _sha256 import sha256  # Python 3.10, 3.11
-except ImportError:
-    try:
-        from _sha2 import sha256  # Python 3.12+
-    except ImportError:
-        from hashlib import sha256
-
 START_TOKEN = "<s>"
 END_TOKEN = "</s>"
 MARKOV_MAX_TOKENS = 60
@@ -170,8 +160,12 @@ class ToyResponder:
 
 
 def _synthesis_seed(text: str, prosodic: StyleVector, acoustic: StyleVector) -> int:
+    # imported here: hashlib loads OpenSSL (about 3.6 MB of RSS), which a
+    # command that never synthesizes does not need
+    import hashlib
+
     payload = repr((text, prosodic.values, acoustic.values)).encode()
-    return int.from_bytes(sha256(payload).digest()[:8], "big")
+    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
 def _token_rate(prosodic: StyleVector) -> float:

@@ -290,10 +290,9 @@ def assemble_report(pairs) -> MetricReport:
     bleu_scores, rouge_scores, meteor_scores, embed_scores = [], [], [], []
     edits = 0
     ref_len = 0
-    # each side's value of each acoustic feature, one per pair with audio on both sides
-    gen_features = {f: [] for f in ACOUSTIC_FEATURES}
-    ref_features = {f: [] for f in ACOUSTIC_FEATURES}
     sims = []
+    gen_summaries = []
+    ref_summaries = []
     for gen, ref in pairs:
         g = normalize(gen.text)
         r = normalize(ref.text)
@@ -305,10 +304,8 @@ def assemble_report(pairs) -> MetricReport:
         ref_len += len(r.split())
         if gen.audio is None or ref.audio is None:
             continue
-        for features, clip in ((gen_features, gen.audio), (ref_features, ref.audio)):
-            summary = acoustics.summarize(clip)
-            for feature, values in features.items():
-                values.append(getattr(summary, feature))
+        gen_summaries.append(acoustics.summarize(gen.audio))
+        ref_summaries.append(acoustics.summarize(ref.audio))
         sims.append(cosine(acoustics.acoustic_embedding(gen.audio),
                            acoustics.acoustic_embedding(ref.audio)))
     if not bleu_scores:
@@ -322,10 +319,12 @@ def assemble_report(pairs) -> MetricReport:
     }
 
     acoustic = {}
-    if sims:
+    if gen_summaries:
         for feature in ACOUSTIC_FEATURES:
+            gx = [getattr(s, feature) for s in gen_summaries]
+            ry = [getattr(s, feature) for s in ref_summaries]
             try:
-                acoustic[feature] = pearson(gen_features[feature], ref_features[feature])
+                acoustic[feature] = pearson(gx, ry)
             except ValueError:
                 acoustic[feature] = None
     similarity = float(np.mean(sims)) if sims else None

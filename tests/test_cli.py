@@ -71,7 +71,7 @@ class TestStartup:
         assert self.child(code, OPENBLAS_NUM_THREADS="2") == ["2"]
 
     def test_cli_loads_no_openssl(self):
-        """The synthesis seed's SHA-256 does not load hashlib's OpenSSL module."""
+        """hashlib, which loads OpenSSL, is imported only when a seed is computed."""
         assert self.child("import sys, styledialog.cli; print('_hashlib' in sys.modules)") \
             == ["False"]
 

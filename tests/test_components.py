@@ -10,7 +10,7 @@ from styledialog.acoustics import acoustic_embedding, encode_style
 from styledialog.cli import bundled_corpus_path
 from styledialog.components import (MARKOV_EMPTY_REDRAWS, MarkovTable, ToyRecognizer,
                                     ToyResponder, ToySynthesizer, train_markov, END_TOKEN,
-                                    START_TOKEN, _synthesis_seed)
+                                    START_TOKEN)
 from styledialog.corpus import load_corpus
 from styledialog.dialog import ConversationContext, StyleVector, Turn, make_crop
 from styledialog.metrics import word_edit_distance
@@ -211,18 +211,6 @@ class TestSynthesizer:
         a = synth.synthesize("hi there", simple_style(), acoustic([0.5] * 8))
         b = synth.synthesize("hi there", simple_style(), acoustic([0.5] * 8))
         assert np.array_equal(a.samples, b.samples)
-
-    @pytest.mark.parametrize("text, pro, aco", [
-        ("hi there", simple_style().values, (0.5,) * 8),
-        ("", (0.0,) * 8, (1.0,) * 8),
-        ("caf\u00e9 \u2013 na\u00efve", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), (1e-300,) * 8),
-    ])
-    def test_seed_is_the_hashlib_sha256(self, text, pro, aco):
-        """The seed's SHA-256, which skips hashlib when CPython has its own
-        module, is hashlib's."""
-        payload = repr((text, pro, aco)).encode()
-        assert _synthesis_seed(text, prosodic(pro), acoustic(aco)) == \
-            int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
     # sha256 of the int16 samples of the 124 turns load_corpus renders from the
     # bundled corpus, recorded with the one-sine-per-harmonic synthesizer
