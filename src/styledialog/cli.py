@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 check failure, 2 usage/config/path error.  Every
 subcommand is deterministic given --seed; outputs are plain files written
 atomically (write-then-rename); each run embeds its resolved configuration
 for provenance.  NumPy's BLAS runs on one thread in a CLI process unless
-OPENBLAS_NUM_THREADS is already set.
+OPENBLAS_NUM_THREADS is already set, and `main` keeps OpenSSL's `_hashlib`
+out of the process where CPython has its own SHA-256.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import importlib.util
 import json
 import math
 import sys
@@ -294,7 +296,7 @@ def _load_generated(path: Path):
                 raise CliError(f"{where}: k must be an integer >= 1, got {k!r}")
             if not (isinstance(rec["audio"], str) and (path / rec["audio"]).is_file()):
                 raise CliError(f"{where}: audio {rec['audio']!r} is not a file in {path}")
-            rows.append((where, rec))
+            rows.append((where, {key: rec[key] for key in GENERATED_KEYS}))
     if skipped:
         print(f"evaluate: skipped {skipped} error rows", file=sys.stderr)
     if not rows:
@@ -510,6 +512,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # A None entry makes `import _hashlib` fail, so hashlib and hmac (which
+    # numpy.random loads through secrets) fall back to CPython's own SHA-2
+    # and no command loads OpenSSL, about 3.4 MB of RSS.  Only where that
+    # SHA-256 exists (_sha256, _sha2 from 3.12): without it hashlib needs OpenSSL.
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        sys.modules.setdefault("_hashlib", None)
     parser = make_parser()
     try:
         args = parser.parse_args(argv)

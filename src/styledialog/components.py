@@ -160,8 +160,8 @@ class ToyResponder:
 
 
 def _synthesis_seed(text: str, prosodic: StyleVector, acoustic: StyleVector) -> int:
-    # imported here: hashlib loads OpenSSL (about 3.6 MB of RSS), which a
-    # command that never synthesizes does not need
+    # imported here, so importing this module loads no hashlib; `cli.main`
+    # keeps OpenSSL out, and the built-in SHA-256 gives the same seed
     import hashlib
 
     payload = repr((text, prosodic.values, acoustic.values)).encode()

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from styledialog import dialog, objectives
 from styledialog.audioio import read_wav, write_wav
 from styledialog.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                              bundled_corpus_path, calibration_path, main)
+from styledialog.components import _synthesis_seed
 from styledialog.dialog import AudioClip
 from conftest import sine_clip, write_empty_wav
 
@@ -44,9 +46,23 @@ class TestArgHandling:
         assert main(["--help"]) == EXIT_OK
 
 
+# CPython's own SHA-256 module: _sha256 up to 3.11, _sha2 from 3.12
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+# (text, prosodic values, acoustic values) of three synthesis seeds
+SEED_PAYLOADS = [("hello there", (0.5,) * 8, (0.1,) * 8),
+                 ("", tuple(i / 7 for i in range(8)), (-1.0, 0.0, 2.5, 1e-300, 3, 0.25, 1, 0)),
+                 ("naïve café — 你好", (0.9,) * 8, (0.3, 0.2, 0.1, 0, 0, 0.1, 0.2, 0.3))]
+# prints the seeds of SEED_PAYLOADS
+SEEDS_CODE = ("from styledialog.components import _synthesis_seed; "
+              "from styledialog.dialog import StyleVector as S; "
+              "print(*[_synthesis_seed(t, S(p, 'prosodic'), S(a, 'acoustic')) "
+              f"for t, p, a in {ascii(SEED_PAYLOADS)}])")
+
+
 class TestStartup:
-    """A fresh interpreter: the package root loads no NumPy, and the CLI
-    starts NumPy with one BLAS thread unless the user chose a count."""
+    """A fresh interpreter: the package root loads no NumPy, the CLI starts
+    NumPy with one BLAS thread unless the user chose a count, and no command
+    loads OpenSSL where CPython has its own SHA-256."""
 
     SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -55,6 +71,7 @@ class TestStartup:
         env.update(env_set, PYTHONPATH=self.SRC)
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True, timeout=60)
+        assert done.stderr == ""
         return done.stdout.split()
 
     def test_package_root_loads_no_numpy(self):
@@ -71,9 +88,61 @@ class TestStartup:
         assert self.child(code, OPENBLAS_NUM_THREADS="2") == ["2"]
 
     def test_cli_loads_no_openssl(self):
-        """hashlib, which loads OpenSSL, is imported only when a seed is computed."""
+        """Importing the CLI loads no OpenSSL: hashlib is imported only when
+        a seed is computed, and `main` blocks `_hashlib` only when it runs,
+        since its None entry would count as loaded here."""
         assert self.child("import sys, styledialog.cli; print('_hashlib' in sys.modules)") \
             == ["False"]
+
+    @pytest.mark.skipif(not BUILTIN_SHA256, reason="needs CPython's built-in SHA-256")
+    @pytest.mark.parametrize("command", ["ingest", "run", "evaluate", "gradcheck"])
+    def test_command_loads_no_openssl(self, tmp_path, command):
+        """Each command exits 0 with `_hashlib` blocked.  `ingest` and `run`
+        synthesize, so they load numpy.random too, whose import of `secrets`
+        is the other route to OpenSSL."""
+        run = ["run", "--corpus", CORPUS, "--crops", "1", "--out", str(tmp_path / "run")]
+        argv = {"ingest": ["ingest", "--corpus", CORPUS, "--out", str(tmp_path / "ingest")],
+                "run": run,
+                "evaluate": ["evaluate", "--generated", str(tmp_path / "run"),
+                             "--reference", CORPUS],
+                "gradcheck": ["gradcheck", "--trials", "1"]}[command]
+        if command == "evaluate":
+            assert main(run) == EXIT_OK
+        code = (f"import sys; from styledialog.cli import main; exit_code = main({argv!r}); "
+                "print(exit_code, sys.modules.get('_hashlib') is None, "
+                "'numpy.random' in sys.modules)")
+        exit_code, blocked, rng_loaded = self.child(code)[-3:]
+        assert (exit_code, blocked) == ("0", "True")
+        if command in ("ingest", "run"):
+            assert rng_loaded == "True"
+
+    @staticmethod
+    def openssl_seeds() -> list[str]:
+        """The seeds of SEED_PAYLOADS in this process, whose hashlib.sha256
+        is OpenSSL's."""
+        _hashlib = pytest.importorskip("_hashlib")
+        assert hashlib.sha256 is _hashlib.openssl_sha256
+        return [str(_synthesis_seed(t, dialog.StyleVector(p, "prosodic"),
+                                    dialog.StyleVector(a, "acoustic")))
+                for t, p, a in SEED_PAYLOADS]
+
+    @pytest.mark.skipif(not BUILTIN_SHA256, reason="needs CPython's built-in SHA-256")
+    def test_blocked_seed_is_openssl_seed(self):
+        """The built-in SHA-256 a blocked CLI process uses gives OpenSSL's seeds."""
+        code = ("import sys; from styledialog.cli import main; "
+                "assert main(['gradcheck', '--trials', '1']) == 0; "
+                "print(sys.modules.get('_hashlib') is None); " + SEEDS_CODE)
+        assert self.child(code)[-4:] == ["True"] + self.openssl_seeds()
+
+    def test_no_builtin_sha256_keeps_openssl(self):
+        """Without a built-in SHA-256, `main` leaves `_hashlib` importable,
+        with nothing on stderr: a blocked hashlib would log an error for each
+        hash it lacks and have no sha256."""
+        code = ("import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+                "from styledialog.cli import main; "
+                "assert main(['gradcheck', '--trials', '1']) == 0; "
+                "print(sys.modules.get('_hashlib') is not None); " + SEEDS_CODE)
+        assert self.child(code)[-4:] == ["True"] + self.openssl_seeds()
 
 
 class TestSimulate:
@@ -418,6 +487,14 @@ class TestEvaluateInputs:
         assert main(["evaluate", "--generated", str(gen), "--reference", CORPUS]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "generated.jsonl:2" in err and len(err.splitlines()) == 1
+
+    def test_rows_keep_only_the_read_keys(self, run_dir):
+        """`run` writes `style`, `rtf` and more, which `evaluate` never reads."""
+        from styledialog.cli import GENERATED_KEYS, _load_generated
+        rows = _load_generated(run_dir)
+        assert len(rows) == 2 and all(tuple(row) == GENERATED_KEYS for _, row in rows)
+        assert set(json.loads((run_dir / "generated.jsonl").read_text().splitlines()[1])) \
+            > set(GENERATED_KEYS)
 
     def test_no_rows(self, run_dir, tmp_path, capsys):
         """A file holding only the `_config` header has nothing to score."""
