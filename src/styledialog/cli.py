@@ -110,11 +110,11 @@ def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunCo
     return config, run_config
 
 
-def _load_corpus(path, audio_for=None):
+def _load_corpus(path, audio_for=None, keep=None):
     """`corpus.load_corpus_with_index` for a command: a corpus with nothing
     to load is a CliError, and each rejected record is a line on stderr."""
     try:
-        conversations, index, rejects = corpus_mod.load_corpus_with_index(path, audio_for)
+        conversations, index, rejects = corpus_mod.load_corpus_with_index(path, audio_for, keep)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     for line_no, reason in rejects:
@@ -312,7 +312,8 @@ def cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     references = {(row["conversation_id"], row["k"]) for _, row in rows}
-    _, index, _ = _load_corpus(args.reference, lambda _: references)
+    _, index, _ = _load_corpus(args.reference, lambda _: references,
+                               keep={conv_id for conv_id, _ in references})
     targets = []
     for where, row in rows:
         conv = index.conversations.get(row["conversation_id"])

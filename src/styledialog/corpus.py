@@ -24,7 +24,9 @@ for through `audio_for` (all of them by default), named by (conversation
 id, turn index): `run` asks for its crops' incoming turns, `evaluate` for its
 reference turns and `build-prompt` for none.  Any other clip renders on
 the first read of its PCM, as every clip of `generate_synthetic_corpus`
-does.  A clip's `source_id`, "<conversation id>/<turn index>",
+does.  `keep` narrows the returned conversations to a set of ids while
+every record is still checked: `evaluate` keeps only the conversations its
+rows name.  A clip's `source_id`, "<conversation id>/<turn index>",
 is formatted only by `_source_id`; it names the audio and seeds the toy
 components' noise, and is never a lookup key.
 
@@ -139,10 +141,16 @@ class SynthAudio:
         return dialog.from_pcm(self.pcm)
 
 
-def load_corpus(path, audio_for=None):
+def load_corpus(path, audio_for=None, keep=None):
     """Parse a corpus file into (conversations, rejects): the valid
     conversations, and a (line number, reason) pair for each malformed
-    record.  Raises when nothing valid is left.
+    record.  Raises when no record at all is valid.
+
+    `keep`, a set of conversation ids, narrows what is returned, never what
+    is checked: every record is parsed, a malformed one is a reject and a
+    repeated id is a reject whether or not its first record was kept, but
+    only the valid conversations whose ids are in `keep` are returned, in
+    file order.  None keeps every one.
 
     WAV-backed turns are read whatever is asked, and every synth-backed
     turn carries its `SynthAudio`.  `audio_for(conversations)` is called
@@ -170,12 +178,14 @@ def load_corpus(path, audio_for=None):
                                      f"first on line {first_line[conv_id]}")
                 turns = tuple(_turn_from_record(t, _source_id(conv_id, i), root)
                               for i, t in enumerate(rec["turns"]))
-                conversations.append(Conversation(id=conv_id, turns=turns,
-                                                  split=rec.get("split", "train")))
+                conv = Conversation(id=conv_id, turns=turns, split=rec.get("split", "train"))
                 first_line[conv_id] = line_no
             except (AttributeError, KeyError, ValueError, TypeError, OSError) as exc:
                 rejects.append((line_no, str(exc)))
-    if not conversations:
+                continue
+            if keep is None or conv_id in keep:
+                conversations.append(conv)
+    if not first_line:
         raise ValueError(f"no valid conversations in {path} ({len(rejects)} rejected)")
     wanted = None if audio_for is None else frozenset(audio_for(conversations))
     for conv in conversations:
@@ -338,7 +348,7 @@ class CorpusIndex:
         return refs
 
 
-def load_corpus_with_index(path, audio_for=None):
+def load_corpus_with_index(path, audio_for=None, keep=None):
     """`load_corpus` plus the `CorpusIndex` of what it loaded."""
-    conversations, rejects = load_corpus(path, audio_for)
+    conversations, rejects = load_corpus(path, audio_for, keep)
     return conversations, CorpusIndex(conversations), rejects

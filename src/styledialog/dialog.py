@@ -94,7 +94,10 @@ class StyleVector:
     kind: str  # "prosodic" | "acoustic"
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        try:
+            values = tuple(float(v) for v in self.values)
+        except OverflowError as exc:  # an int past the float range, such as a 400-digit one
+            raise ValueError(f"style entry out of range: {exc}") from exc
         if len(values) != STYLE_DIM:
             raise ValueError(f"style vector must have {STYLE_DIM} entries, got {len(values)}")
         if not all(math.isfinite(v) for v in values):

@@ -885,6 +885,44 @@ class TestExtractStyles:
         assert len(rejects) == 1 and rejects[0].startswith(f"{p}:2: rejected: ")
 
 
+def _out_of_range_style_corpus(tmp_path) -> Path:
+    """Two two-turn conversations, "good" and, on line 2, "huge", whose
+    second turn's first prosodic style entry is a 401-digit integer."""
+    huge = {"prosodic_style": [10 ** 400] + [0.5] * 7, "acoustic_style": [0.5] * 8}
+    rows = [_two_turn_corpus(None)[0] | {"id": "good"}, _two_turn_corpus(huge)[0] | {"id": "huge"}]
+    p = tmp_path / "corpus.jsonl"
+    p.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return p
+
+
+class TestOutOfRangeStyle:
+    """A style entry too large for a float crashed every corpus command with
+    an OverflowError traceback; now its record is one reject, reported on
+    stderr, and the other conversation loads."""
+
+    @staticmethod
+    def one_reject_on_line_2(capsys, p) -> bool:
+        rejects = [line for line in capsys.readouterr().err.splitlines() if "rejected" in line]
+        return len(rejects) == 1 and rejects[0].startswith(f"{p}:2: rejected: ")
+
+    def test_extract_styles(self, tmp_path, capsys):
+        p = _out_of_range_style_corpus(tmp_path)
+        out = tmp_path / "styles.jsonl"
+        assert main(["extract-styles", "--corpus", str(p), "--out", str(out)]) == EXIT_OK
+        assert [json.loads(l)["source_id"] for l in out.read_text().splitlines()] == \
+            ["good/0", "good/1"]
+        assert self.one_reject_on_line_2(capsys, p)
+
+    def test_evaluate(self, tmp_path, capsys):
+        """No row names "huge", and its reject is still printed."""
+        p = _out_of_range_style_corpus(tmp_path)
+        out = tmp_path / "run"
+        assert main(["run", "--corpus", str(p), "--crops", "1", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["evaluate", "--generated", str(out), "--reference", str(p)]) == EXIT_OK
+        assert self.one_reject_on_line_2(capsys, p)
+
+
 class TestBuildPrompt:
     def test_valid_crop(self, capsys):
         assert main(["build-prompt", "--crop-id", "synth000:2"]) == EXIT_OK
@@ -1059,6 +1097,27 @@ class TestStreaming:
         self._peak_bytes(small)  # lazy imports and first-call caches
         growth = self._peak_bytes(large) - self._peak_bytes(small)
         assert growth < clip.pcm.nbytes
+
+    def test_evaluate_peak_does_not_grow_with_unnamed_conversations(self, tmp_path, capsys):
+        """`evaluate` holds only the reference conversations its rows name:
+        20 crops of a 200-conversation corpus name its first 20, and the
+        whole file peaks less than 100 kB above those 20 lines alone.  It
+        peaked 1.3 MB above them when every conversation was held."""
+        from styledialog.corpus import generate_synthetic_corpus, save_synthetic_corpus
+        whole, head = tmp_path / "corpus.jsonl", tmp_path / "head.jsonl"
+        save_synthetic_corpus(whole, *generate_synthetic_corpus(200, 1))
+        head.write_text("".join(whole.read_text().splitlines(keepends=True)[:20]))
+        run_dir = tmp_path / "run"
+        assert main(["run", "--corpus", str(whole), "--crops", "20", "--out", str(run_dir)]) \
+            == EXIT_OK
+
+        def argv(reference):
+            return ["evaluate", "--generated", str(run_dir), "--reference", str(reference)]
+
+        # lazy imports, first-call caches and CPython's tuple free list, which
+        # keeps up to 2000 freed style tuples (about 200 kB) from a first parse
+        self._peak_bytes(argv(whole))
+        assert self._peak_bytes(argv(whole)) - self._peak_bytes(argv(head)) < 100_000
 
     def test_run_peak_does_not_grow_with_crops(self, tmp_path, capsys):
         """40 crops peak less than one generated clip's PCM above 10 crops

@@ -242,6 +242,50 @@ class TestSelectiveRender:
         assert_same_corpus(part, full)
 
 
+class TestKeep:
+    @given(conversations=corpora(), write_audio=st.booleans(),
+           picks=st.frozensets(st.integers(0, 2)), repeat=st.integers(0, 2))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_keeps_the_named_and_checks_every_record(self, conversations, write_audio,
+                                                     picks, repeat):
+        """`keep=S` returns the full load's conversations whose ids are in
+        S, in file order with the same turns and audio, and the same
+        rejects: a malformed record and a repeated id, kept or not.
+        `audio_for` gets the very conversations returned."""
+        ids = [c.id for c in conversations]
+        asked = []
+        keep = {ids[p % len(ids)] for p in picks} | {"ghost"}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            save_corpus(path, conversations, write_audio=write_audio)
+            lines = path.read_text().splitlines()
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"id": "bad", "turns": [{"text": "no speaker"}]}) + "\n")
+                fh.write(lines[repeat % len(lines)] + "\n")
+            full, full_rejects = load_corpus(path)
+            part, part_rejects = load_corpus(path, audio_for=lambda convs: asked.append(convs)
+                                             or (), keep=keep)
+        assert part_rejects == full_rejects
+        assert [line for line, _ in part_rejects] == [len(lines) + 1, len(lines) + 2]
+        assert "duplicate conversation id" in part_rejects[1][1]
+        assert [c.id for c in part] == [c.id for c in full if c.id in keep]
+        assert len(asked) == 1 and asked[0] == part
+        assert_same_corpus(part, [c for c in full if c.id in keep])
+
+    def test_repeat_of_an_id_not_kept_is_a_reject(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        lines = small_corpus_lines()
+        p.write_text("\n".join(lines + [lines[0]]) + "\n")
+        conversations, rejects = load_corpus(p, keep={"c1"})
+        assert [c.id for c in conversations] == ["c1"]
+        assert rejects == [(3, "duplicate conversation id 'c0', first on line 1")]
+
+    def test_keep_nothing_of_a_valid_corpus(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text("\n".join(small_corpus_lines()) + "\n")
+        assert load_corpus(p, keep=set()) == ([], [])
+
+
 def write_pcm_wav(path, ints):
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)

@@ -59,6 +59,12 @@ class TestStyleVector:
         with pytest.raises(ValueError):
             StyleVector(values=(float("inf"),) + (0.0,) * 7, kind="prosodic")
 
+    def test_int_past_float_range_is_a_value_error(self):
+        """A 401-digit JSON integer made `float` raise OverflowError, which
+        the corpus loader did not catch, so every corpus command crashed."""
+        with pytest.raises(ValueError, match="out of range"):
+            StyleVector(values=(10 ** 400,) + (0.0,) * 7, kind="prosodic")
+
     def test_kind_preserved(self):
         s = simple_style()
         assert s.kind == "prosodic"
