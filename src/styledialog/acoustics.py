@@ -122,28 +122,31 @@ def _pick(r: np.ndarray, octave_cost: np.ndarray, tol: np.ndarray):
     return i, (np.abs(step) < tol).any(axis=1) | (rivals > 1)
 
 
-def _nccf_block(padded: np.ndarray, n: int, lag_min: int, lag_max: int,
+def _nccf_block(block: np.ndarray, nfft: int, lag_min: int, lag_max: int,
                 octave_cost: np.ndarray):
-    """(r, i): the NCCF of each row's first n samples at the lags
+    """(r, i): the NCCF of each row of `block` at the lags
     [lag_min - 1, lag_max + 1], and each row's pick in it (`_pick`).  The
-    rows are zero beyond n, up to an FFT size that leaves every lag used
-    free of wrap.  Every array made here is freed on return, so a block's
-    working set never outlives it."""
-    nfft = padded.shape[1]
+    FFT zero-pads each row to `nfft`, a size that leaves every lag used free
+    of wrap.  Every array made here is freed on return, so a block's working
+    set never outlives it."""
+    n = block.shape[1]
     cols = slice(lag_min - 1, lag_max + 2)
-    block = padded[:, :n]
+    # numerator(tau) = sum_t x[t] x[t+tau], from the power spectrum; made
+    # first, and kept only at the lags used, so no transform's output is
+    # alive beside the energies
+    spectrum = np.fft.rfft(block, nfft, axis=1)
+    power = spectrum.real ** 2
+    power += np.square(spectrum.imag, out=spectrum.imag)
+    del spectrum
+    r = np.fft.irfft(power, nfft, axis=1)[:, cols].copy()
+    del power
     csum = np.zeros((len(block), n + 1))
     np.cumsum(block ** 2, axis=1, out=csum[:, 1:])
     # sqrt of the energies of x[0 : n-tau] and of x[tau : n]
     head = csum[:, n - lag_min + 1:n - lag_max - 2:-1]
     denom = np.maximum(np.sqrt(head * (csum[:, n:] - csum[:, cols])), 1e-20)
     live = denom > 1e-20
-    # numerator(tau) = sum_t x[t] x[t+tau], from the power spectrum
-    spectrum = np.fft.rfft(padded, axis=1)
-    power = spectrum.real ** 2
-    power += spectrum.imag ** 2
-    del spectrum  # before the inverse transform makes its output
-    r = np.fft.irfft(power, nfft, axis=1)[:, cols] / denom
+    r /= denom
     r[~live] = 0.0
     # the FFT's error in a numerator stays far below 1e-13 of the frame energy, so
     # an r is off by at most that over the smallest live denominator;
@@ -161,19 +164,17 @@ def _nccf_peaks(frames: np.ndarray, rows: np.ndarray, lag_min: int, lag_max: int
     """(integer lag, refined lag, refined peak) of the NCCF within
     [lag_min, lag_max] of each frame `frames[rows]`, for a band that fits the
     frame, 2 <= lag_min < lag_max <= frame length - 2, as at every rate
-    `check_sample_rate` admits.  The rows are gathered a block at a time
-    into one zero-padded buffer, reused by every block."""
+    `check_sample_rate` admits.  The rows are gathered a block at a time,
+    and the FFT zero-pads each one, so no padded copy of a block is held."""
     n = frames.shape[1]
     base, lag, peak = np.zeros(len(rows), int), np.zeros(len(rows)), np.zeros(len(rows))
     octave_cost = 0.03 * np.log2(np.arange(lag_min, lag_max + 1) / lag_min)
     # kept a power of two: 729 points took 0.530 s against 0.552 s (medians, 125-clip analysis,
     # 2 CPUs) but were lower in only 7 of 12 alternating fresh-interpreter pairs: no gain shown
-    padded = np.zeros((min(len(rows), NCCF_BLOCK_FRAMES), 1 << (n + lag_max).bit_length()))
+    nfft = 1 << (n + lag_max).bit_length()
     for start in range(0, len(rows), NCCF_BLOCK_FRAMES):
         out = slice(start, start + NCCF_BLOCK_FRAMES)
-        m = len(rows[out])
-        padded[:m, :n] = frames[rows[out]]
-        r, i = _nccf_block(padded[:m], n, lag_min, lag_max, octave_cost)
+        r, i = _nccf_block(frames[rows[out]], nfft, lag_min, lag_max, octave_cost)
         r0, rm, rp = np.take_along_axis(r, i[:, None] + np.array([0, -1, 1]), axis=1).T
         curv = rm - 2.0 * r0 + rp
         shift = 0.5 * (rm - rp) / np.where(curv < 0, curv, -1.0)  # used where curv < 0

@@ -20,6 +20,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import importlib.util
+import itertools
 import json
 import math
 import sys
@@ -125,6 +126,9 @@ def _load_corpus(path, audio_for=None, keep=None):
 # --- subcommands ------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():  # refused before the load renders every clip
+        raise CliError(f"--out {out} is not a directory")
     conversations, _, rejects = _load_corpus(args.corpus)
     kept = []
     discarded = 0
@@ -142,7 +146,6 @@ def cmd_ingest(args) -> int:
             turns.append(replace(turn, text=metrics_mod.normalize(text)))
         if turns:
             kept.append(replace(conv, turns=tuple(turns)))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus_mod.save_corpus(out / "corpus.jsonl", kept, write_audio=args.write_audio)
     summary = {
@@ -218,15 +221,22 @@ def pick_crops(conversations, n_crops: int, seed: int) -> list[DialogCrop]:
 
 
 def cmd_run(args) -> int:
+    """Crop i cuts the (i mod E)-th of the E conversations with two or more
+    turns, so the crops read only the first --crops of them, and only those
+    are kept; `pick_crops` over them gives the same crops.  In Markov mode
+    `train_markov` reads every conversation, so every one is kept."""
     if args.crops < 1:
         raise CliError("--crops must be >= 1")
     _, run_config = resolve_config(args.components, args.topology, args.seed)
+    eligible = itertools.count()
+    keep = (None if run_config.responder_mode == "markov" else
+            lambda conv: len(conv.turns) >= 2 and next(eligible) < args.crops)
+    crops = []
 
     def incoming_turns(conversations):
-        return [(crop.conversation_id, len(crop.context_turns) - 1)
-                for crop in pick_crops(conversations, args.crops, args.seed)]
-    conversations, index, _ = _load_corpus(args.corpus, incoming_turns)
-    crops = pick_crops(conversations, args.crops, args.seed)
+        crops.extend(pick_crops(conversations, args.crops, args.seed))
+        return [(crop.conversation_id, len(crop.context_turns) - 1) for crop in crops]
+    conversations, index, _ = _load_corpus(args.corpus, incoming_turns, keep)
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the work
     markov = train_markov(conversations) if run_config.responder_mode == "markov" else None
@@ -312,8 +322,9 @@ def cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     references = {(row["conversation_id"], row["k"]) for _, row in rows}
+    named = {conv_id for conv_id, _ in references}
     _, index, _ = _load_corpus(args.reference, lambda _: references,
-                               keep={conv_id for conv_id, _ in references})
+                               keep=lambda conv: conv.id in named)
     targets = []
     for where, row in rows:
         conv = index.conversations.get(row["conversation_id"])
@@ -321,11 +332,14 @@ def cmd_evaluate(args) -> int:
             raise CliError(f"{where}: crop {row['crop']} references unknown "
                            f"conversation/turn {row['conversation_id']}:{row['k']}")
         targets.append(conv.turns[row["k"]])
+    del index  # scoring reads only the targets
 
     def pairs():
         """Each row's generated turn and its target, its WAV read only when
-        the pair is scored."""
-        for (where, row), target in zip(rows, targets):
+        the pair is scored; each target leaves `targets` as it is yielded,
+        so its rendered clip is held only until its pair is scored."""
+        for i, (where, row) in enumerate(rows):
+            target, targets[i] = targets[i], None
             try:
                 clip = audioio.read_wav(gen_dir / row["audio"])
             except (OSError, ValueError) as exc:
@@ -429,14 +443,13 @@ def cmd_extract_styles(args) -> int:
 
 
 def cmd_build_prompt(args) -> int:
-    # a prompt holds text and styles, never audio
-    _, index, _ = _load_corpus(args.corpus, lambda _: ())
+    conv_id, _, k_str = args.crop_id.partition(":")
+    if not (k_str.isascii() and k_str.isdigit()):
+        raise CliError(f"--crop-id must be <conversation>:<turn index>, got {args.crop_id!r}")
+    # a prompt holds text and styles, never audio, of one conversation
+    _, index, _ = _load_corpus(args.corpus, lambda _: (), keep=lambda conv: conv.id == conv_id)
     try:
         variant = PromptVariant.parse(args.variant)
-        conv_id, _, k_str = args.crop_id.partition(":")
-        if not (k_str.isascii() and k_str.isdigit()):
-            raise CliError(f"--crop-id must be <conversation>:<turn index>, "
-                           f"got {args.crop_id!r}")
         if conv_id not in index.conversations:
             raise CliError(f"unknown conversation {conv_id!r}")
         conv = index.conversations[conv_id]

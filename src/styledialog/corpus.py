@@ -24,11 +24,14 @@ for through `audio_for` (all of them by default), named by (conversation
 id, turn index): `run` asks for its crops' incoming turns, `evaluate` for its
 reference turns and `build-prompt` for none.  Any other clip renders on
 the first read of its PCM, as every clip of `generate_synthetic_corpus`
-does.  `keep` narrows the returned conversations to a set of ids while
-every record is still checked: `evaluate` keeps only the conversations its
-rows name.  A clip's `source_id`, "<conversation id>/<turn index>",
-is formatted only by `_source_id`; it names the audio and seeds the toy
-components' noise, and is never a lookup key.
+does.  `keep`, a predicate on a parsed conversation, narrows the returned
+conversations while every record is still checked: `evaluate` keeps only
+the conversations its rows name, `build-prompt` only its crop's, and `run`
+only those its crops cut (all of them in Markov mode, which trains on every
+one); `ingest` and `extract-styles` keep every one.  A clip's `source_id`,
+"<conversation id>/<turn index>", is formatted only by `_source_id`; it
+names the audio and seeds the toy components' noise, and is never a lookup
+key.
 
 `save_corpus` leaves a turn's audio out of the file only when it is a
 `SynthAudio` of exactly the turn's own text and styles and `write_audio`
@@ -146,11 +149,12 @@ def load_corpus(path, audio_for=None, keep=None):
     conversations, and a (line number, reason) pair for each malformed
     record.  Raises when no record at all is valid.
 
-    `keep`, a set of conversation ids, narrows what is returned, never what
-    is checked: every record is parsed, a malformed one is a reject and a
+    `keep(conversation) -> bool` narrows what is returned, never what is
+    checked: every record is parsed, a malformed one is a reject and a
     repeated id is a reject whether or not its first record was kept, but
-    only the valid conversations whose ids are in `keep` are returned, in
-    file order.  None keeps every one.
+    only the valid conversations for which `keep` is true are returned, in
+    file order.  It is called once per valid conversation, in file order.
+    None keeps every one.
 
     WAV-backed turns are read whatever is asked, and every synth-backed
     turn carries its `SynthAudio`.  `audio_for(conversations)` is called
@@ -183,7 +187,7 @@ def load_corpus(path, audio_for=None, keep=None):
             except (AttributeError, KeyError, ValueError, TypeError, OSError) as exc:
                 rejects.append((line_no, str(exc)))
                 continue
-            if keep is None or conv_id in keep:
+            if keep is None or keep(conv):
                 conversations.append(conv)
     if not first_line:
         raise ValueError(f"no valid conversations in {path} ({len(rejects)} rejected)")

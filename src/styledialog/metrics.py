@@ -224,19 +224,30 @@ def _word_ids(text: str):
     return list(ids), at
 
 
+EMBED_BLOCK_ROWS = 256  # hyp words whose similarities to every ref word are held at once
+
+
 def greedy_embed_score(ref: str, hyp: str) -> float:
     """Greedy max-cosine matching in both directions; F1 as a percentage.
     Every copy of a word has the same best match, so each distinct word is
     embedded and scored once and the maxima are read back at the word
-    positions: memory grows with the two vocabularies and by one index and
-    one value per word, not with the product of the lengths."""
+    positions.  The similarities are taken `EMBED_BLOCK_ROWS` hyp words at a
+    time, keeping each hyp word's maximum and a running maximum per ref
+    word, so memory grows with the two vocabularies, not their product, and
+    by one index and one value per word."""
     (ref_vocab, ref_at), (hyp_vocab, hyp_at) = _word_ids(ref), _word_ids(hyp)
     if not ref_vocab or not hyp_vocab:
         return 0.0
-    sims = (np.stack([trigram_embedder(w) for w in hyp_vocab])
-            @ np.stack([trigram_embedder(w) for w in ref_vocab]).T)
-    p = float(np.mean(sims.max(axis=1)[hyp_at]))
-    r = float(np.mean(sims.max(axis=0)[ref_at]))
+    hyp_vecs = np.stack([trigram_embedder(w) for w in hyp_vocab])
+    ref_vecs_t = np.stack([trigram_embedder(w) for w in ref_vocab]).T
+    row_max = np.empty(len(hyp_vocab))
+    col_max = np.full(len(ref_vocab), -np.inf)
+    for start in range(0, len(hyp_vocab), EMBED_BLOCK_ROWS):
+        sims = hyp_vecs[start:start + EMBED_BLOCK_ROWS] @ ref_vecs_t
+        row_max[start:start + EMBED_BLOCK_ROWS] = sims.max(axis=1)
+        np.maximum(col_max, sims.max(axis=0), out=col_max)
+    p = float(np.mean(row_max[hyp_at]))
+    r = float(np.mean(col_max[ref_at]))
     if p + r <= 0:
         return 0.0
     return 100.0 * 2 * p * r / (p + r)

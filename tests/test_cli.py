@@ -6,11 +6,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from styledialog import dialog, objectives
 from styledialog.audioio import read_wav, write_wav
@@ -453,6 +457,68 @@ class TestRunAndEvaluate:
         assert one_error_line(capsys) and not out.exists()
 
 
+class TestRunKeepsWhatItCuts:
+    """`run` keeps only the conversations its crops cut, the first --crops
+    of those with two or more turns, and in Markov mode every one."""
+
+    @given(n_conversations=st.integers(1, 6), one_turn=st.frozensets(st.integers(0, 5)),
+           surplus=st.integers(-3, 3), seed=st.integers(0, 3))
+    # covers, on every run, a corpus with no conversation to crop
+    @example(n_conversations=2, one_turn=frozenset({0, 1}), surplus=0, seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_crops_are_those_of_the_whole_corpus(self, n_conversations, one_turn, surplus,
+                                                 seed):
+        """--crops below, equal to and above the count E of conversations
+        with two or more turns, some conversations cut to one turn: the
+        crops `run` writes are `pick_crops` over the whole corpus, by
+        conversation id and k, and with E = 0 both refuse the corpus."""
+        from styledialog.cli import CliError, pick_crops
+        from styledialog.corpus import (generate_synthetic_corpus, load_corpus,
+                                        save_synthetic_corpus)
+        conversations, acoustic = generate_synthetic_corpus(n_conversations, seed)
+        conversations = [replace(c, turns=c.turns[:1]) if i in one_turn else c
+                         for i, c in enumerate(conversations)]
+        n_eligible = sum(len(c.turns) >= 2 for c in conversations)
+        n_crops = max(1, n_eligible + surplus)
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, out = Path(tmp) / "corpus.jsonl", Path(tmp) / "out"
+            save_synthetic_corpus(corpus, conversations, acoustic)
+            whole, _ = load_corpus(corpus)
+            code = main(["run", "--corpus", str(corpus), "--crops", str(n_crops),
+                         "--seed", str(seed), "--out", str(out)])
+            if n_eligible == 0:
+                assert code == EXIT_USAGE
+                with pytest.raises(CliError):
+                    pick_crops(whole, n_crops, seed)
+                return
+            assert code == EXIT_OK
+            rows = [json.loads(line)
+                    for line in (out / "generated.jsonl").read_text().splitlines()[1:]]
+        assert [(row["conversation_id"], row["k"]) for row in rows] == \
+            [(crop.conversation_id, len(crop.context_turns))
+             for crop in pick_crops(whole, n_crops, seed)]
+
+    def test_markov_trains_on_every_conversation(self, tmp_path, capsys, monkeypatch):
+        """One crop cuts one conversation, but the Markov table is trained on
+        all of them, a one-turn conversation included."""
+        from styledialog import cli
+        from styledialog.corpus import generate_synthetic_corpus, save_synthetic_corpus
+        conversations, acoustic = generate_synthetic_corpus(4, 2)
+        conversations[1] = replace(conversations[1], turns=conversations[1].turns[:1])
+        corpus = tmp_path / "corpus.jsonl"
+        save_synthetic_corpus(corpus, conversations, acoustic)
+        components = tmp_path / "components.json"
+        components.write_text(json.dumps({"responder_mode": "markov"}))
+        trained = []
+        train_markov = cli.train_markov
+        monkeypatch.setattr(cli, "train_markov",
+                            lambda convs: trained.append([c.id for c in convs])
+                            or train_markov(convs))
+        assert main(["run", "--corpus", str(corpus), "--components", str(components),
+                     "--crops", "1", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert trained == [[c.id for c in conversations]]
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -640,6 +706,17 @@ class TestUnusablePaths:
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
         assert "Traceback" not in err
         assert work == []
+
+    def test_ingest_refuses_a_file_out_before_the_load(self, tmp_path, capsys, monkeypatch):
+        """`ingest` rendered all 124 bundled clips before a file --out
+        failed its mkdir."""
+        from styledialog import corpus
+        loads = []
+        monkeypatch.setattr(corpus, "load_corpus", lambda *args: loads.append(args))
+        out = _file(tmp_path)
+        assert main(["ingest", "--corpus", CORPUS, "--out", out]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --out {out} is not a directory\n"
+        assert loads == []
 
 
 class TestRunConfig:
@@ -1062,6 +1139,29 @@ class TestStreaming:
             clip = events[before][1]
             assert any(kind == "summarize" and c is clip for kind, c in events[before:after])
 
+    def test_evaluate_lets_each_reference_go_once_scored(self, tmp_path, capsys, monkeypatch):
+        """The load renders every reference clip, but `evaluate` holds each
+        only until its pair is scored: when a pair's reference is
+        summarized, the references of the pairs before the last are gone.
+        The reference corpus held them all until the end."""
+        from styledialog import acoustics
+        from styledialog.corpus import SynthAudio
+        run_dir = tmp_path / "run"
+        assert main(["run", "--corpus", CORPUS, "--crops", "6", "--out", str(run_dir)]) \
+            == EXIT_OK
+        refs, alive = [], []
+        summarize = acoustics.summarize
+
+        def spy(clip):
+            if isinstance(clip, SynthAudio):  # a reference; the generated clips are WAVs
+                alive.append(sum(ref() is not None for ref in refs[:-1]))
+                refs.append(weakref.ref(clip))
+            return summarize(clip)
+        monkeypatch.setattr(acoustics, "summarize", spy)
+        assert main(["evaluate", "--generated", str(run_dir), "--reference", CORPUS]) \
+            == EXIT_OK
+        assert len(refs) == 6 and alive == [0] * 6
+
     @staticmethod
     def _peak_bytes(argv) -> int:
         """The traced peak of the memory `main(argv)` allocates."""
@@ -1098,15 +1198,23 @@ class TestStreaming:
         growth = self._peak_bytes(large) - self._peak_bytes(small)
         assert growth < clip.pcm.nbytes
 
-    def test_evaluate_peak_does_not_grow_with_unnamed_conversations(self, tmp_path, capsys):
+    @pytest.fixture(scope="class")
+    def synth200(self, tmp_path_factory):
+        """A 200-conversation synthetic corpus and a file of its first 20 lines."""
+        from styledialog.corpus import generate_synthetic_corpus, save_synthetic_corpus
+        tmp = tmp_path_factory.mktemp("synth200")
+        whole, head = tmp / "corpus.jsonl", tmp / "head.jsonl"
+        save_synthetic_corpus(whole, *generate_synthetic_corpus(200, 1))
+        head.write_text("".join(whole.read_text().splitlines(keepends=True)[:20]))
+        return whole, head
+
+    def test_evaluate_peak_does_not_grow_with_unnamed_conversations(self, synth200, tmp_path,
+                                                                    capsys):
         """`evaluate` holds only the reference conversations its rows name:
         20 crops of a 200-conversation corpus name its first 20, and the
         whole file peaks less than 100 kB above those 20 lines alone.  It
         peaked 1.3 MB above them when every conversation was held."""
-        from styledialog.corpus import generate_synthetic_corpus, save_synthetic_corpus
-        whole, head = tmp_path / "corpus.jsonl", tmp_path / "head.jsonl"
-        save_synthetic_corpus(whole, *generate_synthetic_corpus(200, 1))
-        head.write_text("".join(whole.read_text().splitlines(keepends=True)[:20]))
+        whole, head = synth200
         run_dir = tmp_path / "run"
         assert main(["run", "--corpus", str(whole), "--crops", "20", "--out", str(run_dir)]) \
             == EXIT_OK
@@ -1118,6 +1226,42 @@ class TestStreaming:
         # keeps up to 2000 freed style tuples (about 200 kB) from a first parse
         self._peak_bytes(argv(whole))
         assert self._peak_bytes(argv(whole)) - self._peak_bytes(argv(head)) < 100_000
+
+    def test_run_peak_does_not_grow_with_uncut_conversations(self, synth200, tmp_path,
+                                                             capsys):
+        """`run --crops 20` holds only the 20 conversations its crops cut: on
+        the 200-conversation corpus it peaks less than 100 kB above the same
+        run on the file's first 20 lines, and writes the same rows.  It
+        peaked about 1.3 MB above them when every conversation was held."""
+        whole, head = synth200
+
+        def argv(corpus, out):
+            return ["run", "--corpus", str(corpus), "--crops", "20",
+                    "--out", str(tmp_path / out)]
+
+        self._peak_bytes(argv(whole, "warm"))  # as in the evaluate test above
+        grown = self._peak_bytes(argv(whole, "whole")) - self._peak_bytes(argv(head, "head"))
+        assert grown < 100_000
+        assert (tmp_path / "whole" / "generated.jsonl").read_bytes() == \
+            (tmp_path / "head" / "generated.jsonl").read_bytes()
+
+    def test_build_prompt_peak_does_not_grow_with_other_conversations(self, synth200, capsys):
+        """`build-prompt` holds only its crop's conversation: on the
+        200-conversation corpus it peaks less than 100 kB above the same
+        crop on the file's first 20 lines, and prints the same prompt.  It
+        peaked 1.3 MB above them when every conversation was held."""
+        whole, head = synth200
+
+        def prompt(corpus):
+            capsys.readouterr()
+            peak = self._peak_bytes(["build-prompt", "--corpus", str(corpus),
+                                     "--crop-id", "synth000:2"])
+            return peak, capsys.readouterr().out
+
+        prompt(whole)  # as in the evaluate test above
+        (whole_peak, whole_out), (head_peak, head_out) = prompt(whole), prompt(head)
+        assert whole_peak - head_peak < 100_000
+        assert whole_out == head_out
 
     def test_run_peak_does_not_grow_with_crops(self, tmp_path, capsys):
         """40 crops peak less than one generated clip's PCM above 10 crops

@@ -248,12 +248,13 @@ class TestKeep:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_keeps_the_named_and_checks_every_record(self, conversations, write_audio,
                                                      picks, repeat):
-        """`keep=S` returns the full load's conversations whose ids are in
-        S, in file order with the same turns and audio, and the same
-        rejects: a malformed record and a repeated id, kept or not.
+        """`keep=lambda c: c.id in S` returns the full load's conversations
+        whose ids are in S, in file order with the same turns and audio, and
+        the same rejects: a malformed record and a repeated id, kept or not.
+        The predicate sees each valid conversation once, in file order, and
         `audio_for` gets the very conversations returned."""
         ids = [c.id for c in conversations]
-        asked = []
+        asked, offered = [], []
         keep = {ids[p % len(ids)] for p in picks} | {"ghost"}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
@@ -264,7 +265,9 @@ class TestKeep:
                 fh.write(lines[repeat % len(lines)] + "\n")
             full, full_rejects = load_corpus(path)
             part, part_rejects = load_corpus(path, audio_for=lambda convs: asked.append(convs)
-                                             or (), keep=keep)
+                                             or (),
+                                             keep=lambda c: offered.append(c) or c.id in keep)
+        assert [c.id for c in offered] == [c.id for c in full]
         assert part_rejects == full_rejects
         assert [line for line, _ in part_rejects] == [len(lines) + 1, len(lines) + 2]
         assert "duplicate conversation id" in part_rejects[1][1]
@@ -276,14 +279,14 @@ class TestKeep:
         p = tmp_path / "c.jsonl"
         lines = small_corpus_lines()
         p.write_text("\n".join(lines + [lines[0]]) + "\n")
-        conversations, rejects = load_corpus(p, keep={"c1"})
+        conversations, rejects = load_corpus(p, keep=lambda c: c.id == "c1")
         assert [c.id for c in conversations] == ["c1"]
         assert rejects == [(3, "duplicate conversation id 'c0', first on line 1")]
 
     def test_keep_nothing_of_a_valid_corpus(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text("\n".join(small_corpus_lines()) + "\n")
-        assert load_corpus(p, keep=set()) == ([], [])
+        assert load_corpus(p, keep=lambda c: False) == ([], [])
 
 
 def write_pcm_wav(path, ints):

@@ -1,3 +1,4 @@
+import functools
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from styledialog.metrics import (ACOUSTIC_FEATURES, MetricReport,
+from styledialog.metrics import (ACOUSTIC_FEATURES, EMBED_BLOCK_ROWS, MetricReport,
                                  UndefinedStatisticError, _lcs_len, assemble_report,
                                  bleu, cosine, greedy_embed_score,
                                  meteor_exact, normalize, pearson, rouge_l_f1,
@@ -200,19 +201,43 @@ class TestEmbedScore:
         want = greedy_embed_brute(ref, hyp, trigram_embedder)
         assert greedy_embed_score(ref, hyp) == pytest.approx(want, abs=1e-7)
 
+    @pytest.mark.parametrize("n_hyp_words", [EMBED_BLOCK_ROWS, EMBED_BLOCK_ROWS + 1,
+                                             2 * EMBED_BLOCK_ROWS + 7])
+    def test_matches_brute_force_across_blocks(self, n_hyp_words):
+        """A hyp vocabulary that fills one block, spills one word into a
+        second, or ends in a part block, each word said twice."""
+        rng = np.random.default_rng(n_hyp_words)
+        hyp_vocab = [f"h{i}w" for i in range(n_hyp_words)]
+        hyp = " ".join(rng.permutation(hyp_vocab * 2))
+        ref = " ".join(rng.choice(hyp_vocab[:20] + ["cat", "hwx", "w1"], size=30))
+        want = greedy_embed_brute(ref, hyp, functools.cache(trigram_embedder))
+        assert greedy_embed_score(ref, hyp) == pytest.approx(want, abs=1e-7)
+
+    @staticmethod
+    def _peak_bytes(ref, hyp) -> int:
+        tracemalloc.start()
+        try:
+            greedy_embed_score(ref, hyp)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_memory_bounded_by_vocabulary(self):
         """A 20 000-word pair over a 30-word vocabulary: a word-by-word
         similarity matrix would take 3.2 GB."""
         rng = np.random.default_rng(8)
         vocab = [f"word{i}" for i in range(30)]
         ref, hyp = (" ".join(rng.choice(vocab, size=20_000)) for _ in range(2))
-        tracemalloc.start()
-        try:
-            greedy_embed_score(ref, hyp)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        assert self._peak_bytes(ref, hyp) < 1_000_000
+
+    def test_memory_grows_linearly_with_vocabularies(self):
+        """4000 distinct words a side peak at most 2.5x 2000 a side.  The
+        whole vocabulary-by-vocabulary matrix grew about 4x per doubling:
+        34 MB at 2000 a side, 133 MB at 4000."""
+        def peak(n):
+            return self._peak_bytes(" ".join(f"r{i}x" for i in range(n)),
+                                    " ".join(f"h{i}y" for i in range(n)))
+        assert peak(4000) <= 2.5 * peak(2000)
 
 
 class TestPearson:
