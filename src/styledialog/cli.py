@@ -1,11 +1,13 @@
 """Single entry point tying every module into reproducible experiments.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config/path error.  Every
-subcommand is deterministic given --seed; outputs are plain files written
-atomically (write-then-rename); each run embeds its resolved configuration
-for provenance.  NumPy's BLAS runs on one thread in a CLI process unless
-OPENBLAS_NUM_THREADS is already set, and `main` keeps OpenSSL's `_hashlib`
-out of the process where CPython has its own SHA-256.
+Exit codes: 0 success, 1 check failure, 2 usage/config/path error: `main`
+alone prints any `ValueError` or `OSError` a command raises as one `error:`
+line, and refuses an `--out` the command could not write before it runs.
+Every subcommand is deterministic given --seed; outputs are plain files
+written atomically (write-then-rename); each run embeds its resolved
+configuration for provenance.  NumPy's BLAS runs on one thread in a CLI
+process unless OPENBLAS_NUM_THREADS is already set, and `main` keeps
+OpenSSL's `_hashlib` out of the process where CPython has its own SHA-256.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -43,14 +45,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# keys a `run --components` / `simulate --config` file may hold
-CONFIG_KEYS = frozenset({"_comment", "latency", "tokens_per_output_second",
-                         "responder_mode", "style_mode", "target_wer"})
+# keys a `run --components` / `simulate --config` file may hold: the RunConfig fields no flag gives
+CONFIG_KEYS = frozenset({f.name for f in fields(RunConfig)} - {"topology", "latencies", "seed"}
+                        | {"_comment", "latency"})
 # keys every row of generated.jsonl after the `_config` header holds, an error row excepted
 GENERATED_KEYS = ("crop", "conversation_id", "k", "speaker", "text", "audio")
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
@@ -66,17 +68,8 @@ def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise CliError(f"cannot read config {path}: {exc}")
-
-
-def _check_keys(obj, accepted: frozenset, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise CliError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - accepted)
-    if unknown:
-        raise CliError(f"{where} has unknown key(s) {', '.join(unknown)}; "
-                       f"accepted: {', '.join(sorted(accepted))}")
 
 
 def finite_positive(text: str) -> float:
@@ -95,7 +88,12 @@ def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunCo
     zero cost for every stage; any fault is a CliError (exit 2).
     """
     config = _load_config(path) if path else {}
-    _check_keys(config, CONFIG_KEYS, f"config {path}")
+    if not isinstance(config, dict):
+        raise CliError(f"config {path} must be a JSON object")
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise CliError(f"config {path} has unknown key(s) {', '.join(unknown)}; "
+                       f"accepted: {', '.join(sorted(CONFIG_KEYS))}")
     latency = config.get("latency")
     if latency is not None and (not isinstance(latency, dict) or topology.value not in latency):
         raise CliError(f"config {path} has no latency section for topology {topology.value!r}")
@@ -112,12 +110,8 @@ def resolve_config(path, topology: Topology, seed: int = 0) -> tuple[dict, RunCo
 
 
 def _load_corpus(path, audio_for=None, keep=None):
-    """`corpus.load_corpus_with_index` for a command: a corpus with nothing
-    to load is a CliError, and each rejected record is a line on stderr."""
-    try:
-        conversations, index, rejects = corpus_mod.load_corpus_with_index(path, audio_for, keep)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    """`corpus.load_corpus_with_index`, each rejected record printed as a line on stderr."""
+    conversations, index, rejects = corpus_mod.load_corpus_with_index(path, audio_for, keep)
     for line_no, reason in rejects:
         print(f"{path}:{line_no}: rejected: {reason}", file=sys.stderr)
     return conversations, index, rejects
@@ -127,8 +121,6 @@ def _load_corpus(path, audio_for=None, keep=None):
 
 def cmd_ingest(args) -> int:
     out = Path(args.out)
-    if out.exists() and not out.is_dir():  # refused before the load renders every clip
-        raise CliError(f"--out {out} is not a directory")
     conversations, _, rejects = _load_corpus(args.corpus)
     kept = []
     discarded = 0
@@ -168,15 +160,19 @@ def _figure(value: float, decimals: int, width: int = 8) -> str:
     return text if len(text) <= width else f"{value:>{width}.3g}"
 
 
-def _check_out_file(out) -> None:
-    """Refuse a file `--out` that is a directory before the work: the
-    rename in `write_atomic` would fail only after it."""
-    if out and Path(out).is_dir():
-        raise CliError(f"--out {out} is a directory")
+def _check_out(out: str, makes_dir: bool) -> None:
+    """Refuse, before any work, an `--out` the command could not write: a
+    directory where it writes a file, an existing non-directory where it
+    makes a directory, or a path below something that is not a directory."""
+    path = Path(out)
+    if path.exists() and path.is_dir() != makes_dir:
+        raise CliError(f"--out {out} is {'not ' if makes_dir else ''}a directory")
+    below = next((p for p in path.parents if p.exists()), path)  # "." and "/" have no parent
+    if not below.is_dir():
+        raise CliError(f"--out {out} is below {below}, which is not a directory")
 
 
 def cmd_simulate(args) -> int:
-    _check_out_file(args.out)
     topology = args.topology
     config, run_config = resolve_config(args.config, topology)
     tokens_per_s = run_config.tokens_per_output_second
@@ -185,11 +181,8 @@ def cmd_simulate(args) -> int:
         raise CliError(f"--output-dur {args.output_dur:g} at {tokens_per_s} tokens per "
                        f"second gives a token count that is not finite")
     out_tokens = int(round(out_tokens))
-    try:
-        report = simulate_turn(topology, args.input_dur, out_tokens, args.output_dur,
-                               run_config.latencies)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = simulate_turn(topology, args.input_dur, out_tokens, args.output_dur,
+                           run_config.latencies)
     figures = {"RTF": report.rtf, "delay": report.delay_s, "carryover": report.carryover_s}
     if not all(math.isfinite(v) for v in figures.values()):
         raise CliError("the simulated report is not finite: " + ", ".join(
@@ -237,9 +230,9 @@ def cmd_run(args) -> int:
         crops.extend(pick_crops(conversations, args.crops, args.seed))
         return [(crop.conversation_id, len(crop.context_turns) - 1) for crop in crops]
     conversations, index, _ = _load_corpus(args.corpus, incoming_turns, keep)
-    out = Path(args.out)
-    (out / "audio").mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the work
     markov = train_markov(conversations) if run_config.responder_mode == "markov" else None
+    out = Path(args.out)
+    (out / "audio").mkdir(parents=True, exist_ok=True)
     results = run_dialog(run_config, crops, index.reference_styles, markov)
     lines = []
     failed = 0
@@ -315,12 +308,8 @@ def _load_generated(path: Path):
 
 
 def cmd_evaluate(args) -> int:
-    _check_out_file(args.out)
     gen_dir = Path(args.generated)
-    try:
-        rows = _load_generated(gen_dir)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rows = _load_generated(gen_dir)
     references = {(row["conversation_id"], row["k"]) for _, row in rows}
     named = {conv_id for conv_id, _ in references}
     _, index, _ = _load_corpus(args.reference, lambda _: references,
@@ -421,7 +410,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_extract_styles(args) -> int:
-    _check_out_file(args.out)
     conversations, _, _ = _load_corpus(args.corpus)
     lines = []
     for conv in conversations:
@@ -446,22 +434,19 @@ def cmd_build_prompt(args) -> int:
     conv_id, _, k_str = args.crop_id.partition(":")
     if not (k_str.isascii() and k_str.isdigit()):
         raise CliError(f"--crop-id must be <conversation>:<turn index>, got {args.crop_id!r}")
+    variant = PromptVariant.parse(args.variant)
     # a prompt holds text and styles, never audio, of one conversation
     _, index, _ = _load_corpus(args.corpus, lambda _: (), keep=lambda conv: conv.id == conv_id)
+    if conv_id not in index.conversations:
+        raise CliError(f"unknown conversation {conv_id!r}")
     try:
-        variant = PromptVariant.parse(args.variant)
-        if conv_id not in index.conversations:
-            raise CliError(f"unknown conversation {conv_id!r}")
-        conv = index.conversations[conv_id]
-        crop = make_crop(conv, int(k_str))
+        crop = make_crop(index.conversations[conv_id], int(k_str))
         context = context_from_turns(crop.context_turns[:-1],
                                      index.reference_styles(crop.conversation_id))
         audio_path = f"{crop.conversation_id}_{len(crop.context_turns) - 1}.wav"
         built = build_prompt(crop, context, variant, audio_path)
-    except KeyError as exc:  # str() of a KeyError would quote its message
+    except (KeyError, IndexError) as exc:  # str() of a KeyError would quote its message
         raise CliError(exc.args[0]) from exc
-    except (ValueError, IndexError) as exc:
-        raise CliError(str(exc)) from exc
     sys.stdout.write(built.text)
     sys.stdout.write("\n---\n")
     print(f"{'offset':>7}  slot")
@@ -538,8 +523,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "out", None):  # an empty --out writes no file
+            _check_out(args.out, makes_dir=args.command in ("ingest", "run"))
         return args.func(args)
-    except (CliError, OSError) as exc:  # a path a command cannot use is a usage error
+    except (OSError, ValueError) as exc:  # a bad input, a CliError included, is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -73,7 +73,7 @@ class MarkovTable:
 
 
 def train_markov(corpus: list[Conversation]) -> MarkovTable:
-    """Bigram table with start/end markers over every turn in the corpus."""
+    """Bigram table with start/end markers over every turn; ValueError if no turn has a word."""
     counts: dict[str, Counter] = {}
     totals: dict[str, int] = {}
     vocab = set()
@@ -90,7 +90,7 @@ def train_markov(corpus: list[Conversation]) -> MarkovTable:
                 totals[prev] = totals.get(prev, 0) + 1
                 vocab.add(nxt)
     if n_turns == 0:
-        raise RuntimeError("cannot train a bigram table on an empty corpus")
+        raise ValueError("cannot train a bigram table on a corpus with no words")
     return MarkovTable(counts=counts, totals=totals, vocab=tuple(sorted(vocab)))
 
 

@@ -147,7 +147,7 @@ class SynthAudio:
 def load_corpus(path, audio_for=None, keep=None):
     """Parse a corpus file into (conversations, rejects): the valid
     conversations, and a (line number, reason) pair for each malformed
-    record.  Raises when no record at all is valid.
+    record or line not valid UTF-8.  Raises when no record is valid.
 
     `keep(conversation) -> bool` narrows what is returned, never what is
     checked: every record is parsed, a malformed one is a reject and a
@@ -169,12 +169,12 @@ def load_corpus(path, audio_for=None, keep=None):
     root = path.parent
     conversations, rejects = [], []
     first_line = {}  # conversation id -> line it was loaded from
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # each line decoded in its own `try`
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 conv_id = _string(rec, "id")
                 if conv_id in first_line:
@@ -184,6 +184,9 @@ def load_corpus(path, audio_for=None, keep=None):
                               for i, t in enumerate(rec["turns"]))
                 conv = Conversation(id=conv_id, turns=turns, split=rec.get("split", "train"))
                 first_line[conv_id] = line_no
+            except UnicodeDecodeError as exc:  # raised only by the line's decode
+                rejects.append((line_no, f"line is not valid UTF-8 at byte {exc.start + 1}"))
+                continue
             except (AttributeError, KeyError, ValueError, TypeError, OSError) as exc:
                 rejects.append((line_no, str(exc)))
                 continue

@@ -669,6 +669,10 @@ def _generated_is_a_dir(tmp_path):
     return str(tmp_path / "gen")
 
 
+def _below_a_file(tmp_path):
+    return str(Path(_file(tmp_path)) / "sub")
+
+
 # argv of each command given a path it cannot write or read
 UNUSABLE_PATHS = {
     "ingest out is a file": lambda tmp, run: ["ingest", "--corpus", _one_turn_corpus(tmp),
@@ -684,28 +688,56 @@ UNUSABLE_PATHS = {
     "generated.jsonl is a dir": lambda tmp, run: ["evaluate", "--generated",
                                                   _generated_is_a_dir(tmp),
                                                   "--reference", CORPUS],
+    "ingest out is below a file": lambda tmp, run: ["ingest", "--corpus", _one_turn_corpus(tmp),
+                                                    "--out", _below_a_file(tmp)],
+    "run out is below a file": lambda tmp, run: ["run", "--corpus", CORPUS, "--crops", "1",
+                                                 "--out", _below_a_file(tmp)],
+    "evaluate out is below a file": lambda tmp, run: ["evaluate", "--generated", str(run),
+                                                      "--reference", CORPUS,
+                                                      "--out", _below_a_file(tmp)],
+    "simulate out is below a file": lambda tmp, run: ["simulate", "--topology", "e2e",
+                                                      "--out", _below_a_file(tmp)],
+    "extract-styles out is below a file": lambda tmp, run: ["extract-styles", "--corpus",
+                                                            _one_turn_corpus(tmp),
+                                                            "--out", _below_a_file(tmp)],
 }
 
 
-class TestUnusablePaths:
-    @pytest.fixture
-    def work(self, monkeypatch):
-        """The names of the per-crop, per-clip or per-turn work functions
-        called: a command fails on a path it cannot use before that work."""
-        from styledialog import acoustics, cli, metrics
-        called = []
-        for module, name in ((cli, "run_dialog"), (metrics, "assemble_report"),
-                             (acoustics, "encode_style"), (cli, "simulate_turn")):
-            monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name))
-        return called
+@pytest.fixture
+def work(monkeypatch):
+    """The names of the per-crop, per-clip or per-turn work functions
+    called: a command fails on a bad input before that work."""
+    from styledialog import acoustics, cli, components, metrics
+    called = []
+    for module, name in ((cli, "run_dialog"), (metrics, "assemble_report"),
+                         (acoustics, "encode_style"), (cli, "simulate_turn"),
+                         (components.ToySynthesizer, "synthesize")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name))
+    return called
 
+
+def assert_one_usage_error(code, capsys) -> str:
+    """The `error:` line of a command that exited 2 with nothing on stdout
+    and one `error:` line, and no traceback, on stderr."""
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in err
+    return errors[0]
+
+
+class TestUnusablePaths:
     @pytest.mark.parametrize("argv", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS.keys())
     def test_is_a_usage_error(self, run_dir, tmp_path, capsys, work, argv):
-        assert main(argv(tmp_path, run_dir)) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
-        assert "Traceback" not in err
+        assert_one_usage_error(main(argv(tmp_path, run_dir)), capsys)
         assert work == []
+
+    def test_below_a_file_names_the_file(self, tmp_path, capsys):
+        file = _file(tmp_path)
+        out = str(Path(file) / "sub" / "report.json")
+        assert main(["simulate", "--topology", "e2e", "--out", out]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: --out {out} is below {file}, "
+                                           "which is not a directory\n")
 
     def test_ingest_refuses_a_file_out_before_the_load(self, tmp_path, capsys, monkeypatch):
         """`ingest` rendered all 124 bundled clips before a file --out
@@ -717,6 +749,47 @@ class TestUnusablePaths:
         assert main(["ingest", "--corpus", CORPUS, "--out", out]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: --out {out} is not a directory\n"
         assert loads == []
+
+
+class TestInputFaults:
+    """Inputs that escaped `main` as a traceback and exit 1, or made a
+    command refuse a whole corpus for one record."""
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_config_not_utf8(self, tmp_path, capsys, work, command):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"_comment": "\xff"}\n')
+        out = str(tmp_path / "out")
+        argv = {"simulate": ["simulate", "--topology", "e2e", "--config", str(config)],
+                "run": ["run", "--corpus", CORPUS, "--crops", "1", "--components", str(config),
+                        "--out", out]}[command]
+        error = assert_one_usage_error(main(argv), capsys)
+        assert error.startswith(f"error: cannot read config {config}: 'utf-8' codec")
+        assert work == []
+
+    def test_markov_run_on_a_corpus_without_words(self, tmp_path, capsys, work):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"id": "c", "turns": [{"speaker": "a", "text": ""},
+                                                           {"speaker": "b", "text": " "}]})
+                          + "\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"responder_mode": "markov"}))
+        out = tmp_path / "out"
+        code = main(["run", "--corpus", str(corpus), "--components", str(config),
+                     "--crops", "1", "--out", str(out)])
+        assert assert_one_usage_error(code, capsys) == \
+            "error: cannot train a bigram table on a corpus with no words"
+        assert work == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["build-prompt", "extract-styles"])
+    def test_a_byte_not_utf8_rejects_only_its_record(self, tmp_path, capsys, command):
+        corpus = tmp_path / "c.jsonl"
+        lines = Path(CORPUS).read_bytes().splitlines(keepends=True)[:3]
+        corpus.write_bytes(b"".join(lines) + b'{"id": "bad\xff", "turns": []}\n')
+        argv = {"build-prompt": ["--crop-id", "synth000:2"], "extract-styles": []}[command]
+        assert main([command, "--corpus", str(corpus)] + argv) == EXIT_OK
+        rejected = [line for line in capsys.readouterr().err.splitlines() if "rejected:" in line]
+        assert rejected == [f"{corpus}:4: rejected: line is not valid UTF-8 at byte 12"]
 
 
 class TestRunConfig:
@@ -732,6 +805,16 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert not (out / "generated.jsonl").exists()
+
+    def test_unknown_key_names_the_accepted_keys(self, tmp_path, capsys):
+        """A key no config may hold, such as the flag-given seed, is named, with
+        every key that `CONFIG_KEYS` derives from RunConfig."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"seed": 3}))
+        assert main(["simulate", "--topology", "e2e", "--config", str(p)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: config {p} has unknown key(s) seed; accepted: _comment, latency, "
+            "responder_mode, style_mode, target_wer, tokens_per_output_second\n")
 
     def test_applied_config_is_recorded(self, tmp_path, capsys):
         cfg = json.loads(calibration_path().read_text()) | {
@@ -1010,6 +1093,15 @@ class TestBuildPrompt:
     def test_unknown_variant(self, capsys):
         assert main(["build-prompt", "--crop-id", "synth000:2",
                      "--variant", "bogus"]) == EXIT_USAGE
+
+    def test_unknown_variant_is_refused_before_the_load(self, capsys, monkeypatch):
+        from styledialog import corpus
+        loads = []
+        monkeypatch.setattr(corpus, "load_corpus", lambda *args: loads.append(args))
+        assert main(["build-prompt", "--crop-id", "synth000:2",
+                     "--variant", "bogus"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unknown prompt variant 'bogus'\n"
+        assert loads == []
 
     def test_unknown_conversation(self, capsys):
         assert main(["build-prompt", "--crop-id", "ghost:1"]) == EXIT_USAGE

@@ -113,7 +113,7 @@ class TestMarkov:
         assert t1.vocab == t2.vocab and t1.totals == t2.totals
 
     def test_empty_corpus(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError):
             train_markov([])
 
     def test_beats_uniform_perplexity(self, conv):

@@ -88,6 +88,21 @@ class TestLoadCorpus:
         conversations, rejects = load_corpus(p)
         assert len(conversations) == 2 and rejects == []
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("keep", [None, lambda c: c.id != "c0"], ids=["all", "keep"])
+    def test_byte_not_utf8_rejects_only_its_line(self, tmp_path, newline, keep):
+        """Each line is decoded on its own: a byte that is not UTF-8 makes
+        its record a reject, named by its line, and the others load."""
+        c0, c1 = (line.encode() for line in small_corpus_lines())
+        accented = '{"id": "café", "turns": [{"speaker": "a", "text": "olá"}]}'.encode()
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(newline.join([c0, b"", b'{"id": "bad\xff", "turns": []}', c1, accented])
+                      + newline)
+        conversations, rejects = load_corpus(p, keep=keep)
+        assert [c.id for c in conversations] == ["c0", "c1", "café"][keep is not None:]
+        assert conversations[-1].turns[0].text == "olá"
+        assert rejects == [(3, "line is not valid UTF-8 at byte 12")]
+
 
 def styles(kind):
     return st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8).map(

@@ -1,9 +1,11 @@
 """Static checks of the source.  Every top-level name in the package is
 reached from the package or the benchmark: a function, class or module
 constant that only tests call is an island, code that no command runs.
-And `src/` holds no assert statement."""
+And `src/` holds no assert statement, and no `except` clause that only
+re-raises a ValueError as a `CliError`."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,3 +81,26 @@ def test_no_asserts():
                for path in sorted((ROOT / "src").rglob("*.py"))
                for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
     assert not asserts, "assert statements:\n" + "\n".join(asserts)
+
+
+def test_no_value_error_rewraps():
+    """`cli.main` turns every ValueError into one `error:` line and exit 2,
+    so an `except` clause that catches a ValueError, or a subclass such as
+    `json.JSONDecodeError`, only to raise `CliError(str(exc))` adds nothing.
+    The clause's exception types are resolved in its own module."""
+    rewraps = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "styledialog" + ("" if path.stem == "__init__" else f".{path.stem}")
+        namespace = vars(importlib.import_module(module))
+        for node in ast.walk(_parse(path)):
+            if not (isinstance(node, ast.ExceptHandler) and len(node.body) == 1
+                    and isinstance(node.body[0], ast.Raise) and node.body[0].exc is not None
+                    and ast.unparse(node.body[0].exc) == f"CliError(str({node.name}))"):
+                continue
+            caught = BaseException if node.type is None else eval(ast.unparse(node.type),
+                                                                   namespace)
+            if any(issubclass(c, ValueError) or issubclass(ValueError, c)
+                   for c in (caught if isinstance(caught, tuple) else (caught,))):
+                rewraps.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not rewraps, "clauses that re-raise a ValueError as CliError(str(exc)):\n" + \
+        "\n".join(rewraps)
