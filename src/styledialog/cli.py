@@ -50,6 +50,9 @@ CONFIG_KEYS = frozenset({f.name for f in fields(RunConfig)} - {"topology", "late
                         | {"_comment", "latency"})
 # keys every row of generated.jsonl after the `_config` header holds, an error row excepted
 GENERATED_KEYS = ("crop", "conversation_id", "k", "speaker", "text", "audio")
+# the names a command that makes its --out a directory writes there: name -> is a directory
+OUT_CONTENTS = {"run": {"generated.jsonl": False, "audio": True},
+                "ingest": {"corpus.jsonl": False, "ingest_report.json": False, "audio": True}}
 
 
 class CliError(ValueError):
@@ -121,10 +124,10 @@ def _load_corpus(path, audio_for=None, keep=None):
 
 def cmd_ingest(args) -> int:
     out = Path(args.out)
-    conversations, _, rejects = _load_corpus(args.corpus)
-    kept = []
-    discarded = 0
-    stripped = 0
+    # without --write-audio a clip renders only when save_corpus writes its WAV
+    audio_for = None if args.write_audio else lambda _: ()
+    conversations, _, rejects = _load_corpus(args.corpus, audio_for)
+    kept, discarded, stripped = [], 0, 0
     for conv in conversations:
         turns = []
         for turn in conv.turns:
@@ -138,7 +141,6 @@ def cmd_ingest(args) -> int:
             turns.append(replace(turn, text=metrics_mod.normalize(text)))
         if turns:
             kept.append(replace(conv, turns=tuple(turns)))
-    out.mkdir(parents=True, exist_ok=True)
     corpus_mod.save_corpus(out / "corpus.jsonl", kept, write_audio=args.write_audio)
     summary = {
         "loaded": len(conversations),
@@ -160,13 +162,16 @@ def _figure(value: float, decimals: int, width: int = 8) -> str:
     return text if len(text) <= width else f"{value:>{width}.3g}"
 
 
-def _check_out(out: str, makes_dir: bool) -> None:
+def _check_out(out: str, contents: dict | None) -> None:
     """Refuse, before any work, an `--out` the command could not write: a
     directory where it writes a file, an existing non-directory where it
-    makes a directory, or a path below something that is not a directory."""
+    makes a directory, the same at a name `contents` (None for a file) says
+    it writes inside that directory, or a path below a non-directory."""
     path = Path(out)
-    if path.exists() and path.is_dir() != makes_dir:
-        raise CliError(f"--out {out} is {'not ' if makes_dir else ''}a directory")
+    for name, is_dir in [("", contents is not None), *(contents or {}).items()]:
+        if (path / name).exists() and (path / name).is_dir() != is_dir:
+            held = f" holds {name}, which" if name else ""
+            raise CliError(f"--out {out}{held} is {'not ' if is_dir else ''}a directory")
     below = next((p for p in path.parents if p.exists()), path)  # "." and "/" have no parent
     if not below.is_dir():
         raise CliError(f"--out {out} is below {below}, which is not a directory")
@@ -271,13 +276,14 @@ def _load_generated(path: Path):
     """(where, row) for each row of generated.jsonl after the `_config`
     header but its error rows, which are counted on stderr; a malformed row
     is a CliError naming its line."""
-    rows = []
-    skipped = 0
-    with open(path / "generated.jsonl", encoding="utf-8") as fh:
+    rows, skipped = [], 0
+    with open(path / "generated.jsonl", "rb") as fh:  # each row decoded in its own `try`
         for line_no, line in enumerate(fh, start=1):
             where = f"generated.jsonl:{line_no}"
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:  # raised only by the row's decode
+                raise CliError(f"{where}: line is not valid UTF-8 at byte {exc.start + 1}")
             except json.JSONDecodeError as exc:
                 raise CliError(f"{where}: {exc}") from exc
             if not isinstance(rec, dict):
@@ -524,7 +530,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         if getattr(args, "out", None):  # an empty --out writes no file
-            _check_out(args.out, makes_dir=args.command in ("ingest", "run"))
+            _check_out(args.out, OUT_CONTENTS.get(args.command))
         return args.func(args)
     except (OSError, ValueError) as exc:  # a bad input, a CliError included, is a usage error
         print(f"error: {exc}", file=sys.stderr)

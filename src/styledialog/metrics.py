@@ -4,7 +4,7 @@ These are re-implementations of the canonical formulas (word-level WER,
 BLEU-4 with add-one smoothing on zero counts, ROUGE-L F1, exact-match
 METEOR, greedy embedding F1) pinned against brute-force oracles in the
 test suite.  All text metrics return percentages in [0, 100].
-assemble_report scores both sides of a pair after one fixed normalisation,
+score_pair scores both sides of a pair after one fixed normalisation,
 `normalize`, the one `ingest` applies to transcripts.
 """
 
@@ -285,59 +285,51 @@ ACOUSTIC_FEATURES = ("pitch_mean", "pitch_std", "energy_mean", "energy_std",
                      "hnr_db", "duration_s")
 
 
-def assemble_report(pairs) -> MetricReport:
-    """Score (generated, ground-truth) turn pairs from an iterable, one pair
-    at a time: each pair's text metrics, `summarize` and `acoustic_embedding`
-    are computed when it is reached, and only their numbers are kept, so a
-    generator of pairs that reads each clip when asked is scored holding one
-    pair's audio at a time.
+SEMANTIC = ("bleu", "rouge_l", "meteor", "embed_f1")  # per-pair means; WER is pooled
 
-    Semantic metrics are averaged per pair on normalized text (WER uses
-    pooled edit distance over pooled reference length).  Acoustic Pearson r
-    pairs per-crop feature values; zero-variance cells come back as None.
-    Speaker similarity is the mean embedding cosine, None when no pair
-    has audio on both sides.
-    """
-    bleu_scores, rouge_scores, meteor_scores, embed_scores = [], [], [], []
-    edits = 0
-    ref_len = 0
-    sims = []
-    gen_summaries = []
-    ref_summaries = []
-    for gen, ref in pairs:
-        g = normalize(gen.text)
-        r = normalize(ref.text)
-        bleu_scores.append(bleu([r], g) if r.split() else 0.0)
-        rouge_scores.append(rouge_l_f1(r, g))
-        meteor_scores.append(meteor_exact(r, g))
-        embed_scores.append(greedy_embed_score(r, g))
-        edits += word_edit_distance(r.split(), g.split())
-        ref_len += len(r.split())
-        if gen.audio is None or ref.audio is None:
-            continue
-        gen_summaries.append(acoustics.summarize(gen.audio))
-        ref_summaries.append(acoustics.summarize(ref.audio))
-        sims.append(cosine(acoustics.acoustic_embedding(gen.audio),
-                           acoustics.acoustic_embedding(ref.audio)))
-    if not bleu_scores:
+
+def score_pair(gen, ref) -> dict:
+    """One pair's row: its `SEMANTIC` scores, WER's edits and reference words,
+    and, with audio on both sides, the (generated, reference) `summaries` and
+    their embeddings' `cosine` (else None).  Each metric is looked up on this
+    module or `acoustics` at call time, so a wrapper set there sees it."""
+    g, r = normalize(gen.text), normalize(ref.text)
+    ref_words = r.split()
+    row = {"bleu": bleu([r], g) if ref_words else 0.0, "rouge_l": rouge_l_f1(r, g),
+           "meteor": meteor_exact(r, g), "embed_f1": greedy_embed_score(r, g),
+           "edits": word_edit_distance(ref_words, g.split()), "ref_words": len(ref_words),
+           "summaries": None, "cosine": None}
+    if gen.audio is not None and ref.audio is not None:
+        row["summaries"] = (acoustics.summarize(gen.audio), acoustics.summarize(ref.audio))
+        row["cosine"] = cosine(acoustics.acoustic_embedding(gen.audio),
+                               acoustics.acoustic_embedding(ref.audio))
+    return row
+
+
+def aggregate(rows) -> MetricReport:
+    """The report of `score_pair` rows alone: each `SEMANTIC` mean, WER as
+    pooled edits over pooled reference words, and, over the rows with audio
+    on both sides, each feature's Pearson r (None where undefined) and the
+    mean cosine (None when there are none)."""
+    if not rows:
         raise ValueError("nothing to score")
-    semantic = {
-        "bleu": float(np.mean(bleu_scores)),
-        "rouge_l": float(np.mean(rouge_scores)),
-        "meteor": float(np.mean(meteor_scores)),
-        "embed_f1": float(np.mean(embed_scores)),
-        "wer": 100.0 * edits / max(ref_len, 1),
-    }
-
+    semantic = {name: float(np.mean([row[name] for row in rows])) for name in SEMANTIC}
+    semantic["wer"] = (100.0 * sum(row["edits"] for row in rows)
+                       / max(sum(row["ref_words"] for row in rows), 1))
+    heard = [row for row in rows if row["cosine"] is not None]
     acoustic = {}
-    if gen_summaries:
-        for feature in ACOUSTIC_FEATURES:
-            gx = [getattr(s, feature) for s in gen_summaries]
-            ry = [getattr(s, feature) for s in ref_summaries]
-            try:
-                acoustic[feature] = pearson(gx, ry)
-            except ValueError:
-                acoustic[feature] = None
-    similarity = float(np.mean(sims)) if sims else None
-    return MetricReport(semantic=semantic, acoustic=acoustic,
-                        speaker_similarity=similarity)
+    for feature in ACOUSTIC_FEATURES if heard else ():
+        values = [[getattr(s, feature) for s in row["summaries"]] for row in heard]
+        try:
+            acoustic[feature] = pearson(*zip(*values))  # generated against reference
+        except ValueError:
+            acoustic[feature] = None
+    similarity = float(np.mean([row["cosine"] for row in heard])) if heard else None
+    return MetricReport(semantic=semantic, acoustic=acoustic, speaker_similarity=similarity)
+
+
+def assemble_report(pairs) -> MetricReport:
+    """`aggregate` of each (generated, reference) pair's `score_pair` row.
+    Each pair is scored when the iterable reaches it, so a generator that
+    reads each clip when asked is scored holding one pair's audio at a time."""
+    return aggregate([score_pair(gen, ref) for gen, ref in pairs])

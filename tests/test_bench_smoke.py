@@ -167,6 +167,36 @@ def test_run_reports_corpus_layers(monkeypatch, tmp_path, inputs):
     assert layers.op_metrics([crops_op])["corpus.render_useful_frac"][0] == 1.0
 
 
+def test_evaluate_metric_spans_nest_in_assemble_report(monkeypatch, tmp_path, inputs):
+    """A traced `evaluate` has one span per pair of every text metric and of
+    METEOR, and `summarize` and `acoustic_embedding` spans, all inside
+    `metrics.assemble_report`: `score_pair` looks each one up at call time,
+    where the benchmark wraps it.  No listed per-layer metric reads the
+    text-metric spans, so one called past its wrapper would show only here."""
+    layers = _bench_module(monkeypatch, "layers")
+    tracer = _bench_module(monkeypatch, "tracer")
+    crops = 2
+    _run("-m", "styledialog.cli", "run", "--corpus", inputs["corpus"], "--crops", crops,
+         "--seed", 1, "--out", tmp_path / "gen")
+    spans_path = tmp_path / "evaluate.spans.json"
+    _run(BENCH / "traced_cli.py", spans_path, "--", "evaluate", "--generated", tmp_path / "gen",
+         "--reference", inputs["corpus"])
+    spans = tracer.spans_from_json(json.loads(spans_path.read_text(encoding="utf-8")))
+    by_id = {s.id: s for s in spans}
+
+    def ancestors(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            yield span.name
+    per_pair = [f"metrics.text.{fn}" for fn in layers.TEXT_METRICS] + ["metrics.meteor_exact"]
+    guarded = [s for s in spans if s.name in per_pair
+               or s.name in ("acoustics.summarize", "acoustics.acoustic_embedding")]
+    counts = {name: sum(s.name == name for s in guarded) for name in per_pair}
+    assert counts == dict.fromkeys(per_pair, crops)
+    assert {s.name for s in guarded} >= {"acoustics.summarize", "acoustics.acoustic_embedding"}
+    assert [s.name for s in guarded if "metrics.assemble_report" not in ancestors(s)] == []
+
+
 @pytest.mark.parametrize("name", [w["name"] for w in SPEC["workloads"]])
 def test_traced_op_reports_every_per_layer_name(monkeypatch, tmp_path, name):
     """One traced op of each workload BENCHMARK.json lists, run from a fresh

@@ -101,11 +101,13 @@ class TestStartup:
     @pytest.mark.skipif(not BUILTIN_SHA256, reason="needs CPython's built-in SHA-256")
     @pytest.mark.parametrize("command", ["ingest", "run", "evaluate", "gradcheck"])
     def test_command_loads_no_openssl(self, tmp_path, command):
-        """Each command exits 0 with `_hashlib` blocked.  `ingest` and `run`
-        synthesize, so they load numpy.random too, whose import of `secrets`
-        is the other route to OpenSSL."""
+        """Each command exits 0 with `_hashlib` blocked.  `ingest` (with
+        --write-audio, which writes every clip) and `run` synthesize, so they
+        load numpy.random too, whose import of `secrets` is the other route
+        to OpenSSL."""
         run = ["run", "--corpus", CORPUS, "--crops", "1", "--out", str(tmp_path / "run")]
-        argv = {"ingest": ["ingest", "--corpus", CORPUS, "--out", str(tmp_path / "ingest")],
+        argv = {"ingest": ["ingest", "--corpus", CORPUS, "--write-audio",
+                           "--out", str(tmp_path / "ingest")],
                 "run": run,
                 "evaluate": ["evaluate", "--generated", str(tmp_path / "run"),
                              "--reference", CORPUS],
@@ -673,6 +675,25 @@ def _below_a_file(tmp_path):
     return str(Path(_file(tmp_path)) / "sub")
 
 
+def _holding(tmp_path, name, is_dir):
+    """A directory that holds `name` as a directory, or else as a file."""
+    out = tmp_path / "holder"
+    out.mkdir()
+    (out / name).mkdir() if is_dir else (out / name).write_text("x")
+    return str(out)
+
+
+def _run_out_holding(name, is_dir):
+    return lambda tmp, run: ["run", "--corpus", CORPUS, "--crops", "1",
+                             "--out", _holding(tmp, name, is_dir)]
+
+
+def _ingest_out_holding(name, is_dir):
+    """`--write-audio`, so a load that the check let through would render."""
+    return lambda tmp, run: ["ingest", "--corpus", _one_turn_corpus(tmp), "--write-audio",
+                             "--out", _holding(tmp, name, is_dir)]
+
+
 # argv of each command given a path it cannot write or read
 UNUSABLE_PATHS = {
     "ingest out is a file": lambda tmp, run: ["ingest", "--corpus", _one_turn_corpus(tmp),
@@ -700,6 +721,11 @@ UNUSABLE_PATHS = {
     "extract-styles out is below a file": lambda tmp, run: ["extract-styles", "--corpus",
                                                             _one_turn_corpus(tmp),
                                                             "--out", _below_a_file(tmp)],
+    "run out holds a generated.jsonl dir": _run_out_holding("generated.jsonl", True),
+    "run out holds an audio file": _run_out_holding("audio", False),
+    "ingest out holds a corpus.jsonl dir": _ingest_out_holding("corpus.jsonl", True),
+    "ingest out holds an ingest_report.json dir": _ingest_out_holding("ingest_report.json", True),
+    "ingest out holds an audio file": _ingest_out_holding("audio", False),
 }
 
 
@@ -750,6 +776,25 @@ class TestUnusablePaths:
         assert capsys.readouterr().err == f"error: --out {out} is not a directory\n"
         assert loads == []
 
+    @pytest.mark.parametrize("command, name, is_dir", [
+        ("run", "generated.jsonl", True), ("run", "audio", False),
+        ("ingest", "corpus.jsonl", True), ("ingest", "ingest_report.json", True),
+        ("ingest", "audio", False)])
+    def test_out_contents_refused_before_the_load(self, tmp_path, capsys, monkeypatch,
+                                                  command, name, is_dir):
+        """A name `run` or `ingest` writes inside --out is checked with
+        --out: `run --crops 20` rendered 20 incoming turns, and `ingest` all
+        124 bundled clips, before the write there failed."""
+        from styledialog import corpus
+        loads = []
+        monkeypatch.setattr(corpus, "load_corpus", lambda *args: loads.append(args))
+        out = _holding(tmp_path, name, is_dir)
+        assert main([command, "--corpus", CORPUS, "--out", out]) == EXIT_USAGE
+        which = "" if is_dir else "not "
+        assert capsys.readouterr() == (
+            "", f"error: --out {out} holds {name}, which is {which}a directory\n")
+        assert loads == []
+
 
 class TestInputFaults:
     """Inputs that escaped `main` as a traceback and exit 1, or made a
@@ -780,6 +825,18 @@ class TestInputFaults:
         assert assert_one_usage_error(code, capsys) == \
             "error: cannot train a bigram table on a corpus with no words"
         assert work == [] and not out.exists()
+
+    def test_generated_row_not_utf8_names_its_line(self, run_dir, tmp_path, capsys, work):
+        """A byte that is not UTF-8 in one generated.jsonl row is reported at
+        its line and its byte in the row, not at an offset in the file."""
+        gen = shutil.copytree(run_dir, tmp_path / "gen")
+        lines = (gen / "generated.jsonl").read_bytes().splitlines(keepends=True)
+        lines.insert(2, b'{"crop": 9, "conversation_id": "bad\xff"}\n')
+        (gen / "generated.jsonl").write_bytes(b"".join(lines))
+        code = main(["evaluate", "--generated", str(gen), "--reference", CORPUS])
+        assert assert_one_usage_error(code, capsys) == \
+            "error: generated.jsonl:3: line is not valid UTF-8 at byte 36"
+        assert work == []
 
     @pytest.mark.parametrize("command", ["build-prompt", "extract-styles"])
     def test_a_byte_not_utf8_rejects_only_its_record(self, tmp_path, capsys, command):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from styledialog.metrics import (ACOUSTIC_FEATURES, EMBED_BLOCK_ROWS, MetricReport,
-                                 UndefinedStatisticError, _lcs_len, assemble_report,
-                                 bleu, cosine, greedy_embed_score,
-                                 meteor_exact, normalize, pearson, rouge_l_f1,
+                                 UndefinedStatisticError, _lcs_len, aggregate,
+                                 assemble_report, bleu, cosine, greedy_embed_score,
+                                 meteor_exact, normalize, pearson, rouge_l_f1, score_pair,
                                  trigram_embedder, word_edit_distance)
 from conftest import sine_clip
 from oracles import (bleu_brute, cosine_brute, edit_distance_brute,
@@ -341,3 +341,67 @@ class TestAssembleReport:
         report = assemble_report(zip(gen, gen))
         for feat in ("pitch_mean", "duration_s"):
             assert report.acoustic[feat] == pytest.approx(1.0)
+
+
+def _row(edits=0, ref_words=1, summaries=None, cosine=None, **semantic):
+    """A `score_pair` row built by hand: its semantic scores default to 0."""
+    return dict.fromkeys(("bleu", "rouge_l", "meteor", "embed_f1"), 0.0) | semantic | {
+        "edits": edits, "ref_words": ref_words, "summaries": summaries, "cosine": cosine}
+
+
+def _heard(gen_pitch, ref_pitch, gen_energy, ref_energy, cos):
+    """A row with audio on both sides; every feature but pitch_mean and
+    energy_mean is 1.0 on both sides."""
+    def summary(pitch, energy):
+        return SimpleNamespace(**dict.fromkeys(ACOUSTIC_FEATURES, 1.0)
+                               | {"pitch_mean": pitch, "energy_mean": energy})
+    return _row(summaries=(summary(gen_pitch, gen_energy), summary(ref_pitch, ref_energy)),
+                cosine=cos)
+
+
+class TestAggregate:
+    def test_no_rows(self):
+        with pytest.raises(ValueError, match="nothing to score"):
+            aggregate([])
+
+    def test_wer_is_pooled_not_averaged(self):
+        # 4 edits over 20 reference words; the mean of 75 % and 6.25 % is 40.6
+        report = aggregate([_row(edits=3, ref_words=4), _row(edits=1, ref_words=16)])
+        assert report.semantic["wer"] == 20.0
+
+    def test_semantic_means_in_key_order(self):
+        report = aggregate([_row(bleu=10.0, rouge_l=20.0, meteor=30.0, embed_f1=40.0),
+                            _row(bleu=30.0, rouge_l=40.0, meteor=50.0, embed_f1=60.0)])
+        assert report.semantic == {"bleu": 20.0, "rouge_l": 30.0, "meteor": 40.0,
+                                   "embed_f1": 50.0, "wer": 0.0}
+        assert list(report.semantic) == ["bleu", "rouge_l", "meteor", "embed_f1", "wer"]
+
+    def test_unheard_rows_left_out_of_acoustics(self):
+        report = aggregate([_heard(1.0, 2.0, 1.0, 3.0, 0.5), _row(),
+                            _heard(2.0, 4.0, 2.0, 2.0, 0.75), _row(),
+                            _heard(3.0, 6.0, 3.0, 1.0, 1.0)])
+        assert report.acoustic["pitch_mean"] == 1.0
+        assert report.acoustic["energy_mean"] == -1.0
+        # every other feature is 1.0 in each heard row: zero variance
+        assert [f for f, r in report.acoustic.items() if r is None] == \
+            [f for f in ACOUSTIC_FEATURES if f not in ("pitch_mean", "energy_mean")]
+        assert report.speaker_similarity == 0.75
+
+    def test_one_heard_row_gives_no_correlation(self):
+        report = aggregate([_row(), _heard(1.0, 2.0, 1.0, 3.0, 0.5)])
+        assert report.acoustic == dict.fromkeys(ACOUSTIC_FEATURES)
+        assert report.speaker_similarity == 0.5
+
+    def test_no_heard_row(self):
+        report = aggregate([_row(), _row()])
+        assert report.acoustic == {} and report.speaker_similarity is None
+
+    def test_score_pair_without_reference_audio_or_words(self):
+        """A reference whose text normalises to nothing scores BLEU 0, and a
+        side without audio leaves the row's acoustics None."""
+        row = score_pair(_pair("the cat sat", sine_clip(220.0, 0.5)), _pair("Um, uh!"))
+        assert list(row) == ["bleu", "rouge_l", "meteor", "embed_f1", "edits", "ref_words",
+                             "summaries", "cosine"]
+        assert row["bleu"] == 0.0
+        assert (row["edits"], row["ref_words"]) == (3, 0)
+        assert row["summaries"] is None and row["cosine"] is None
